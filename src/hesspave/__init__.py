@@ -65,7 +65,6 @@ from .paving import (
     InversionProfile,
     InversionSet,
     PoincareData,
-    betti_numbers,
     column_sort_trace,
     enumerate_cells,
     hessenberg_inversions,

@@ -87,10 +87,12 @@ def _parse_w(text: str, n: int) -> Permutation:
     if len(word) != n:
         problems.append(f"--w has {len(word)} values but n={n}")
     try:
-        return Permutation(word)
+        w = Permutation(word)
     except ValueError as e:
         problems.append(f"--w: {e}")
+    if problems:
         raise InputError("; ".join(problems))
+    return w
 
 
 def _header(args, command: str) -> dict:
@@ -117,10 +119,6 @@ def _emit(args, payload: dict, csv_rows: list[str] | None, text: str) -> None:
             f.write(out)
     else:
         sys.stdout.write(out)
-
-
-def _poly_str(p) -> str:
-    return repr(p)
 
 
 def cmd_cells(args) -> int:
@@ -235,7 +233,7 @@ def cmd_generic_flag(args) -> int:
     payload = dict(_header(args, "generic-flag"))
     payload["w"] = list(w.word)
     payload["zeroed"] = sorted([list(k) for k in zero_keys])
-    payload["columns"] = [[_poly_str(e) for e in col] for col in columns]
+    payload["columns"] = [[repr(e) for e in col] for col in columns]
     lines = [f"generic flag for w={w}, lambda={lam}, h={h}"]
     if zero_keys:
         lines.append(
@@ -244,12 +242,12 @@ def cmd_generic_flag(args) -> int:
         )
     for j, col in enumerate(columns, start=1):
         terms = [
-            f"({_poly_str(e)})*e{i}" if not _is_simple(e) else _simple_term(e, i)
+            f"({e!r})*e{i}" if not _is_simple(e) else _simple_term(e, i)
             for i, e in enumerate(col, start=1) if e
         ]
         lines.append(f"v{j} = " + (" + ".join(terms) if terms else "0"))
     csv_rows = ["column;entries"] + [
-        f"{j};" + "|".join(_poly_str(e) for e in col)
+        f"{j};" + "|".join(repr(e) for e in col)
         for j, col in enumerate(columns, start=1)
     ]
     _emit(args, payload, csv_rows, "\n".join(lines))
@@ -263,7 +261,7 @@ def _is_simple(p: Poly) -> bool:
 def _simple_term(p: Poly, i: int) -> str:
     if p == Poly.const(1):
         return f"e{i}"
-    return f"{_poly_str(p)}*e{i}"
+    return f"{p!r}*e{i}"
 
 
 def cmd_count(args) -> int:

@@ -219,10 +219,6 @@ class Tableau:
         row = self.rows[r - 1]
         return row[c] if c < len(row) else None
 
-    def left_neighbor(self, value: int) -> int | None:
-        r, c = self.index[value]
-        return self.rows[r - 1][c - 2] if c > 1 else None
-
     def __str__(self) -> str:
         return format_tableau(self)
 

@@ -472,7 +472,8 @@ def bruhat_canonical_form(g: ExactMatrix) -> tuple[Permutation, ExactMatrix]:
         for i in range(n):
             if cols[j][i] != dom.zero():
                 u = u.with_entry(i + 1, word[j], cols[j][i])
-    assert UnipotentPattern.schubert(w).contains(u)
+    if not UnipotentPattern.schubert(w).contains(u):
+        raise RuntimeError(f"residual factor is not in U^w for w={w}")
     return w, u
 
 

@@ -173,7 +173,10 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescrip
         t = Tableau([list(r) for r in rows], lam)
         w = permutation_of_tableau(t)
         hess = InversionSet(_tableau_inversions(t, h))
-        assert len(hess) == dim
+        if len(hess) != dim:
+            raise RuntimeError(
+                f"walk counted {dim} inversions for {t.rows}, descriptor has {len(hess)}"
+            )
         spr = InversionSet(_tableau_inversions(t, springer_h))
         cells.append(CellDescriptor(w, t, hess, spr, dim))
     cells.sort(key=lambda c: c.w.word)
@@ -190,11 +193,6 @@ class PoincareData:
     def total_cells(self) -> int:
         return sum(self.coeffs)
 
-    @property
-    def betti_even(self) -> tuple[int, ...]:
-        """Ranks of the compactly-supported cohomology in even degrees 2k."""
-        return self.coeffs
-
     def evaluate(self, q: int) -> int:
         """Point count over F_q predicted by the paving."""
         return sum(c * q**k for k, c in enumerate(self.coeffs))
@@ -210,12 +208,62 @@ def dimension_histogram(lam: Composition, h: HessenbergFunction) -> list[int]:
 
 
 def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
-    return PoincareData(tuple(dimension_histogram(lam, h)))
+    """Cell-dimension histogram by the n -> n-1 deletion recursion, memoized.
 
+    The largest entry m of an h-strict filling ends its row; deleting it is
+    the tableau side of the projection C_w -> C_y.  A state is the remaining
+    row lengths plus a bound b_i on each row's last entry (h of the deleted
+    right neighbor, n for a full row).  Row i may hold m iff m <= b_i, and
+    then m forms a Hessenberg inversion with the last entry of every other
+    row j with b_j >= m whose last box lies in a column right of m's box, or
+    in the same column above it; no other entry can pair with m, since its
+    right neighbor r < m has h(r) < m.  Bounds are clamped to m-1 (0 for
+    empty rows) so that equivalent states share one memo entry.
 
-def betti_numbers(lam: Composition, h: HessenbergFunction) -> tuple[int, ...]:
-    """Ranks of H_c^{2k}; odd-degree cohomology vanishes for an affine paving."""
-    return poincare(lam, h).betti_even
+    `dimension_histogram` walks every filling and serves as the oracle.
+    """
+    n = lam.n
+    if n != h.n:
+        raise ValueError(f"size mismatch: n(lambda)={lam.n}, n(h)={h.n}")
+    if n == 0:
+        return PoincareData(())
+    hv = h.values
+    nrows = lam.num_rows
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+
+    def count(m: int, rem: tuple[int, ...], bounds: tuple[int, ...]) -> list[int]:
+        if m == 0:
+            return [1]
+        key = (rem, bounds)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        total: list[int] = []
+        for i in range(nrows):
+            c = rem[i]
+            if c == 0 or m > bounds[i]:
+                continue
+            child_rem = rem[:i] + (c - 1,) + rem[i + 1:]
+            child_bounds = tuple(
+                0 if not child_rem[j] else min(hv[m - 1] if j == i else bounds[j], m - 1)
+                for j in range(nrows)
+            )
+            sub = count(m - 1, child_rem, child_bounds)
+            if not sub:
+                continue
+            gain = sum(
+                1 for j in range(nrows)
+                if j != i and rem[j] and bounds[j] >= m
+                and (rem[j] > c or (rem[j] == c and j < i))
+            )
+            if len(total) < gain + len(sub):
+                total.extend([0] * (gain + len(sub) - len(total)))
+            for d, v in enumerate(sub, start=gain):
+                total[d] += v
+        memo[key] = total
+        return total
+
+    return PoincareData(tuple(count(n, lam.parts, (n,) * nrows)))
 
 
 def r0_tableau(lam: Composition, h: HessenbergFunction) -> Tableau | None:
@@ -420,7 +468,3 @@ def _columns(t: Tableau) -> list[list[int]]:
         for c in range(1, t.shape.num_cols + 1)
     ]
 
-
-def is_standard_columns(t: Tableau) -> bool:
-    """True iff every column increases from top to bottom."""
-    return all(all(a < b for a, b in zip(col, col[1:])) for col in _columns(t))

@@ -210,6 +210,13 @@ class TestInputErrors:
         assert code == 2
         assert "--w" in err
 
+    @pytest.mark.parametrize("command", ["profile", "generic-flag"])
+    def test_w_length_mismatch(self, capsys, command):
+        code, _, err = run(capsys, command, "--lambda", "2,2", "--w", "1,2,3")
+        assert code == 2
+        assert err.startswith("input error:")
+        assert "--w has 3 values but n=4" in err
+
     def test_bad_budget(self, capsys):
         code, _, err = run(capsys, "cells", "--lambda", "2", "--budget-bits", "0")
         assert code == 2

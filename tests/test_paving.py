@@ -1,6 +1,8 @@
 import itertools
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hesspave.combinatorics import (
     Composition,
@@ -196,6 +198,155 @@ class TestPoincare:
         p = poincare(Composition([1, 1]), HessenbergFunction.springer(2))
         assert p.evaluate(2) == 3
         assert p.evaluate(3) == 4
+
+
+def compositions(n):
+    """Every composition of n with positive parts (each partition permuted)."""
+    return sorted({c for p in partitions(n) for c in itertools.permutations(p)})
+
+
+class TestPoincareRecursion:
+    """The memoized deletion recursion against the full filling walk."""
+
+    def test_matches_enumeration(self):
+        shapes = [c for n in range(6) for c in compositions(n)] + list(partitions(6))
+        pairs = empty = 0
+        for parts in shapes:
+            lam = Composition(parts)
+            for h in all_hessenberg_functions(lam.n):
+                coeffs = poincare(lam, h).coeffs
+                assert coeffs == tuple(dimension_histogram(lam, h)), (parts, h)
+                pairs += 1
+                empty += coeffs == ()
+        assert pairs == 2262  # 2,261 with n >= 1, plus the empty shape
+        assert empty > 0
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            poincare(Composition([2, 1]), HessenbergFunction.springer(4))
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_property_small(self, data):
+        n = data.draw(st.integers(1, 7))
+        split = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        cuts = [0] + [i for i, cut in enumerate(split, start=1) if cut] + [n]
+        parts = [b - a for a, b in zip(cuts, cuts[1:])]
+        values = []
+        for i in range(1, n + 1):
+            values.append(data.draw(st.integers(values[-1] if values else 0, i - 1)))
+        lam, h = Composition(parts), HessenbergFunction(values)
+        assert poincare(lam, h).coeffs == tuple(dimension_histogram(lam, h))
+
+
+def _horizontal_strips(shape, size):
+    """Shapes nu with nu / shape a horizontal strip of `size` boxes."""
+    rows = list(shape) + [0]
+
+    def rec(i, left, acc):
+        if i == len(rows):
+            if left == 0:
+                yield tuple(p for p in acc if p)
+            return
+        cap = rows[i - 1] - rows[i] if i else left
+        for add in range(min(cap, left) + 1):
+            yield from rec(i + 1, left - add, acc + [rows[i] + add])
+
+    yield from rec(0, size, [])
+
+
+def _ssyt_words(content):
+    """Reading words (rows bottom to top) of every SSYT of the given content."""
+    tableaux = [((), ())]  # (shape, rows)
+    for letter, size in enumerate(content, start=1):
+        grown = []
+        for shape, rows in tableaux:
+            for nu in _horizontal_strips(shape, size):
+                new = [list(r) for r in rows] + [[] for _ in range(len(nu) - len(rows))]
+                for r, p in enumerate(nu):
+                    new[r] += [letter] * (p - (shape[r] if r < len(shape) else 0))
+                grown.append((nu, tuple(tuple(r) for r in new)))
+        tableaux = grown
+    return [(shape, [v for r in reversed(rows) for v in r]) for shape, rows in tableaux]
+
+
+def _charge(word):
+    """Lascoux-Schutzenberger charge of a word with partition content.
+
+    Standard subwords are peeled off by scanning leftward, cyclically, from
+    the rightmost 1 for 2, 3, ...; a letter found only after wrapping around
+    gets index one more than its predecessor, and charge sums the indices.
+    """
+    word = list(word)
+    total = 0
+    while word:
+        pos = max(i for i, v in enumerate(word) if v == 1)
+        taken, index = [pos], 0
+        for r in range(2, max(word) + 1):
+            left = [i for i in range(pos) if word[i] == r]
+            if left:
+                pos = left[-1]
+            else:
+                index += 1
+                pos = max(i for i, v in enumerate(word) if v == r)
+            taken.append(pos)
+            total += index
+        word = [v for i, v in enumerate(word) if i not in taken]
+    return total
+
+
+def _standard_tableaux(shape):
+    """f^shape by the hook length formula."""
+    hooks = prod(
+        shape[r] - c + sum(1 for below in shape[r + 1:] if below > c)
+        for r in range(len(shape)) for c in range(shape[r])
+    )
+    return factorial(sum(shape)) // hooks
+
+
+def springer_poincare(lam):
+    """Sum_mu f^mu q^{n(lambda)} K_{mu,lambda}(1/q) for a partition lambda.
+
+    The Springer fibre's Betti numbers (Hotta-Springer 1977) through the
+    Kostka-Foulkes polynomials K_{mu,lambda}(t) = sum of t^charge(T) over
+    SSYT(mu, content lambda) (Lascoux-Schutzenberger 1978).
+    """
+    top = sum(i * p for i, p in enumerate(lam))
+    coeffs = [0] * (top + 1)
+    for shape, word in _ssyt_words(lam):
+        coeffs[top - _charge(word)] += _standard_tableaux(shape)
+    return tuple(coeffs)
+
+
+class TestSpringerClosedForm:
+    def test_kostka_foulkes_examples(self):
+        def kostka(mu, lam):
+            charges = [_charge(word) for shape, word in _ssyt_words(lam) if shape == mu]
+            return {c: charges.count(c) for c in charges}
+
+        assert kostka((2, 1), (1, 1, 1)) == {1: 1, 2: 1}
+        assert kostka((3,), (1, 1, 1)) == {3: 1}
+        assert kostka((3, 1), (2, 1, 1)) == {1: 1, 2: 1}
+        assert kostka((2, 2), (2, 1, 1)) == {1: 1}
+        assert kostka((4, 2), (2, 2, 2)) == {2: 1, 3: 1, 4: 1}
+        assert springer_poincare((2, 1)) == (1, 2)
+
+    def test_matches_recursion(self):
+        shapes = [p for n in range(1, 9) for p in partitions(n)] + [(4, 4, 4), (3, 3, 3, 3)]
+        for parts in shapes:
+            p = poincare(Composition(parts), HessenbergFunction.springer(sum(parts)))
+            assert p.coeffs == springer_poincare(parts), parts
+
+    @pytest.mark.parametrize("parts", [(5, 5, 5, 5), (6, 5, 4, 3, 2), (4, 4, 4, 4), (8, 8)])
+    def test_large_n(self, parts):
+        n = sum(parts)
+        p = poincare(Composition(parts), HessenbergFunction.springer(n))
+        assert p.total_cells == factorial(n) // prod(factorial(v) for v in parts)
+        assert p.coeffs[0] == 1
+        assert len(p.coeffs) - 1 == sum(i * v for i, v in enumerate(parts))
+        # X_lambda for a composition is conjugate to X of the sorted partition
+        shuffled = Composition(parts[1:] + parts[:1])
+        assert poincare(shuffled, HessenbergFunction.springer(n)) == p
 
 
 class TestR0:
