@@ -11,9 +11,11 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from typing import Callable
 
 from .combinatorics import (
     Composition,
@@ -107,13 +109,16 @@ def _header(args, command: str) -> dict:
     return header
 
 
-def _emit(args, payload: dict, csv_rows: list[str] | None, text: str) -> None:
+def _emit(
+    args, payload: dict, csv_rows: Callable[[], list[str]], text: Callable[[], str]
+) -> None:
+    """Write the view `--format` asks for; the CSV and text views are built lazily."""
     if args.format == "json":
         out = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     elif args.format == "csv":
-        out = "\n".join(csv_rows or []) + "\n"
+        out = "\n".join(csv_rows()) + "\n"
     else:
-        out = text + "\n"
+        out = text() + "\n"
     if args.out:
         with open(args.out, "w") as f:
             f.write(out)
@@ -136,16 +141,22 @@ def cmd_cells(args) -> int:
         for c in cells
     ]
     payload["count"] = len(cells)
-    csv_rows = ["w;dim;inversions"] + [
-        ",".join(str(v) for v in c.w.word)
-        + f";{c.dim};"
-        + " ".join(f"({k},{l})" for k, l in c.hess_inv.sorted_pairs())
-        for c in cells
-    ]
-    lines = [f"{len(cells)} cells for lambda={lam}, h={h}"]
-    for c in cells:
-        lines.append(f"w={c.w}  dim={c.dim}  inv={c.hess_inv.sorted_pairs()}")
-    _emit(args, payload, csv_rows, "\n".join(lines))
+
+    def csv_rows() -> list[str]:
+        return ["w;dim;inversions"] + [
+            ",".join(str(v) for v in c.w.word)
+            + f";{c.dim};"
+            + " ".join(f"({k},{l})" for k, l in c.hess_inv.sorted_pairs())
+            for c in cells
+        ]
+
+    def text() -> str:
+        lines = [f"{len(cells)} cells for lambda={lam}, h={h}"]
+        for c in cells:
+            lines.append(f"w={c.w}  dim={c.dim}  inv={c.hess_inv.sorted_pairs()}")
+        return "\n".join(lines)
+
+    _emit(args, payload, csv_rows, text)
     return EXIT_OK
 
 
@@ -157,16 +168,18 @@ def cmd_poincare(args) -> int:
     payload["coefficients"] = list(data.coeffs)
     payload["total_cells"] = data.total_cells
     payload["empty"] = data.total_cells == 0
-    csv_rows = ["k;cells_of_dim_k"] + [
-        f"{k};{c}" for k, c in enumerate(data.coeffs)
-    ]
-    if data.total_cells == 0:
-        text = f"lambda={lam}, h={h}: variety is EMPTY"
-    else:
+
+    def csv_rows() -> list[str]:
+        return ["k;cells_of_dim_k"] + [f"{k};{c}" for k, c in enumerate(data.coeffs)]
+
+    def text() -> str:
+        if data.total_cells == 0:
+            return f"lambda={lam}, h={h}: variety is EMPTY"
         poly = " + ".join(
             (f"{c}*q^{k}" if k else str(c)) for k, c in enumerate(data.coeffs) if c
         )
-        text = f"lambda={lam}, h={h}: {data.total_cells} cells, P(q) = {poly}"
+        return f"lambda={lam}, h={h}: {data.total_cells} cells, P(q) = {poly}"
+
     _emit(args, payload, csv_rows, text)
     return EXIT_OK
 
@@ -179,15 +192,18 @@ def cmd_r0(args) -> int:
     if r0 is None:
         payload["r0"] = None
         payload["empty"] = True
-        _emit(args, payload, ["EMPTY"], "EMPTY")
+        _emit(args, payload, lambda: ["EMPTY"], lambda: "EMPTY")
         return EXIT_OK
     zeros = zero_dim_cells(lam, h)
     unique = len(zeros) == 1 and zeros[0].rows == r0.rows
     payload["r0"] = [list(r) for r in r0.rows]
     payload["empty"] = False
     payload["unique_zero_cell"] = unique
-    text = format_tableau(r0)
-    _emit(args, payload, [" ".join(str(v) for v in row) for row in r0.rows], text)
+    _emit(
+        args, payload,
+        lambda: [" ".join(str(v) for v in row) for row in r0.rows],
+        lambda: format_tableau(r0),
+    )
     return EXIT_OK if unique else EXIT_VERIFY_FAILED
 
 
@@ -200,16 +216,22 @@ def cmd_verify(args) -> int:
     )
     payload = dict(_header(args, "verify"))
     payload.update(report.to_json())
-    fail = report.first_failure()
-    lines = [f"{'PASS' if c.ok else 'FAIL'} {c.name}" for c in report.checks]
-    if fail is not None:
-        lines.append(f"first failure: {fail.name} (witness: {fail.witness})")
-    if report.partial:
-        lines.append(f"BUDGET EXCEEDED: {report.budget_message}")
-    csv_rows = ["check;ok;witness"] + [
-        f"{c.name};{int(c.ok)};{c.witness or ''}" for c in report.checks
-    ]
-    _emit(args, payload, csv_rows, "\n".join(lines))
+
+    def csv_rows() -> list[str]:
+        return ["check;ok;witness"] + [
+            f"{c.name};{int(c.ok)};{c.witness or ''}" for c in report.checks
+        ]
+
+    def text() -> str:
+        fail = report.first_failure()
+        lines = [f"{'PASS' if c.ok else 'FAIL'} {c.name}" for c in report.checks]
+        if fail is not None:
+            lines.append(f"first failure: {fail.name} (witness: {fail.witness})")
+        if report.partial:
+            lines.append(f"BUDGET EXCEEDED: {report.budget_message}")
+        return "\n".join(lines)
+
+    _emit(args, payload, csv_rows, text)
     if report.partial:
         return EXIT_BUDGET
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -234,23 +256,29 @@ def cmd_generic_flag(args) -> int:
     payload["w"] = list(w.word)
     payload["zeroed"] = sorted([list(k) for k in zero_keys])
     payload["columns"] = [[repr(e) for e in col] for col in columns]
-    lines = [f"generic flag for w={w}, lambda={lam}, h={h}"]
-    if zero_keys:
-        lines.append(
-            "zeroed coordinates: "
-            + ", ".join(f"x{a}{b}" for a, b in sorted(zero_keys))
-        )
-    for j, col in enumerate(columns, start=1):
-        terms = [
-            f"({e!r})*e{i}" if not _is_simple(e) else _simple_term(e, i)
-            for i, e in enumerate(col, start=1) if e
+
+    def csv_rows() -> list[str]:
+        return ["column;entries"] + [
+            f"{j};" + "|".join(repr(e) for e in col)
+            for j, col in enumerate(columns, start=1)
         ]
-        lines.append(f"v{j} = " + (" + ".join(terms) if terms else "0"))
-    csv_rows = ["column;entries"] + [
-        f"{j};" + "|".join(repr(e) for e in col)
-        for j, col in enumerate(columns, start=1)
-    ]
-    _emit(args, payload, csv_rows, "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"generic flag for w={w}, lambda={lam}, h={h}"]
+        if zero_keys:
+            lines.append(
+                "zeroed coordinates: "
+                + ", ".join(f"x{a}{b}" for a, b in sorted(zero_keys))
+            )
+        for j, col in enumerate(columns, start=1):
+            terms = [
+                f"({e!r})*e{i}" if not _is_simple(e) else _simple_term(e, i)
+                for i, e in enumerate(col, start=1) if e
+            ]
+            lines.append(f"v{j} = " + (" + ".join(terms) if terms else "0"))
+        return "\n".join(lines)
+
+    _emit(args, payload, csv_rows, text)
     return EXIT_OK
 
 
@@ -274,14 +302,19 @@ def cmd_count(args) -> int:
     )
     payload = dict(_header(args, "count"))
     payload.update(report.to_json())
-    csv_rows = ["w;count;expected"] + [
-        ",".join(str(v) for v in e["w"]) + f";{e['count']};{e['expected']}"
-        for e in report.to_json()["per_cell"]
-    ]
-    text = (
-        f"|Hess(F_{args.q})| = {report.total}, predicted {report.predicted}: "
-        + ("MATCH" if report.match else "MISMATCH")
-    )
+
+    def csv_rows() -> list[str]:
+        return ["w;count;expected"] + [
+            ",".join(str(v) for v in e["w"]) + f";{e['count']};{e['expected']}"
+            for e in payload["per_cell"]
+        ]
+
+    def text() -> str:
+        return (
+            f"|Hess(F_{args.q})| = {report.total}, predicted {report.predicted}: "
+            + ("MATCH" if report.match else "MISMATCH")
+        )
+
     _emit(args, payload, csv_rows, text)
     return EXIT_OK if report.match else EXIT_VERIFY_FAILED
 
@@ -303,19 +336,27 @@ def cmd_profile(args) -> int:
         {"i": i, "j": j, "count": c} for (i, j), c in sorted(prof.d.items()) if c
     ]
     payload["total"] = prof.total
-    csv_rows = ["i;j;count"] + [
-        f"{i};{j};{c}" for (i, j), c in sorted(prof.d.items()) if c
-    ]
-    lines = [f"inversion profile for w={w}, lambda={lam}, h={h}"]
-    for (i, j), c in sorted(prof.d.items()):
-        if c:
-            lines.append(f"d({i},{j}) = {c}")
-    lines.append(f"total = {prof.total}")
-    _emit(args, payload, csv_rows, "\n".join(lines))
+
+    def csv_rows() -> list[str]:
+        return ["i;j;count"] + [
+            f"{i};{j};{c}" for (i, j), c in sorted(prof.d.items()) if c
+        ]
+
+    def text() -> str:
+        lines = [f"inversion profile for w={w}, lambda={lam}, h={h}"]
+        for (i, j), c in sorted(prof.d.items()):
+            if c:
+                lines.append(f"d({i},{j}) = {c}")
+        lines.append(f"total = {prof.total}")
+        return "\n".join(lines)
+
+    _emit(args, payload, csv_rows, text)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="hesspave",
         description="Affine pavings of type-A Hessenberg varieties with h(i) < i",
@@ -330,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         "count": cmd_count,
         "profile": cmd_profile,
     }
-    default_workers = int(os.environ.get("HESSPAVE_WORKERS", "1"))
     for name, func in commands.items():
         p = sub.add_parser(name)
         p.add_argument("--lambda", dest="lam", required=True,
@@ -340,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=None, help="prime field size")
         p.add_argument("--budget-bits", type=int, default=24)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=default_workers)
+        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--out", default=None, metavar="FILE")
         if name in ("generic-flag", "profile"):
@@ -351,11 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.budget_bits < 1:
         print("input error: --budget-bits must be >= 1", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.workers is None:
+        env = os.environ.get("HESSPAVE_WORKERS", "1")
+        try:
+            args.workers = int(env)
+        except ValueError:
+            print(f"input error: HESSPAVE_WORKERS must be an integer, got {env!r}",
+                  file=sys.stderr)
+            return EXIT_INPUT_ERROR
     try:
         return args.func(args)
     except InputError as e:

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 
@@ -193,10 +193,11 @@ class Tableau:
         if tuple(len(r) for r in rows) != shape.parts:
             raise ValueError("row lengths do not match shape")
         n = shape.n
-        index: dict[int, tuple[int, int]] = {}
-        for ri, row in enumerate(rows, start=1):
-            for ci, val in enumerate(row, start=1):
-                index[val] = (ri, ci)
+        index = {
+            val: (ri, ci)
+            for ri, row in enumerate(rows, start=1)
+            for ci, val in enumerate(row, start=1)
+        }
         if sorted(index) != list(range(1, n + 1)):
             raise ValueError(f"entries must be exactly 1..{n}")
         object.__setattr__(self, "shape", shape)
@@ -233,8 +234,12 @@ def parse_tableau(text: str) -> Tableau:
     return Tableau(rows)
 
 
+@lru_cache(maxsize=None)
 def base_filling(lam: Composition) -> Tableau:
-    """The base filling R(e): columns filled left to right, bottom to top."""
+    """The base filling R(e): columns filled left to right, bottom to top.
+
+    Cached per shape, so every caller shares one Tableau: do not mutate it.
+    """
     grid = [[0] * p for p in lam.parts]
     counter = 1
     for col in range(1, lam.num_cols + 1):
@@ -255,13 +260,16 @@ def tableau_of(w: Permutation, lam: Composition) -> Tableau:
 
 
 def permutation_of_tableau(t: Tableau) -> Permutation:
-    """Recover w from a filling R(w): inverse of tableau_of(.., shape)."""
-    base = base_filling(t.shape)
-    winv = [0] * t.n
-    for i in range(1, t.n + 1):
-        r, c = base.position(i)
-        winv[i - 1] = t.entry(r, c)
-    return Permutation(winv).inverse()
+    """Recover w from a filling R(w): inverse of tableau_of(.., shape).
+
+    The box holding i in R(e) holds w^{-1}(i) in R(w), so w sends that entry
+    back to i.
+    """
+    word = [0] * t.n
+    for base_row, row in zip(base_filling(t.shape).rows, t.rows):
+        for i, v in zip(base_row, row):
+            word[v - 1] = i
+    return Permutation(word)
 
 
 def is_row_strict(t: Tableau) -> bool:

@@ -28,10 +28,8 @@ from .domains import (
     RATIONALS,
     Domain,
     Poly,
-    PolynomialDomain,
-    PrimeFieldDomain,
 )
-from .paving import InversionSet, hessenberg_inversions, springer_inversions
+from .paving import hessenberg_inversions, springer_inversions
 
 Vector = tuple
 

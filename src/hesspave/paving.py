@@ -10,7 +10,7 @@ to the right of l (no condition when l ends its row).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator, Sequence
 
 from .combinatorics import (
     Composition,
@@ -19,14 +19,13 @@ from .combinatorics import (
     Tableau,
     is_h_strict,
     permutation_of_tableau,
-    standardize,
     tableau_of,
 )
 
 
 @dataclass(frozen=True)
 class InversionSet:
-    """A set of Hessenberg inversions, also bucketed by the larger index k."""
+    """A set of Hessenberg inversions (k, l), larger index first."""
 
     pairs: frozenset[tuple[int, int]]
 
@@ -35,13 +34,6 @@ class InversionSet:
         if any(k <= l for k, l in pairs):
             raise ValueError("inversion pairs must have the larger index first")
         object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def by_k(self) -> dict[int, tuple[int, ...]]:
-        buckets: dict[int, list[int]] = {}
-        for k, l in self.pairs:
-            buckets.setdefault(k, []).append(l)
-        return {k: tuple(sorted(ls)) for k, ls in sorted(buckets.items())}
 
     def level(self, k: int) -> tuple[int, ...]:
         """The l's with (k,l) present, sorted (the set inv^k)."""
@@ -60,19 +52,32 @@ class InversionSet:
         return sorted(self.pairs)
 
 
-def _tableau_inversions(t: Tableau, h: HessenbergFunction) -> frozenset[tuple[int, int]]:
+def _inversion_pairs(
+    rows: Sequence[Sequence[int | None]],
+    pos: dict[int, tuple[int, int]],
+    h_values: Sequence[int],
+    n: int,
+) -> list[tuple[int, int]]:
+    """The Hessenberg inversions (k, l) of a filling of 1..n.
+
+    `pos` maps each value to its 1-based (row, column).  A row may be padded
+    with None holes; a hole to the right of l counts as the end of its row.
+    """
     pairs = []
-    hv = h.values
-    pos = t.index
-    for l in range(1, t.n + 1):
+    for l in range(1, n + 1):
         rl, cl = pos[l]
-        r = t.right_neighbor(l)
-        bound = t.n if r is None else hv[r - 1]
+        row = rows[rl - 1]
+        r = row[cl] if cl < len(row) else None
+        bound = n if r is None else h_values[r - 1]
         for k in range(l + 1, bound + 1):
             rk, ck = pos[k]
             if ck < cl or (ck == cl and rk > rl):
                 pairs.append((k, l))
-    return frozenset(pairs)
+    return pairs
+
+
+def _tableau_inversions(t: Tableau, h: HessenbergFunction) -> frozenset[tuple[int, int]]:
+    return frozenset(_inversion_pairs(t.rows, t.index, h.values, t.n))
 
 
 def hessenberg_inversions(
@@ -165,19 +170,21 @@ def iter_fillings(
 def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescriptor]:
     """All affine cells of Hess(X_lambda, h), sorted by the one-line word of w.
 
-    An empty list signals that the variety is empty.
+    An empty list signals that the variety is empty.  The walk counts each
+    cell's inversions on its own; a descriptor whose inversion set disagrees
+    with that count raises RuntimeError.
     """
-    springer_h = HessenbergFunction.springer(lam.n)
+    springer_h = None if h.is_springer() else HessenbergFunction.springer(lam.n)
     cells = []
     for rows, dim in iter_fillings(lam, h):
-        t = Tableau([list(r) for r in rows], lam)
+        t = Tableau(rows, lam)
         w = permutation_of_tableau(t)
         hess = InversionSet(_tableau_inversions(t, h))
         if len(hess) != dim:
             raise RuntimeError(
                 f"walk counted {dim} inversions for {t.rows}, descriptor has {len(hess)}"
             )
-        spr = InversionSet(_tableau_inversions(t, springer_h))
+        spr = hess if springer_h is None else InversionSet(_tableau_inversions(t, springer_h))
         cells.append(CellDescriptor(w, t, hess, spr, dim))
     cells.sort(key=lambda c: c.w.word)
     return cells
@@ -296,7 +303,7 @@ def r0_tableau(lam: Composition, h: HessenbergFunction) -> Tableau | None:
 def zero_dim_cells(lam: Composition, h: HessenbergFunction) -> list[Tableau]:
     """All tableaux of cells of dimension zero (pruned enumeration)."""
     return [
-        Tableau([list(r) for r in rows], lam)
+        Tableau(rows, lam)
         for rows, _ in iter_fillings(lam, h, max_dim=0)
     ]
 
@@ -320,18 +327,14 @@ class InversionProfile:
 
 
 def _grid_profile(
-    positions: dict[int, tuple[int, int]],
-    right_of: dict[int, int | None],
+    rows: Sequence[Sequence[int | None]],
+    pos: dict[int, tuple[int, int]],
     h: HessenbergFunction,
     num_cols: int,
 ) -> InversionProfile:
     d = {(i, j): 0 for i in range(1, num_cols + 1) for j in range(i, num_cols + 1)}
-    for l, (rl, cl) in positions.items():
-        r = right_of[l]
-        bound = h.n if r is None else h(r)
-        for k, (rk, ck) in positions.items():
-            if k > l and k <= bound and (ck < cl or (ck == cl and rk > rl)):
-                d[(ck, cl)] += 1
+    for k, l in _inversion_pairs(rows, pos, h.values, h.n):
+        d[(pos[k][1], pos[l][1])] += 1
     return InversionProfile(d)
 
 
@@ -339,8 +342,7 @@ def inversion_profile(t: Tableau, lam: Composition, h: HessenbergFunction) -> In
     """The profile d_R of an h-strict tableau R."""
     if not is_h_strict(t, h):
         raise ValueError("tableau is not h-strict")
-    right = {v: t.right_neighbor(v) for v in range(1, t.n + 1)}
-    return _grid_profile(dict(t.index), right, h, t.shape.num_cols)
+    return _grid_profile(t.rows, t.index, h, t.shape.num_cols)
 
 
 @dataclass(frozen=True)
@@ -392,14 +394,13 @@ def column_sort_trace(
     ]
 
     def profile_of(g: list[list[int | None]]) -> InversionProfile:
-        pos: dict[int, tuple[int, int]] = {}
-        right: dict[int, int | None] = {}
-        for ri, row in enumerate(g, start=1):
-            for ci, v in enumerate(row, start=1):
-                if v is not None:
-                    pos[v] = (ri, ci)
-                    right[v] = row[ci] if ci < width else None
-        return _grid_profile(pos, right, h, width)
+        pos = {
+            v: (ri, ci)
+            for ri, row in enumerate(g, start=1)
+            for ci, v in enumerate(row, start=1)
+            if v is not None
+        }
+        return _grid_profile(g, pos, h, width)
 
     steps = [SortStep(tuple(tuple(r) for r in grid), profile_of(grid))]
 
@@ -450,9 +451,9 @@ def maximal_cells_are_standard(
     for rows, dim in iter_fillings(lam, h):
         if dim > best_dim:
             best_dim = dim
-            best = [Tableau([list(r) for r in rows], lam)]
+            best = [Tableau(rows, lam)]
         elif dim == best_dim:
-            best.append(Tableau([list(r) for r in rows], lam))
+            best.append(Tableau(rows, lam))
     for t in best:
         if any(
             any(a > b for a, b in zip(colvals, colvals[1:]))

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from hesspave.cli import main
+import hesspave.cli as cli
+from hesspave.cli import build_parser, main
+
+DATA = Path(__file__).with_name("data")
 
 
 def run(capsys, *argv):
@@ -46,6 +50,18 @@ class TestCells:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["count"] == 1
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("h, stem", [
+        ("springer", "cells_222_springer"),
+        ("0,1,1,1,3,4", "cells_222_h011134"),
+    ])
+    def test_output_unchanged(self, capsys, fmt, h, stem):
+        # tests/data holds the reference output of each view, byte for byte
+        code, out, _ = run(capsys, "cells", "--lambda", "2,2,2", "--h", h, "--format", fmt)
+        assert code == 0
+        assert out == (DATA / f"{stem}.{fmt}").read_text()
 
 
 class TestPoincare:
@@ -221,6 +237,35 @@ class TestInputErrors:
         code, _, err = run(capsys, "cells", "--lambda", "2", "--budget-bits", "0")
         assert code == 2
         assert "budget-bits" in err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_workers_env_read_at_call_time(self, capsys, monkeypatch):
+        seen = []
+
+        def fake_count(lam, h, q, budget_bits, workers):
+            seen.append(workers)
+            raise cli.BudgetExceededError("stop")
+
+        monkeypatch.setattr(cli, "variety_point_count", fake_count)
+        argv = ["count", "--lambda", "2,1", "--q", "2"]
+        monkeypatch.setenv("HESSPAVE_WORKERS", "3")
+        assert run(capsys, *argv)[0] == 3
+        monkeypatch.setenv("HESSPAVE_WORKERS", "2")
+        assert run(capsys, *argv)[0] == 3
+        monkeypatch.delenv("HESSPAVE_WORKERS")
+        assert run(capsys, *argv)[0] == 3
+        assert run(capsys, *argv, "--workers", "4")[0] == 3
+        assert seen == [3, 2, 1, 4]
+
+    def test_bad_workers_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HESSPAVE_WORKERS", "many")
+        code, _, err = run(capsys, "poincare", "--lambda", "2")
+        assert code == 2
+        assert err.startswith("input error: HESSPAVE_WORKERS")
 
 
 def test_console_script_installed():

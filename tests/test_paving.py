@@ -18,6 +18,7 @@ from hesspave.combinatorics import (
     is_row_strict,
     h_leq,
     partitions,
+    permutation_of_tableau,
     standardize,
     tableau_of,
 )
@@ -107,8 +108,8 @@ class TestInversionSets:
                 if not is_row_strict(t):
                     continue
                 spr = springer_inversions(w, lam)
-                for k, ls in spr.by_k.items():
-                    rows = [t.position(l)[0] for l in ls]
+                for k in range(2, 6):
+                    rows = [t.position(l)[0] for l in spr.level(k)]
                     assert len(rows) == len(set(rows))
 
     def test_larger_first_enforced(self):
@@ -203,6 +204,82 @@ class TestPoincare:
 def compositions(n):
     """Every composition of n with positive parts (each partition permuted)."""
     return sorted({c for p in partitions(n) for c in itertools.permutations(p)})
+
+
+def reference_inversions(grid, h):
+    """Hessenberg inversions straight from the definition, pair by pair.
+
+    `grid` is a list of rows that may hold None holes; a hole or the end of
+    the row to the right of l means no condition on k.
+    """
+    pos = {v: (r, c) for r, row in enumerate(grid) for c, v in enumerate(row) if v is not None}
+    pairs = set()
+    for k, (rk, ck) in pos.items():
+        for l, (rl, cl) in pos.items():
+            if k <= l or not (ck < cl or (ck == cl and rk > rl)):
+                continue
+            row = grid[rl]
+            right = row[cl + 1] if cl + 1 < len(row) else None
+            if right is None or k <= h(right):
+                pairs.add((k, l))
+    return pairs, pos
+
+
+def reference_profile(grid, h):
+    pairs, pos = reference_inversions(grid, h)
+    d = {}
+    for k, l in pairs:
+        key = (pos[k][1] + 1, pos[l][1] + 1)
+        d[key] = d.get(key, 0) + 1
+    return d
+
+
+def nonzero(profile):
+    return {key: v for key, v in profile.d.items() if v}
+
+
+def descriptor_cases():
+    """Every composition with n <= 5 under every h, and every partition with
+    n = 6 under the Springer h and two others."""
+    for n in range(1, 6):
+        for parts in compositions(n):
+            for h in all_hessenberg_functions(n):
+                yield Composition(parts), h
+    others = [HessenbergFunction([0, 1, 1, 1, 3, 4]), HessenbergFunction([0, 0, 1, 2, 3, 3])]
+    for parts in partitions(6):
+        for h in [HessenbergFunction.springer(6)] + others:
+            yield Composition(parts), h
+
+
+class TestCellDescriptors:
+    """Each descriptor against the slow per-cell functions and the definition."""
+
+    def test_descriptors_match_reference(self):
+        cases = cells_seen = 0
+        for lam, h in descriptor_cases():
+            springer = HessenbergFunction.springer(lam.n)
+            cases += 1
+            for c in enumerate_cells(lam, h):
+                cells_seen += 1
+                assert tableau_of(c.w, lam).rows == c.tableau.rows
+                assert permutation_of_tableau(c.tableau) == c.w
+                assert c.hess_inv == hessenberg_inversions(c.w, lam, h)
+                assert c.springer_inv == springer_inversions(c.w, lam)
+                grid = [list(r) for r in c.tableau.rows]
+                assert c.hess_inv.pairs == reference_inversions(grid, h)[0]
+                assert c.springer_inv.pairs == reference_inversions(grid, springer)[0]
+                assert nonzero(inversion_profile(c.tableau, lam, h)) == reference_profile(grid, h)
+        assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 3 * 11
+        assert cells_seen > 10_000
+
+    def test_sort_trace_profiles_match_reference(self):
+        # the trace's grids have None holes where rows of unequal length swap
+        R = Tableau([[2, 4, 8, 10], [1, 5, 7, 11], [3, 9, 12], [6]])
+        h = HessenbergFunction([max(0, i - 2) for i in range(1, 13)])
+        for i, j in [(1, 1), (1, 2), (2, 3), (3, 3)]:
+            for step in column_sort_trace(R, i, j, h):
+                grid = [list(r) for r in step.grid]
+                assert nonzero(step.profile) == reference_profile(grid, h)
 
 
 class TestPoincareRecursion:

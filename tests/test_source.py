@@ -16,3 +16,44 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _annotation_names(tree) -> set[str]:
+    """Names inside string annotations, which ast leaves as constants."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for ann in annotations:
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _annotation_names(tree)
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used]
+    assert found == []
