@@ -26,7 +26,7 @@ from .combinatorics import (
 )
 from .domains import Poly
 from .exactla import generic_flag, hess_zero_coordinates
-from .oracle import BudgetExceededError, variety_point_count
+from .oracle import BudgetExceededError, FieldSpec, variety_point_count
 from .paving import (
     enumerate_cells,
     inversion_profile,
@@ -95,6 +95,13 @@ def _parse_w(text: str, n: int) -> Permutation:
     if problems:
         raise InputError("; ".join(problems))
     return w
+
+
+def _check_q(q: int) -> int:
+    try:
+        return FieldSpec(q).q
+    except ValueError as e:
+        raise InputError(f"--q: {e}")
 
 
 def _header(args, command: str) -> dict:
@@ -210,8 +217,9 @@ def cmd_r0(args) -> int:
 def cmd_verify(args) -> int:
     lam = _parse_lambda(args.lam)
     h = _parse_h(args.h, lam.n)
+    q = None if args.q is None else _check_q(args.q)
     report = run_verification(
-        lam, h, q=args.q, budget_bits=args.budget_bits,
+        lam, h, q=q, budget_bits=args.budget_bits,
         seed=args.seed, workers=args.workers,
     )
     payload = dict(_header(args, "verify"))
@@ -298,7 +306,7 @@ def cmd_count(args) -> int:
     if args.q is None:
         raise InputError("--q is required for count")
     report = variety_point_count(
-        lam, h, args.q, budget_bits=args.budget_bits, workers=args.workers
+        lam, h, _check_q(args.q), budget_bits=args.budget_bits, workers=args.workers
     )
     payload = dict(_header(args, "count"))
     payload.update(report.to_json())
@@ -395,14 +403,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.budget_bits < 1:
         print("input error: --budget-bits must be >= 1", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    source = "--workers"
     if args.workers is None:
-        env = os.environ.get("HESSPAVE_WORKERS", "1")
+        source = "HESSPAVE_WORKERS"
+        env = os.environ.get(source, "1")
         try:
             args.workers = int(env)
         except ValueError:
-            print(f"input error: HESSPAVE_WORKERS must be an integer, got {env!r}",
+            print(f"input error: {source} must be an integer, got {env!r}",
                   file=sys.stderr)
             return EXIT_INPUT_ERROR
+    if args.workers < 1:
+        print(f"input error: {source} must be >= 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         return args.func(args)
     except InputError as e:

@@ -75,6 +75,9 @@ class GF:
     def __bool__(self):
         return self.v != 0
 
+    def __int__(self):
+        return self.v
+
     def __repr__(self):
         return f"{self.v}"
 

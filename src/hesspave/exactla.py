@@ -418,16 +418,16 @@ def hess_zero_coordinates(
     return {(w(k), w(l)) for (k, l) in spr.pairs - hess.pairs}
 
 
-def difference_residual(w: Permutation, lam: Composition, l: int) -> Vector:
+def difference_residual(w: Permutation, lam: Composition, l: int, flag: Flag) -> Vector:
     """v_l - X v_r - sum over (t,l) inversions of x_{w(t)w(l)} v_t.
 
-    Identically zero for every generic flag; `l` must not end its row.
+    `flag` is generic_flag(w, lam); the residual is identically zero for it.
+    `l` must not end its row.
     """
     tab = tableau_of(w, lam)
     r = tab.right_neighbor(l)
     if r is None:
         raise ValueError(f"{l} labels a box at the end of its row")
-    flag = generic_flag(w, lam)
     x = nilpotent_matrix(lam, POLYNOMIALS)
     residual = list(flag.columns[l - 1])
     for idx, val in enumerate(x.apply(flag.columns[r - 1])):

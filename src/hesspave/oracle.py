@@ -33,11 +33,12 @@ from .exactla import (
     UnipotentPattern,
     bk_generator,
     bruhat_canonical_form,
+    conjugate,
     factor_unipotent,
     nilpotent_matrix,
     verify_flag_membership,
 )
-from .paving import enumerate_cells, springer_inversions
+from .paving import CellDescriptor, enumerate_cells, springer_inversions
 
 
 class BudgetExceededError(Exception):
@@ -51,8 +52,8 @@ class FieldSpec:
     q: int
 
     def __post_init__(self):
-        if not _is_prime(self.q) or self.q > 16:
-            raise ValueError(f"q must be a prime <= 16, got {self.q}")
+        if not _is_prime(self.q) or self.q > 13:
+            raise ValueError(f"q must be a prime <= 13, got {self.q}")
 
 
 @dataclass
@@ -65,6 +66,19 @@ class CountReport:
     predicted: int
     match: bool
     expected_per_cell: dict[tuple[int, ...], int] = field(default_factory=dict)
+
+    @classmethod
+    def from_counts(
+        cls, q: int, per_cell: dict[tuple[int, ...], int], cells: list[CellDescriptor]
+    ) -> "CountReport":
+        """Compare brute-force counts per w with the q^dim of each paving cell."""
+        expected = {c.w.word: q**c.dim for c in cells}
+        total = sum(per_cell.values())
+        predicted = sum(expected.values())
+        match = total == predicted and all(
+            per_cell[word] == expected.get(word, 0) for word in per_cell
+        )
+        return cls(q, per_cell, total, predicted, match, expected)
 
     def to_json(self) -> dict:
         return {
@@ -155,32 +169,30 @@ def _np_matrix(m: ExactMatrix) -> np.ndarray:
     return np.array([[int(x) for x in row] for row in m.rows], dtype=np.int64)
 
 
-def variety_point_counts(
-    lam: Composition,
+def flag_point_counts(
+    x: ExactMatrix,
     hs: list[HessenbergFunction],
     q: int,
     budget_bits: int = 24,
     workers: int = 1,
-    x: np.ndarray | None = None,
-) -> list[CountReport]:
-    """CountReports for several h at once; each cell is enumerated once.
+) -> list[dict[tuple[int, ...], int]]:
+    """For each h, the points of every Schubert cell C_w in Hess(x, h)(F_q).
 
-    The optional x overrides X_lambda (used by the conjugation check); the
-    predictions still come from the lambda paving.
+    Brute force over the whole flag variety; each cell is enumerated once
+    for all h.  The entries of x are read as integers mod q.
     """
     FieldSpec(q)
-    n = lam.n
+    n = x.n
     total_points = 1
     for i in range(1, n + 1):
         total_points *= (q**i - 1) // (q - 1)
     _check_budget(log2(total_points), budget_bits)
-    if x is None:
-        x = _np_matrix(nilpotent_matrix(lam))
+    xq = _np_matrix(x)
     hv = np.array([h.values for h in hs])
     perms = sorted(itertools.permutations(range(1, n + 1)))
 
     def count_one(word: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-        m = _m_vectors(Permutation(word), x, q)
+        m = _m_vectors(Permutation(word), xq, q)
         ok = np.all(m[:, None, :] <= hv[None, :, :], axis=2)
         return word, [int(c) for c in ok.sum(axis=0)]
 
@@ -189,18 +201,22 @@ def variety_point_counts(
             results = list(pool.map(count_one, perms))
     else:
         results = [count_one(word) for word in perms]
+    return [{word: counts[hi] for word, counts in results} for hi in range(len(hs))]
 
-    reports = []
-    for hi, h in enumerate(hs):
-        expected = {c.w.word: q**c.dim for c in enumerate_cells(lam, h)}
-        per_cell = {word: counts[hi] for word, counts in results}
-        total = sum(per_cell.values())
-        predicted = sum(expected.values())
-        match = total == predicted and all(
-            per_cell[word] == expected.get(word, 0) for word in per_cell
-        )
-        reports.append(CountReport(q, per_cell, total, predicted, match, expected))
-    return reports
+
+def variety_point_counts(
+    lam: Composition,
+    hs: list[HessenbergFunction],
+    q: int,
+    budget_bits: int = 24,
+    workers: int = 1,
+) -> list[CountReport]:
+    """CountReports of Hess(X_lambda, h) for several h at once."""
+    counts = flag_point_counts(nilpotent_matrix(lam), hs, q, budget_bits, workers)
+    return [
+        CountReport.from_counts(q, per_cell, enumerate_cells(lam, h))
+        for per_cell, h in zip(counts, hs)
+    ]
 
 
 def variety_point_count(
@@ -297,49 +313,17 @@ def zeros_structure_check(
     return True
 
 
-def _random_gl(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
+def _random_gl(n: int, q: int, rng: np.random.Generator) -> ExactMatrix:
+    """A uniformly random element of GL_n(F_q), by rejection sampling."""
+    dom = PrimeFieldDomain(q)
     while True:
-        g = rng.integers(0, q, size=(n, n), dtype=np.int64)
-        if _det_mod(g, q):
-            return g
-
-
-def _det_mod(g: np.ndarray, q: int) -> int:
-    m = [[int(x) % q for x in row] for row in g]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % q
-        inv = pow(m[col][col], -1, q)
-        for r in range(col + 1, n):
-            c = m[r][col] * inv % q
-            if c:
-                m[r] = [(x - c * y) % q for x, y in zip(m[r], m[col])]
-    return det % q
-
-
-def _inverse_mod(g: np.ndarray, q: int) -> np.ndarray:
-    n = g.shape[0]
-    aug = [[int(x) % q for x in row] + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(g)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, q)
-        aug[col] = [x * inv % q for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(x - c * y) % q for x, y in zip(aug[r], aug[col])]
-    return np.array([row[n:] for row in aug], dtype=np.int64)
+        draw = rng.integers(0, q, size=(n, n), dtype=np.int64).tolist()
+        g = ExactMatrix.from_rows(dom, [[dom.from_int(v) for v in row] for row in draw])
+        try:
+            g.inverse()
+        except ValueError:
+            continue
+        return g
 
 
 def conjugation_invariance(
@@ -353,13 +337,12 @@ def conjugation_invariance(
     """Point counts of Hess(g^{-1} X g, h) agree with Hess(X, h) for random g."""
     if lam.n > 4:
         raise ValueError("full-variety conjugation check is limited to n <= 4")
-    baseline = variety_point_count(lam, h, q, budget_bits).total
+    FieldSpec(q)
+    x = nilpotent_matrix(lam, PrimeFieldDomain(q))
+    baseline = sum(flag_point_counts(x, [h], q, budget_bits)[0].values())
     rng = np.random.default_rng(seed)
-    x = _np_matrix(nilpotent_matrix(lam))
     for _ in range(trials):
-        g = _random_gl(lam.n, q, rng)
-        xc = (_inverse_mod(g, q) @ x @ g) % q
-        report = variety_point_counts(lam, [h], q, budget_bits, x=xc)[0]
-        if report.total != baseline:
+        xc = conjugate(_random_gl(lam.n, q, rng), x)
+        if sum(flag_point_counts(xc, [h], q, budget_bits)[0].values()) != baseline:
             return False
     return True

@@ -440,22 +440,16 @@ def column_sort_trace(
 
 
 def maximal_cells_are_standard(
-    lam: Composition, h: HessenbergFunction
+    cells: list[CellDescriptor],
 ) -> tuple[bool, Tableau | None]:
-    """Check that every maximal-dimension cell has a standard tableau.
+    """Check that every maximal-dimension cell of a cell table has a standard tableau.
 
     Returns (ok, witness) where witness is a failing tableau if any.
     """
-    best: list[Tableau] = []
-    best_dim = -1
-    for rows, dim in iter_fillings(lam, h):
-        if dim > best_dim:
-            best_dim = dim
-            best = [Tableau(rows, lam)]
-        elif dim == best_dim:
-            best.append(Tableau(rows, lam))
-    for t in best:
-        if any(
+    top = max((c.dim for c in cells), default=0)
+    for c in cells:
+        t = c.tableau
+        if c.dim == top and any(
             any(a > b for a, b in zip(colvals, colvals[1:]))
             for colvals in _columns(t)
         ):
@@ -468,4 +462,3 @@ def _columns(t: Tableau) -> list[list[int]]:
         [t.entry(r, c) for r in t.shape.column_rows(c)]
         for c in range(1, t.shape.num_cols + 1)
     ]
-

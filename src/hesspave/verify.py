@@ -15,7 +15,6 @@ from .combinatorics import (
     inversions,
     is_h_strict,
     standardize,
-    tableau_of,
 )
 from .exactla import (
     POLYNOMIALS,
@@ -28,9 +27,10 @@ from .exactla import (
 )
 from .oracle import (
     BudgetExceededError,
+    CountReport,
     conjugation_invariance,
     dw_equals_cell,
-    variety_point_count,
+    flag_point_counts,
     zeros_structure_check,
 )
 from .paving import (
@@ -38,7 +38,6 @@ from .paving import (
     inversion_profile,
     maximal_cells_are_standard,
     r0_tableau,
-    zero_dim_cells,
 )
 
 
@@ -76,8 +75,8 @@ class VerifyReport:
         return out
 
 
-def _check_cells(lam, h) -> CheckResult:
-    for c in enumerate_cells(lam, h):
+def _check_cells(h, cells) -> CheckResult:
+    for c in cells:
         if not is_h_strict(c.tableau, h):
             return CheckResult("cell-tableaux-h-strict", False, f"w={c.w}")
         if c.dim != len(c.hess_inv):
@@ -89,14 +88,13 @@ def _check_cells(lam, h) -> CheckResult:
     return CheckResult("cell-table", True)
 
 
-def _check_zero_cell(lam, h) -> CheckResult:
+def _check_zero_cell(lam, h, cells) -> CheckResult:
     r0 = r0_tableau(lam, h)
-    zeros = zero_dim_cells(lam, h)
-    cells = enumerate_cells(lam, h)
     if not cells:
         if r0 is not None:
             return CheckResult("unique-zero-cell", False, f"R0={r0!r} but no cells")
         return CheckResult("unique-zero-cell", True)
+    zeros = [c.tableau for c in cells if c.dim == 0]
     if len(zeros) != 1 or r0 is None or zeros[0].rows != r0.rows:
         return CheckResult(
             "unique-zero-cell", False,
@@ -105,15 +103,15 @@ def _check_zero_cell(lam, h) -> CheckResult:
     return CheckResult("unique-zero-cell", True)
 
 
-def _check_max_standard(lam, h) -> CheckResult:
-    ok, witness = maximal_cells_are_standard(lam, h)
+def _check_max_standard(cells) -> CheckResult:
+    ok, witness = maximal_cells_are_standard(cells)
     if not ok:
         return CheckResult("maximal-cells-standard", False, str(witness.rows))
     return CheckResult("maximal-cells-standard", True)
 
 
-def _check_profiles(lam, h) -> CheckResult:
-    for c in enumerate_cells(lam, h):
+def _check_profiles(lam, h, cells) -> CheckResult:
+    for c in cells:
         t = c.tableau
         s = standardize(t)
         if s.rows == t.rows:
@@ -124,10 +122,10 @@ def _check_profiles(lam, h) -> CheckResult:
     return CheckResult("profile-inequality", True)
 
 
-def _check_symbolic(lam, h) -> CheckResult:
+def _check_symbolic(lam, springer_cells) -> CheckResult:
     x = nilpotent_matrix(lam, POLYNOMIALS)
     springer = HessenbergFunction.springer(lam.n)
-    for c in enumerate_cells(lam, springer):
+    for c in springer_cells:
         w = c.w
         flag = generic_flag(w, lam)
         if not verify_flag_membership(flag, x, springer):
@@ -139,9 +137,10 @@ def _check_symbolic(lam, h) -> CheckResult:
             if g @ g != bk_generator(w, lam, k, doubled):
                 return CheckResult("group-law", False, f"w={w}, k={k}")
         for l in range(1, lam.n + 1):
-            if tableau_of(w, lam).right_neighbor(l) is not None:
-                if any(difference_residual(w, lam, l)):
-                    return CheckResult("difference-residual", False, f"w={w}, l={l}")
+            if c.tableau.right_neighbor(l) is not None and any(
+                difference_residual(w, lam, l, flag)
+            ):
+                return CheckResult("difference-residual", False, f"w={w}, l={l}")
     return CheckResult("symbolic-identities", True)
 
 
@@ -154,49 +153,42 @@ def run_verification(
     workers: int = 1,
     trials: int = 5,
 ) -> VerifyReport:
-    """Run every invariant suite that applies to (lambda, h) and optional q."""
+    """Run every invariant suite that applies to (lambda, h) and optional q.
+
+    The cell table of (lambda, h) is built once and shared by every check;
+    the Springer-fiber checks (n <= 5) share the Springer table, which is
+    the same list when h is Springer.
+    """
     checks: list[CheckResult] = []
     try:
-        checks.append(_check_cells(lam, h))
-        checks.append(_check_zero_cell(lam, h))
-        checks.append(_check_max_standard(lam, h))
-        checks.append(_check_profiles(lam, h))
+        cells = enumerate_cells(lam, h)
+        checks.append(_check_cells(h, cells))
+        checks.append(_check_zero_cell(lam, h, cells))
+        checks.append(_check_max_standard(cells))
+        checks.append(_check_profiles(lam, h, cells))
         if lam.n <= 5:
-            checks.append(_check_symbolic(lam, h))
+            springer = HessenbergFunction.springer(lam.n)
+            springer_cells = cells if h.is_springer() else enumerate_cells(lam, springer)
+            checks.append(_check_symbolic(lam, springer_cells))
         if q is not None:
-            report = variety_point_count(lam, h, q, budget_bits, workers)
-            checks.append(
-                CheckResult(
-                    "point-count-identity",
-                    report.match,
-                    None if report.match
-                    else f"total={report.total}, predicted={report.predicted}",
-                )
-            )
+            counts = flag_point_counts(nilpotent_matrix(lam), [h], q, budget_bits, workers)
+            report = CountReport.from_counts(q, counts[0], cells)
+            witness = f"total={report.total}, predicted={report.predicted}"
+            checks.append(CheckResult("point-count-identity", report.match,
+                                      None if report.match else witness))
             if lam.n <= 4:
-                springer = HessenbergFunction.springer(lam.n)
-                for c in enumerate_cells(lam, springer):
+                for c in springer_cells:
                     if not dw_equals_cell(c.w, lam, q, budget_bits):
-                        checks.append(
-                            CheckResult("generic-flag-image", False, f"w={c.w}")
-                        )
+                        checks.append(CheckResult("generic-flag-image", False, f"w={c.w}"))
                         break
                     if not zeros_structure_check(c.w, lam, q, budget_bits):
-                        checks.append(
-                            CheckResult("factor-zero-structure", False, f"w={c.w}")
-                        )
+                        checks.append(CheckResult("factor-zero-structure", False, f"w={c.w}"))
                         break
                 else:
                     checks.append(CheckResult("generic-flag-image", True))
                     checks.append(CheckResult("factor-zero-structure", True))
-                checks.append(
-                    CheckResult(
-                        "conjugation-invariance",
-                        conjugation_invariance(
-                            lam, h, q, trials, seed or 0, budget_bits
-                        ),
-                    )
-                )
+                ok = conjugation_invariance(lam, h, q, trials, seed or 0, budget_bits)
+                checks.append(CheckResult("conjugation-invariance", ok))
     except BudgetExceededError as e:
         return VerifyReport(checks, partial=True, budget_message=str(e))
     return VerifyReport(checks)

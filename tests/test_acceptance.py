@@ -295,12 +295,13 @@ def _check_symbolic_cell(w, lam, t, base, kernel, xm, springer):
     assert u_i.rows[i - 1] == gn.rows[i - 1]
 
     # difference residual vanishes identically
+    flag = generic_flag(w, lam)
     for l in range(1, n + 1):
         if t.right_neighbor(l) is not None:
-            assert not any(difference_residual(w, lam, l))
+            assert not any(difference_residual(w, lam, l, flag))
 
     # generic flag lies in the Springer fiber for all coordinate values
-    assert verify_flag_membership(generic_flag(w, lam), xm, springer)
+    assert verify_flag_membership(flag, xm, springer)
 
 
 def test_criterion_5_maximal_cells_standard():
@@ -310,9 +311,10 @@ def test_criterion_5_maximal_cells_standard():
             for parts in partitions(n):
                 lam = Composition(parts)
                 for h in hs:
-                    ok, witness = maximal_cells_are_standard(lam, h)
+                    cells = enumerate_cells(lam, h)
+                    ok, witness = maximal_cells_are_standard(cells)
                     assert ok, (parts, h.values, witness)
-                    for c in enumerate_cells(lam, h):
+                    for c in cells:
                         s = standardize(c.tableau)
                         if s.rows == c.tableau.rows:
                             continue

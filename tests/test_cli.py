@@ -125,6 +125,20 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["partial"] is True
 
+    @pytest.mark.parametrize("stem, args, expected_code", [
+        ("verify_22_springer_q2_seed0", ["--lambda", "2,2", "--q", "2", "--seed", "0"], 0),
+        ("verify_221_h00123_q2", ["--lambda", "2,2,1", "--h", "0,0,1,2,3", "--q", "2"], 0),
+        ("verify_21_h011_q3", ["--lambda", "2,1", "--h", "0,1,1", "--q", "3"], 0),
+        ("verify_2_h00_q2", ["--lambda", "2", "--h", "0,0", "--q", "2"], 0),
+        ("verify_22_springer_q2_budget3",
+         ["--lambda", "2,2", "--q", "2", "--budget-bits", "3"], 3),
+    ])
+    def test_output_unchanged(self, capsys, stem, args, expected_code):
+        # tests/data holds the reference JSON, byte for byte
+        code, out, _ = run(capsys, "verify", *args)
+        assert code == expected_code
+        assert out == (DATA / f"{stem}.json").read_text()
+
 
 class TestGenericFlag:
     def test_paper_example(self, capsys):
@@ -238,6 +252,20 @@ class TestInputErrors:
         assert code == 2
         assert "budget-bits" in err
 
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    @pytest.mark.parametrize("q", ["0", "1", "4", "17"])
+    def test_bad_q(self, capsys, command, q):
+        code, out, err = run(capsys, command, "--lambda", "2,1", "--q", q)
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: --q: q must be a prime <= 13, got {q}\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_workers_flag(self, capsys, workers):
+        code, _, err = run(capsys, "count", "--lambda", "2,1", "--q", "2", "--workers", workers)
+        assert code == 2
+        assert err == "input error: --workers must be >= 1\n"
+
 
 class TestParser:
     def test_built_once(self):
@@ -266,6 +294,12 @@ class TestParser:
         code, _, err = run(capsys, "poincare", "--lambda", "2")
         assert code == 2
         assert err.startswith("input error: HESSPAVE_WORKERS")
+
+    def test_workers_env_below_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("HESSPAVE_WORKERS", "0")
+        code, _, err = run(capsys, "poincare", "--lambda", "2")
+        assert code == 2
+        assert err == "input error: HESSPAVE_WORKERS must be >= 1\n"
 
 
 def test_console_script_installed():

@@ -295,12 +295,13 @@ class TestGenericFlag:
         lam = Composition([2, 2, 2])
         w = Permutation([3, 6, 2, 1, 5, 4])
         t = tableau_of(w, lam)
+        flag = generic_flag(w, lam)
         for l in range(1, 7):
             if t.right_neighbor(l) is None:
                 with pytest.raises(ValueError):
-                    difference_residual(w, lam, l)
+                    difference_residual(w, lam, l, flag)
             else:
-                assert not any(difference_residual(w, lam, l))
+                assert not any(difference_residual(w, lam, l, flag))
 
 
 class TestMembership:

@@ -532,7 +532,7 @@ class TestMaximalCells:
             for parts in partitions(n):
                 lam = Composition(parts)
                 for h in all_hessenberg_functions(n):
-                    ok, witness = maximal_cells_are_standard(lam, h)
+                    ok, witness = maximal_cells_are_standard(enumerate_cells(lam, h))
                     assert ok, witness
 
     def test_profile_domination(self):

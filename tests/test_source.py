@@ -57,3 +57,26 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used]
     assert found == []
+
+
+def test_private_functions_are_called():
+    # a module-level helper that nothing in the package calls is dead code;
+    # calls from inside its own body (recursion) do not count
+    defined = {}
+    called = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = top.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined[own] = f"{path.name}:{top.lineno}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name != own:
+                        called.add(name)
+    assert defined
+    assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in called) == []

@@ -1,5 +1,12 @@
+import pytest
+
+import hesspave.oracle
+import hesspave.paving
+import hesspave.verify
 from hesspave.combinatorics import Composition, HessenbergFunction
 from hesspave.verify import run_verification
+
+MODULES = (hesspave.oracle, hesspave.paving, hesspave.verify)
 
 
 def names(report):
@@ -46,3 +53,31 @@ def test_json_shape():
     data = report.to_json()
     assert data["passed"] is True
     assert all(c["ok"] for c in data["checks"])
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of paving.<name> through every module that bound it."""
+    orig = getattr(hesspave.paving, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in MODULES:
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("parts, h, tables", [
+    ((2, 2), HessenbergFunction.springer(4), 1),
+    ((2, 2, 1), HessenbergFunction([0, 0, 1, 2, 3]), 2),  # h and Springer
+])
+def test_one_cell_table_per_run(monkeypatch, parts, h, tables):
+    cells = count_calls(monkeypatch, "enumerate_cells")
+    walks = count_calls(monkeypatch, "iter_fillings")
+    report = run_verification(Composition(parts), h, q=2)
+    assert report.passed
+    assert len(cells) == tables
+    assert len(walks) == tables
