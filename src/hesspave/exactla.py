@@ -141,37 +141,30 @@ class ExactMatrix:
         return True
 
     def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan inverse; the domain must be a field."""
-        if not self.domain.is_field():
-            return self._unipotent_inverse()
+        """Gauss-Jordan inverse.
+
+        Over a domain that is not a field every pivot must be 1, as it is for
+        unitriangular matrices; any other pivot raises ValueError.
+        """
         n = self.n
         dom = self.domain
+        one = dom.one()
         aug = [list(r) + list(ir) for r, ir in zip(self.rows, ExactMatrix.identity(dom, n).rows)]
         for col in range(n):
             piv = next((r for r in range(col, n) if aug[r][col]), None)
             if piv is None:
                 raise ValueError("matrix is singular")
             aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = dom.div(dom.one(), aug[col][col])
-            aug[col] = [x * inv_p for x in aug[col]]
+            if aug[col][col] != one:
+                if not dom.is_field():
+                    raise ValueError(f"pivot is not 1 and {dom.kind} is not a field")
+                inv_p = dom.div(one, aug[col][col])
+                aug[col] = [x * inv_p for x in aug[col]]
             for r in range(n):
                 if r != col and aug[r][col]:
                     c = aug[r][col]
                     aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
         return ExactMatrix.from_rows(dom, [row[n:] for row in aug])
-
-    def _unipotent_inverse(self) -> "ExactMatrix":
-        """Inverse via the Neumann series; requires I - self nilpotent."""
-        n = self.n
-        ident = ExactMatrix.identity(self.domain, n)
-        nilp = self - ident
-        acc, term = ident, ident
-        for _ in range(n - 1):
-            term = ExactMatrix.zero(self.domain, n) - (term @ nilp)
-            acc = acc + term
-        if not (self @ acc == ident):
-            raise ValueError("matrix is not unipotent and domain is not a field")
-        return acc
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
@@ -489,13 +482,13 @@ def factor_unipotent(
     i = w(n)
     v, y = factorize(w)
     m = u @ ExactMatrix.permutation(dom, w)
-    m_inv = ExactMatrix.permutation(dom, w).transpose() @ u._unipotent_inverse()
+    m_inv = ExactMatrix.permutation(dom, w).transpose() @ u.inverse()
     t = m_inv.rows[n - 1]
     u_i = ExactMatrix.identity(dom, n)
     for j in range(i + 1, n + 1):
         if t[j - 1]:
             u_i = u_i.with_entry(i, j, dom.zero() - t[j - 1])
-    rest = u_i._unipotent_inverse() @ m
+    rest = u_i.inverse() @ m
     u0 = (
         ExactMatrix.permutation(dom, v).transpose()
         @ rest
@@ -523,7 +516,7 @@ def bn_split(
     u_i = ExactMatrix.identity(dom, n)
     for l in level:
         u_i = u_i.with_entry(i, w(l), coords[(i, w(l))])
-    b_n = u_i._unipotent_inverse() @ g_n
+    b_n = u_i.inverse() @ g_n
     v, _ = factorize(w)
     vmat = ExactMatrix.permutation(dom, v)
     conj = vmat.transpose() @ b_n @ vmat

@@ -187,7 +187,9 @@ def run_verification(
                 else:
                     checks.append(CheckResult("generic-flag-image", True))
                     checks.append(CheckResult("factor-zero-structure", True))
-                ok = conjugation_invariance(lam, h, q, trials, seed or 0, budget_bits)
+                ok = conjugation_invariance(
+                    lam, h, q, report.total, trials, seed or 0, budget_bits
+                )
                 checks.append(CheckResult("conjugation-invariance", ok))
     except BudgetExceededError as e:
         return VerifyReport(checks, partial=True, budget_message=str(e))

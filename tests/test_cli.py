@@ -187,6 +187,16 @@ class TestCount:
         assert code == 3
         assert "budget exceeded" in err
 
+    @pytest.mark.parametrize("stem, args", [
+        ("count_221_h00123_q3.json", ["--lambda", "2,2,1", "--h", "0,0,1,2,3", "--q", "3"]),
+        ("count_31_springer_q5.csv", ["--lambda", "3,1", "--q", "5", "--format", "csv"]),
+    ])
+    def test_output_unchanged(self, capsys, stem, args):
+        # tests/data holds the reference output, byte for byte
+        code, out, _ = run(capsys, "count", *args)
+        assert code == 0
+        assert out == (DATA / stem).read_text()
+
 
 class TestProfile:
     def test_values(self, capsys):

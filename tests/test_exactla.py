@@ -89,6 +89,26 @@ class TestExactMatrix:
         assert u @ ui == ExactMatrix.identity(POLYNOMIALS, 3)
         assert ui.entry(1, 3) == x * x
 
+    def test_unitriangular_inverse_polynomial_lower(self):
+        x, y = Poly.var(1, 2), Poly.var(2, 3)
+        low = (
+            ExactMatrix.identity(POLYNOMIALS, 3)
+            .with_entry(2, 1, x).with_entry(3, 1, y).with_entry(3, 2, x)
+        )
+        inv = low.inverse()
+        assert low @ inv == ExactMatrix.identity(POLYNOMIALS, 3)
+        assert inv @ low == ExactMatrix.identity(POLYNOMIALS, 3)
+        assert inv.entry(3, 1) == x * x - y
+
+    def test_polynomial_inverse_rejects_non_unit_pivot(self):
+        x = Poly.var(1, 2)
+        for m in [
+            ExactMatrix.identity(POLYNOMIALS, 2).with_entry(2, 2, POLYNOMIALS.from_int(2)),
+            ExactMatrix.identity(POLYNOMIALS, 2).with_entry(1, 1, x),
+        ]:
+            with pytest.raises(ValueError, match="not a field"):
+                m.inverse()
+
     def test_upper_unitriangular(self):
         assert ExactMatrix.identity(GF2, 3).is_upper_unitriangular()
         low = ExactMatrix.identity(GF2, 3).with_entry(3, 1, GF(1, 2))

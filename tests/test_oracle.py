@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from hesspave.combinatorics import (
@@ -8,10 +9,24 @@ from hesspave.combinatorics import (
     Permutation,
     all_hessenberg_functions,
     is_row_strict,
+    partitions,
     tableau_of,
+)
+from hesspave.domains import PrimeFieldDomain
+from hesspave.exactla import (
+    ExactMatrix,
+    Flag,
+    UnipotentPattern,
+    conjugate,
+    nilpotent_matrix,
+    verify_flag_membership,
 )
 from hesspave.oracle import (
     BudgetExceededError,
+    _m_vectors,
+    _np_matrix,
+    _random_gl,
+    _springer_points,
     cell_point_count,
     conjugation_invariance,
     dw_equals_cell,
@@ -24,6 +39,53 @@ from hesspave.paving import enumerate_cells, poincare
 
 def all_perms(n):
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+def exact_u_points(w, dom):
+    """Every u in U^w over dom, in the batch's order (first free position slowest)."""
+    free = UnipotentPattern.schubert(w).positions_sorted()
+    for vals in itertools.product(range(dom.p), repeat=len(free)):
+        u = ExactMatrix.identity(dom, w.n)
+        for (a, b), v in zip(free, vals):
+            u = u.with_entry(a, b, dom.from_int(v))
+        yield u
+
+
+class TestBatchArithmetic:
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_m_vectors_match_exact_conjugation(self, n, q):
+        # reference: (uW)^{-1} X (uW) per matrix, with the Gauss-Jordan inverse
+        dom = PrimeFieldDomain(q)
+        xs = [nilpotent_matrix(Composition(p), dom) for p in partitions(n)]
+        xs.append(conjugate(_random_gl(n, q, np.random.default_rng(n * q)), xs[0]))
+        for x in xs:
+            for w in all_perms(n):
+                wmat = ExactMatrix.permutation(dom, w)
+                expected = []
+                for u in exact_u_points(w, dom):
+                    m = u @ wmat
+                    a = m.inverse() @ x @ m
+                    expected.append([
+                        max((i + 1 for i in range(n) if a.rows[i][j]), default=0)
+                        for j in range(n)
+                    ])
+                assert _m_vectors(w, _np_matrix(x), q).tolist() == expected
+
+    @pytest.mark.parametrize("parts", [(2, 2), (3, 1), (2, 1, 1)])
+    def test_springer_points_match_exact_membership(self, parts):
+        # reference: the exact flag-membership filter over every u in U^w
+        dom = PrimeFieldDomain(2)
+        lam = Composition(parts)
+        x = nilpotent_matrix(lam, dom)
+        h = HessenbergFunction.springer(4)
+        for w in all_perms(4):
+            wmat = ExactMatrix.permutation(dom, w)
+            expected = [
+                u for u in exact_u_points(w, dom)
+                if verify_flag_membership(Flag.from_matrix(u @ wmat), x, h)
+            ]
+            assert _springer_points(w, lam, 2) == expected
 
 
 class TestCellCounts:
@@ -159,15 +221,17 @@ class TestZeroStructure:
 
 class TestConjugation:
     def test_invariance(self):
-        assert conjugation_invariance(
-            Composition([2, 2]), HessenbergFunction.springer(4), 2, trials=3, seed=1
-        )
-        assert conjugation_invariance(
-            Composition([2, 1]), HessenbergFunction([0, 1, 1]), 3, trials=3, seed=2
-        )
+        for parts, h, q, seed in [
+            ((2, 2), HessenbergFunction.springer(4), 2, 1),
+            ((2, 1), HessenbergFunction([0, 1, 1]), 3, 2),
+        ]:
+            lam = Composition(parts)
+            total = variety_point_count(lam, h, q).total
+            assert conjugation_invariance(lam, h, q, total, trials=3, seed=seed)
+            assert not conjugation_invariance(lam, h, q, total + 1, trials=1, seed=seed)
 
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
             conjugation_invariance(
-                Composition([2, 2, 1]), HessenbergFunction.springer(5), 2
+                Composition([2, 2, 1]), HessenbergFunction.springer(5), 2, 0
             )

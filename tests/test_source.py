@@ -80,3 +80,16 @@ def test_private_functions_are_called():
                         called.add(name)
     assert defined
     assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in called) == []
+
+
+def test_no_private_cross_module_imports():
+    # an underscore name is private to the module that defines it
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
