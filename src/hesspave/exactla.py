@@ -9,7 +9,6 @@ immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .combinatorics import (
@@ -23,13 +22,12 @@ from .combinatorics import (
     tableau_of,
 )
 from .domains import (
-    GF,
     POLYNOMIALS,
     RATIONALS,
     Domain,
     Poly,
 )
-from .paving import hessenberg_inversions, springer_inversions
+from .paving import InversionSet, hessenberg_inversions, springer_inversions
 
 Vector = tuple
 
@@ -411,24 +409,25 @@ def hess_zero_coordinates(
     return {(w(k), w(l)) for (k, l) in spr.pairs - hess.pairs}
 
 
-def difference_residual(w: Permutation, lam: Composition, l: int, flag: Flag) -> Vector:
-    """v_l - X v_r - sum over (t,l) inversions of x_{w(t)w(l)} v_t.
+def difference_residual(
+    w: Permutation, tab: Tableau, spr: InversionSet, x: ExactMatrix, l: int, flag: Flag
+) -> Vector:
+    """v_l - X v_r - sum over (k,l) inversions of x_{w(k)w(l)} v_k.
 
-    `flag` is generic_flag(w, lam); the residual is identically zero for it.
+    `tab` is R(w), `spr` is inv_lambda(w), `x` is X_lambda over POLYNOMIALS and
+    `flag` is generic_flag(w, lambda); the residual is identically zero.
     `l` must not end its row.
     """
-    tab = tableau_of(w, lam)
     r = tab.right_neighbor(l)
     if r is None:
         raise ValueError(f"{l} labels a box at the end of its row")
-    x = nilpotent_matrix(lam, POLYNOMIALS)
     residual = list(flag.columns[l - 1])
     for idx, val in enumerate(x.apply(flag.columns[r - 1])):
         residual[idx] = residual[idx] - val
-    for t, ll in springer_inversions(w, lam).sorted_pairs():
+    for k, ll in spr.sorted_pairs():
         if ll == l:
-            coeff = Poly.var(w(t), w(l))
-            for idx, val in enumerate(flag.columns[t - 1]):
+            coeff = Poly.var(w(k), w(l))
+            for idx, val in enumerate(flag.columns[k - 1]):
                 residual[idx] = residual[idx] - coeff * val
     return tuple(residual)
 
@@ -546,21 +545,3 @@ def project_cell(flag: Flag) -> Flag:
 def conjugate(g: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
     """g^{-1} X g over a field domain."""
     return g.inverse() @ x @ g
-
-
-def matrix_to_json(m: ExactMatrix) -> dict:
-    """Exchange format: dense row-major; polynomials as monomial lists."""
-    entries = []
-    for row in m.rows:
-        out_row = []
-        for x in row:
-            if isinstance(x, Poly):
-                out_row.append(x.monomial_list())
-            elif isinstance(x, GF):
-                out_row.append(x.v)
-            elif isinstance(x, Fraction):
-                out_row.append(str(x) if x.denominator != 1 else x.numerator)
-            else:
-                out_row.append(x)
-        entries.append(out_row)
-    return {"n": m.n, "domain": m.domain.kind, "entries": entries}

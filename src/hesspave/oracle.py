@@ -279,9 +279,11 @@ def dw_equals_cell(
         dw_keys.add(_canonical_key(flag_matrix))
     if len(dw_keys) != q ** len(spr):
         return False
-    wmat = ExactMatrix.permutation(dom, w)
+    # each point u is already in U^w, so by uniqueness it is its own key
+    free = _free_positions(w)
     cell_keys = {
-        _canonical_key(u @ wmat) for u in _springer_points(w, lam, q)
+        (w.word,) + tuple(u.entry(a, b).v for a, b in free)
+        for u in _springer_points(w, lam, q)
     }
     return dw_keys == cell_keys
 

@@ -105,66 +105,79 @@ class CellDescriptor:
     dim: int
 
 
+def _placements(
+    m: int,
+    rem: tuple[int, ...],
+    bounds: tuple[int, ...],
+    hv: Sequence[int],
+    nrows: int,
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
+    """The ways to place m, the largest entry left, at the end of a row.
+
+    This is one step of the n -> n-1 deletion recursion, the tableau side of
+    the projection C_w -> C_y.  A state is the remaining row lengths `rem`
+    plus a bound b_i on each row's last entry (h of the placed right
+    neighbor, n for a full row).  Row i may hold m iff m <= b_i, and then m
+    forms a Hessenberg inversion with the last entry of every other row j
+    with b_j >= m whose last box lies in a column right of m's box, or in
+    the same column above it; no other entry can pair with m, since its
+    right neighbor r < m has h(r) < m.  Child bounds are clamped to m-1 so
+    that equivalent states compare equal; an empty row's bound is 0, and
+    h(m) <= m-1 needs no clamp.
+
+    Yields (i, child_rem, child_bounds, gain) for each row i that may hold
+    m, in row order; gain counts the inversions (m, l).
+    """
+    cap = m - 1
+    clamped = [b if b < cap else cap for b in bounds]
+    # the rows that may hold m are also the only rows m can pair with
+    open_rows = [(j, rem[j]) for j in range(nrows) if bounds[j] >= m]
+    for i, c in open_rows:
+        child_rem = list(rem)
+        child_rem[i] = c - 1
+        child_bounds = clamped.copy()
+        child_bounds[i] = hv[cap] if c > 1 else 0
+        gain = 0
+        for j, cj in open_rows:
+            if cj > c or (cj == c and j < i):
+                gain += 1
+        yield i, tuple(child_rem), tuple(child_bounds), gain
+
+
 def iter_fillings(
     lam: Composition, h: HessenbergFunction, max_dim: int | None = None
 ) -> Iterator[tuple[list[list[int]], int]]:
-    """Backtracking enumeration of RS_h(lambda) with the inversion count.
+    """Depth-first enumeration of RS_h(lambda) with the inversion count.
 
-    Values are placed in decreasing order, each at the current end of some
-    row; the value placed must be <= h(r) for its already-placed right
-    neighbor r.  The Hessenberg inversion count is accumulated incrementally:
-    when l is placed, its partners k > l sit in already-filled boxes either
-    strictly below in the same column or anywhere in a column to the left.
-    Branches whose partial count exceeds `max_dim` are pruned.
+    Walks the states of `_placements` from n down to 1, writing each value
+    into the box it takes; dim is the sum of the gains.  A branch is pruned
+    as soon as its partial sum exceeds `max_dim`.
 
     Yields (rows, dim); the rows list is reused, copy if kept.
     """
-    parts = lam.parts
     n = lam.n
     if n != h.n:
         raise ValueError(f"size mismatch: n(lambda)={lam.n}, n(h)={h.n}")
     if n == 0:
         return
     hv = h.values
-    grid = [[0] * p for p in parts]
-    rem = list(parts)
-    nrows = len(parts)
+    nrows = lam.num_rows
+    grid = [[0] * p for p in lam.parts]
 
-    def place(v: int, dim: int) -> Iterator[tuple[list[list[int]], int]]:
-        if v == 0:
+    def walk(
+        m: int, rem: tuple[int, ...], bounds: tuple[int, ...], dim: int
+    ) -> Iterator[tuple[list[list[int]], int]]:
+        if m == 0:
             yield grid, dim
             return
-        for i in range(nrows):
-            c = rem[i]
-            if c == 0:
-                continue
-            row = grid[i]
-            if c < parts[i]:
-                bound = hv[row[c] - 1]
-                if v > bound:
-                    continue
-            else:
-                bound = n
-            # partners already placed: same column strictly below, or any
-            # column strictly left, with k <= h(r)
-            gained = 0
-            for i2 in range(nrows):
-                row2 = grid[i2]
-                hi = min(c if i2 <= i else c + 1, parts[i2] + 1)
-                for c2 in range(rem[i2] + 1, hi):
-                    k = row2[c2 - 1]
-                    if k and k <= bound:
-                        gained += 1
-            d = dim + gained
+        for i, child_rem, child_bounds, gain in _placements(m, rem, bounds, hv, nrows):
+            d = dim + gain
             if max_dim is not None and d > max_dim:
                 continue
-            row[c - 1] = v
-            rem[i] = c - 1
-            yield from place(v - 1, d)
-            row[c - 1] = 0
-            rem[i] = c
+            grid[i][rem[i] - 1] = m
+            yield from walk(m - 1, child_rem, child_bounds, d)
 
-    yield from place(n, 0)
+    yield from walk(n, lam.parts, (n,) * nrows, 0)
 
 
 def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescriptor]:
@@ -205,29 +218,11 @@ class PoincareData:
         return sum(c * q**k for k, c in enumerate(self.coeffs))
 
 
-def dimension_histogram(lam: Composition, h: HessenbergFunction) -> list[int]:
-    hist: list[int] = []
-    for _, dim in iter_fillings(lam, h):
-        if dim >= len(hist):
-            hist.extend([0] * (dim + 1 - len(hist)))
-        hist[dim] += 1
-    return hist
-
-
 def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
     """Cell-dimension histogram by the n -> n-1 deletion recursion, memoized.
 
-    The largest entry m of an h-strict filling ends its row; deleting it is
-    the tableau side of the projection C_w -> C_y.  A state is the remaining
-    row lengths plus a bound b_i on each row's last entry (h of the deleted
-    right neighbor, n for a full row).  Row i may hold m iff m <= b_i, and
-    then m forms a Hessenberg inversion with the last entry of every other
-    row j with b_j >= m whose last box lies in a column right of m's box, or
-    in the same column above it; no other entry can pair with m, since its
-    right neighbor r < m has h(r) < m.  Bounds are clamped to m-1 (0 for
-    empty rows) so that equivalent states share one memo entry.
-
-    `dimension_histogram` walks every filling and serves as the oracle.
+    Each state of `_placements` is counted once, however many partial
+    fillings reach it.
     """
     n = lam.n
     if n != h.n:
@@ -246,23 +241,10 @@ def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
         if hit is not None:
             return hit
         total: list[int] = []
-        for i in range(nrows):
-            c = rem[i]
-            if c == 0 or m > bounds[i]:
-                continue
-            child_rem = rem[:i] + (c - 1,) + rem[i + 1:]
-            child_bounds = tuple(
-                0 if not child_rem[j] else min(hv[m - 1] if j == i else bounds[j], m - 1)
-                for j in range(nrows)
-            )
+        for _, child_rem, child_bounds, gain in _placements(m, rem, bounds, hv, nrows):
             sub = count(m - 1, child_rem, child_bounds)
             if not sub:
                 continue
-            gain = sum(
-                1 for j in range(nrows)
-                if j != i and rem[j] and bounds[j] >= m
-                and (rem[j] > c or (rem[j] == c and j < i))
-            )
             if len(total) < gain + len(sub):
                 total.extend([0] * (gain + len(sub) - len(total)))
             for d, v in enumerate(sub, start=gain):

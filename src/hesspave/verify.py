@@ -138,7 +138,7 @@ def _check_symbolic(lam, springer_cells) -> CheckResult:
                 return CheckResult("group-law", False, f"w={w}, k={k}")
         for l in range(1, lam.n + 1):
             if c.tableau.right_neighbor(l) is not None and any(
-                difference_residual(w, lam, l, flag)
+                difference_residual(w, c.tableau, c.springer_inv, x, l, flag)
             ):
                 return CheckResult("difference-residual", False, f"w={w}, l={l}")
     return CheckResult("symbolic-identities", True)

@@ -298,7 +298,7 @@ def _check_symbolic_cell(w, lam, t, base, kernel, xm, springer):
     flag = generic_flag(w, lam)
     for l in range(1, n + 1):
         if t.right_neighbor(l) is not None:
-            assert not any(difference_residual(w, lam, l, flag))
+            assert not any(difference_residual(w, t, spr, xm, l, flag))
 
     # generic flag lies in the Springer fiber for all coordinate values
     assert verify_flag_membership(flag, xm, springer)

@@ -29,7 +29,6 @@ from hesspave.exactla import (
     generic_flag_stages,
     hess_zero_coordinates,
     hessenberg_space_contains,
-    matrix_to_json,
     nilpotent_matrix,
     project_cell,
     verify_flag_membership,
@@ -315,13 +314,15 @@ class TestGenericFlag:
         lam = Composition([2, 2, 2])
         w = Permutation([3, 6, 2, 1, 5, 4])
         t = tableau_of(w, lam)
+        spr = springer_inversions(w, lam)
+        x = nilpotent_matrix(lam, POLYNOMIALS)
         flag = generic_flag(w, lam)
         for l in range(1, 7):
             if t.right_neighbor(l) is None:
                 with pytest.raises(ValueError):
-                    difference_residual(w, lam, l, flag)
+                    difference_residual(w, t, spr, x, l, flag)
             else:
-                assert not any(difference_residual(w, lam, l, flag))
+                assert not any(difference_residual(w, t, spr, x, l, flag))
 
 
 class TestMembership:
@@ -527,18 +528,3 @@ class TestFactorizations:
         _, y = factorize(w)
         yp = Permutation(y.word[:-1])
         assert small.matrix() == ExactMatrix.permutation(dom, yp)
-
-
-def test_matrix_to_json():
-    m = ExactMatrix.identity(GF2, 2)
-    assert matrix_to_json(m) == {
-        "n": 2,
-        "domain": "PrimeField(2)",
-        "entries": [[1, 0], [0, 1]],
-    }
-    mq = ExactMatrix.from_rows(RATIONALS, [[Fraction(1, 2)]])
-    assert matrix_to_json(mq)["entries"] == [["1/2"]]
-    mp = ExactMatrix.from_rows(POLYNOMIALS, [[Poly.var(1, 2)]])
-    assert matrix_to_json(mp)["entries"][0][0] == [
-        {"coeff": "1", "vars": [[1, 2, 1]]}
-    ]

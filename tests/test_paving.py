@@ -22,13 +22,14 @@ from hesspave.combinatorics import (
     standardize,
     tableau_of,
 )
+from hesspave import paving
 from hesspave.paving import (
     InversionSet,
     column_sort_trace,
-    dimension_histogram,
     enumerate_cells,
     hessenberg_inversions,
     inversion_profile,
+    iter_fillings,
     maximal_cells_are_standard,
     poincare,
     r0_tableau,
@@ -189,16 +190,27 @@ class TestPoincare:
     def test_histogram_consistent(self):
         lam = Composition([2, 2])
         h = HessenbergFunction([0, 0, 1, 1])
-        hist = dimension_histogram(lam, h)
+        coeffs = poincare(lam, h).coeffs
         cells = enumerate_cells(lam, h)
-        assert sum(hist) == len(cells)
-        for k, c in enumerate(hist):
+        assert sum(coeffs) == len(cells)
+        for k, c in enumerate(coeffs):
             assert c == sum(1 for cell in cells if cell.dim == k)
 
     def test_evaluate(self):
         p = poincare(Composition([1, 1]), HessenbergFunction.springer(2))
         assert p.evaluate(2) == 3
         assert p.evaluate(3) == 4
+
+
+def cell_histogram(lam, h):
+    """Cell dimensions of the table; `enumerate_cells` checks each one
+    against `_inversion_pairs`, so this oracle does not rest on the
+    recursion's placement step alone."""
+    hist = []
+    for c in enumerate_cells(lam, h):
+        hist.extend([0] * (c.dim + 1 - len(hist)))
+        hist[c.dim] += 1
+    return tuple(hist)
 
 
 def compositions(n):
@@ -282,8 +294,57 @@ class TestCellDescriptors:
                 assert nonzero(step.profile) == reference_profile(grid, h)
 
 
+class TestPrunedWalk:
+    def test_max_dim_yields_the_full_walk_filtered(self):
+        # a pair is counted when its larger entry is placed, so `max_dim`
+        # cuts a branch early; what is left must be exactly the full walk's
+        # fillings of dim <= max_dim, in the same order
+        cases = 0
+        for lam, h in descriptor_cases():
+            if lam.n > 5:
+                continue
+            cases += 1
+            full = [([list(r) for r in rows], d) for rows, d in iter_fillings(lam, h)]
+            for max_dim in (0, 1, 2):
+                pruned = [([list(r) for r in rows], d)
+                          for rows, d in iter_fillings(lam, h, max_dim)]
+                expect = [(rows, d) for rows, d in full if d <= max_dim]
+                assert pruned == expect, (lam.parts, h.values, max_dim)
+        assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42
+
+    def test_max_dim_prunes_when_the_larger_entry_is_placed(self, monkeypatch):
+        # one column has no dead ends, so the pruned walk expands exactly the
+        # prefixes (n, ..., m+1 placed) of fillings with at most max_dim
+        # pairs (k, l) whose k is already placed
+        calls = []
+        inner = paving._placements
+
+        def counting(m, *args):
+            calls.append(m)
+            return inner(m, *args)
+
+        monkeypatch.setattr(paving, "_placements", counting)
+        for n in range(1, 7):
+            lam, h = Composition([1] * n), HessenbergFunction.springer(n)
+            columns = [[row[0] for row in rows] for rows, _ in iter_fillings(lam, h)]
+            assert len(columns) == factorial(n)
+            for max_dim in (0, 1, 2):
+                expect = set()
+                for col in columns:
+                    row_of = {v: r for r, v in enumerate(col)}
+                    for m in range(n, 0, -1):
+                        pairs = sum(1 for k in range(m + 1, n + 1) for l in range(1, k)
+                                    if row_of[k] > row_of[l])
+                        if pairs <= max_dim:
+                            expect.add(tuple(row_of[v] for v in range(n, m, -1)))
+                calls.clear()
+                for _ in iter_fillings(lam, h, max_dim):
+                    pass
+                assert len(calls) == len(expect), (n, max_dim)
+
+
 class TestPoincareRecursion:
-    """The memoized deletion recursion against the full filling walk."""
+    """The memoized deletion recursion against the cell table."""
 
     def test_matches_enumeration(self):
         shapes = [c for n in range(6) for c in compositions(n)] + list(partitions(6))
@@ -292,7 +353,7 @@ class TestPoincareRecursion:
             lam = Composition(parts)
             for h in all_hessenberg_functions(lam.n):
                 coeffs = poincare(lam, h).coeffs
-                assert coeffs == tuple(dimension_histogram(lam, h)), (parts, h)
+                assert coeffs == cell_histogram(lam, h), (parts, h)
                 pairs += 1
                 empty += coeffs == ()
         assert pairs == 2262  # 2,261 with n >= 1, plus the empty shape
@@ -313,7 +374,7 @@ class TestPoincareRecursion:
         for i in range(1, n + 1):
             values.append(data.draw(st.integers(values[-1] if values else 0, i - 1)))
         lam, h = Composition(parts), HessenbergFunction(values)
-        assert poincare(lam, h).coeffs == tuple(dimension_histogram(lam, h))
+        assert poincare(lam, h).coeffs == cell_histogram(lam, h)
 
 
 def _horizontal_strips(shape, size):

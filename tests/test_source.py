@@ -93,3 +93,28 @@ def test_no_private_cross_module_imports():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_public_functions_are_used():
+    # a public module-level function must be called (or handed on as a
+    # callable) somewhere in the package, or re-exported by __init__.py;
+    # references from its own body do not count
+    defined = {}
+    used = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "__init__.py":
+            used |= {alias.asname or alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names}
+        for top in tree.body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    defined[own] = f"{path.name}:{top.lineno}"
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    used.add(name)
+    assert defined
+    assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used) == []
