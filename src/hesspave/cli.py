@@ -22,6 +22,7 @@ from .combinatorics import (
     HessenbergFunction,
     Permutation,
     format_tableau,
+    is_row_strict,
     tableau_of,
 )
 from .domains import Poly
@@ -251,8 +252,6 @@ def cmd_generic_flag(args) -> int:
     if args.w is None:
         raise InputError("--w is required for generic-flag")
     w = _parse_w(args.w, lam.n)
-    from .combinatorics import is_row_strict
-
     if not is_row_strict(tableau_of(w, lam)):
         raise InputError(f"R(w) is not row-strict for w={w}")
     flag = generic_flag(w, lam)

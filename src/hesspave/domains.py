@@ -163,9 +163,6 @@ class Poly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
-
     def variables(self) -> set[Pair]:
         return {var for m in self.terms for var, _ in m}
 

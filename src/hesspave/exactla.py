@@ -348,9 +348,9 @@ def generic_flag(w: Permutation, lam: Composition) -> Flag:
     return generic_flag_stages(w, lam)[-1]
 
 
-def _first_nonzero(v: Sequence) -> int | None:
-    for i, x in enumerate(v):
-        if x:
+def _last_nonzero(v: Sequence) -> int | None:
+    for i in range(len(v) - 1, -1, -1):
+        if v[i]:
             return i
     return None
 
@@ -373,7 +373,9 @@ def verify_flag_membership(
     The span tests use exact division-free elimination; over the polynomial
     domain a nonzero residual means the condition fails for some coordinate
     values, so a True answer quantifies over all values (the flags produced
-    by generic_flag have unit determinant).
+    by generic_flag have unit determinant).  Each pivot is the lowest
+    nonzero entry of its reduced column; for a flag uwE_ in a Schubert cell
+    that is the constant 1 at row w(j), so no row is scaled by a polynomial.
     """
     if flag.domain != x.domain:
         raise ValueError("domain mismatch between flag and matrix")
@@ -384,7 +386,7 @@ def verify_flag_membership(
     for i in range(1, flag.n + 1):
         while added < h(i):
             col = _reduce_against(list(flag.columns[added]), basis)
-            piv = _first_nonzero(col)
+            piv = _last_nonzero(col)
             if piv is None:
                 raise ValueError("singular flag matrix")
             basis.append((piv, tuple(col)))

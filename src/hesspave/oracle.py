@@ -32,8 +32,8 @@ from .combinatorics import (
 from .domains import PrimeFieldDomain
 from .exactla import (
     ExactMatrix,
+    Flag,
     UnipotentPattern,
-    bk_generator,
     bruhat_canonical_form,
     conjugate,
     factor_unipotent,
@@ -249,34 +249,28 @@ def _canonical_key(m: ExactMatrix) -> tuple:
 
 
 def dw_equals_cell(
-    w: Permutation, lam: Composition, q: int, budget_bits: int = 24
+    w: Permutation, lam: Composition, q: int, flag: Flag, budget_bits: int = 24
 ) -> bool:
     """Set equality of the generic-flag image and the brute-force cell.
 
-    Enumerates every coordinate tuple over F_q, canonicalizes the resulting
-    flags, and compares with {u : uwE_ in Springer fiber}; also asserts the
+    `flag` is generic_flag(w, lambda).  Evaluates its matrix at every
+    coordinate tuple over F_q, canonicalizes the resulting flags, and
+    compares with {u : uwE_ in Springer fiber}; also asserts the
     parametrization is injective (q^{d_w} distinct flags).
     """
     FieldSpec(q)
     dom = PrimeFieldDomain(q)
-    n = w.n
     spr = springer_inversions(w, lam)
     _check_budget(max(len(spr), w.length()) * log2(q), budget_bits)
-    keys: list[tuple[int, tuple[int, ...]]] = []
-    for k in range(2, n + 1):
-        keys.extend((k, l) for l in spr.level(k))
+    keys = [(w(k), w(l)) for k, l in spr.sorted_pairs()]
+    rows = flag.matrix().rows
     dw_keys = set()
-    for vals in itertools.product(range(q), repeat=len(keys)):
-        coords: dict[int, dict] = {k: {} for k in range(2, n + 1)}
-        for (k, l), v in zip(keys, vals):
-            coords[k][(w(k), w(l))] = dom.from_int(v)
-        prod = ExactMatrix.permutation(dom, w)
-        for k in range(2, n + 1):
-            prod = bk_generator(w, lam, k, coords[k], dom) @ prod
-        flag_matrix = ExactMatrix(
-            dom, tuple(zip(*(prod.column(j) for j in range(1, n + 1))))
+    for vals in itertools.product(dom.elements(), repeat=len(keys)):
+        values = dict(zip(keys, vals))
+        point = ExactMatrix.from_rows(
+            dom, [[e.substitute(values, dom) for e in row] for row in rows]
         )
-        dw_keys.add(_canonical_key(flag_matrix))
+        dw_keys.add(_canonical_key(point))
     if len(dw_keys) != q ** len(spr):
         return False
     # each point u is already in U^w, so by uniqueness it is its own key

@@ -122,12 +122,11 @@ def _check_profiles(lam, h, cells) -> CheckResult:
     return CheckResult("profile-inequality", True)
 
 
-def _check_symbolic(lam, springer_cells) -> CheckResult:
+def _check_symbolic(lam, springer_cells, flags) -> CheckResult:
     x = nilpotent_matrix(lam, POLYNOMIALS)
     springer = HessenbergFunction.springer(lam.n)
-    for c in springer_cells:
+    for c, flag in zip(springer_cells, flags):
         w = c.w
-        flag = generic_flag(w, lam)
         if not verify_flag_membership(flag, x, springer):
             return CheckResult("generic-flag-membership", False, f"w={w}")
         for k in range(2, lam.n + 1):
@@ -157,7 +156,8 @@ def run_verification(
 
     The cell table of (lambda, h) is built once and shared by every check;
     the Springer-fiber checks (n <= 5) share the Springer table, which is
-    the same list when h is Springer.
+    the same list when h is Springer, and one generic flag per Springer
+    cell, which the symbolic and F_q image checks both use.
     """
     checks: list[CheckResult] = []
     try:
@@ -169,7 +169,8 @@ def run_verification(
         if lam.n <= 5:
             springer = HessenbergFunction.springer(lam.n)
             springer_cells = cells if h.is_springer() else enumerate_cells(lam, springer)
-            checks.append(_check_symbolic(lam, springer_cells))
+            flags = [generic_flag(c.w, lam) for c in springer_cells]
+            checks.append(_check_symbolic(lam, springer_cells, flags))
         if q is not None:
             counts = flag_point_counts(nilpotent_matrix(lam), [h], q, budget_bits, workers)
             report = CountReport.from_counts(q, counts[0], cells)
@@ -177,8 +178,8 @@ def run_verification(
             checks.append(CheckResult("point-count-identity", report.match,
                                       None if report.match else witness))
             if lam.n <= 4:
-                for c in springer_cells:
-                    if not dw_equals_cell(c.w, lam, q, budget_bits):
+                for c, flag in zip(springer_cells, flags):
+                    if not dw_equals_cell(c.w, lam, q, flag, budget_bits):
                         checks.append(CheckResult("generic-flag-image", False, f"w={c.w}"))
                         break
                     if not zeros_structure_check(c.w, lam, q, budget_bits):

@@ -207,7 +207,8 @@ def test_criterion_3_generic_flag_image():
                 lam = Composition(parts)
                 for w in all_perms(n):
                     if is_row_strict(tableau_of(w, lam)):
-                        assert dw_equals_cell(w, lam, 2), (parts, w.word)
+                        flag = generic_flag(w, lam)
+                        assert dw_equals_cell(w, lam, 2, flag), (parts, w.word)
 
 
 def test_criterion_4_symbolic_identities():

@@ -18,6 +18,7 @@ from hesspave.exactla import (
     Flag,
     UnipotentPattern,
     conjugate,
+    generic_flag,
     nilpotent_matrix,
     verify_flag_membership,
 )
@@ -34,7 +35,7 @@ from hesspave.oracle import (
     variety_point_counts,
     zeros_structure_check,
 )
-from hesspave.paving import enumerate_cells, poincare
+from hesspave.paving import enumerate_cells, poincare, springer_inversions
 
 
 def all_perms(n):
@@ -190,20 +191,50 @@ class TestVarietyCounts:
         assert {e["w"][0] for e in data["per_cell"]} <= {1, 2}
 
 
+def flag_variables(flag):
+    return set().union(*(e.variables() for col in flag.columns for e in col))
+
+
 class TestGenericFlagImage:
     def test_row_strict_cells(self):
         for parts in [(2, 2), (3, 1), (2, 1, 1)]:
             lam = Composition(parts)
             for w in all_perms(4):
                 if is_row_strict(tableau_of(w, lam)):
-                    assert dw_equals_cell(w, lam, 2)
+                    assert dw_equals_cell(w, lam, 2, generic_flag(w, lam))
 
     def test_q3_spot_check(self):
-        assert dw_equals_cell(Permutation([2, 4, 1, 3]), Composition([2, 2]), 3)
+        w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
+        assert dw_equals_cell(w, lam, 3, generic_flag(w, lam))
 
-    def test_non_row_strict_fails(self):
-        # the construction only parametrizes the cell when R(w) is row-strict
-        assert not dw_equals_cell(Permutation([3, 1, 4, 2]), Composition([2, 2]), 2)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_zeroed_coordinate_fails(self, q):
+        # a flag with one coordinate set to 0 covers only q^(d-1) points
+        w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
+        flag = generic_flag(w, lam)
+        keys = sorted(flag_variables(flag))
+        assert keys
+        for key in keys:
+            cut = Flag(flag.domain, tuple(
+                tuple(e.subs_zero({key}) for e in col) for col in flag.columns
+            ))
+            assert not dw_equals_cell(w, lam, q, cut)
+
+    def test_flag_of_other_w_fails(self):
+        # another cell's flag either has a coordinate that w does not name
+        # (substitution raises) or lands in that other cell
+        lam = Composition([2, 2])
+        w = Permutation([2, 4, 1, 3])
+        keys = {(w(k), w(l)) for k, l in springer_inversions(w, lam).pairs}
+        others = [v for v in all_perms(4) if v != w and is_row_strict(tableau_of(v, lam))]
+        assert others
+        for v in others:
+            flag = generic_flag(v, lam)
+            if flag_variables(flag) <= keys:
+                assert not dw_equals_cell(w, lam, 2, flag)
+            else:
+                with pytest.raises(KeyError):
+                    dw_equals_cell(w, lam, 2, flag)
 
 
 class TestZeroStructure:

@@ -486,6 +486,21 @@ class TestSpringerClosedForm:
         shuffled = Composition(parts[1:] + parts[:1])
         assert poincare(shuffled, HessenbergFunction.springer(n)) == p
 
+    @pytest.mark.parametrize("parts, states", [((3, 3, 2, 2), 143), ((6, 5, 4, 3, 2), 2519)])
+    def test_memo_states(self, parts, states, monkeypatch):
+        # each _placements call expands one memo state; the m-1 clamp on the
+        # child bounds is what lets equivalent states share an entry
+        calls = []
+        step = paving._placements
+
+        def counted(*args):
+            calls.append(args[0])
+            return step(*args)
+
+        monkeypatch.setattr(paving, "_placements", counted)
+        poincare(Composition(parts), HessenbergFunction.springer(sum(parts)))
+        assert len(calls) == states
+
 
 class TestR0:
     def test_paper_example(self):

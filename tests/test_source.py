@@ -118,3 +118,30 @@ def test_public_functions_are_used():
                     used.add(name)
     assert defined
     assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used) == []
+
+
+def test_public_methods_are_used():
+    # a public, non-dunder method must be named somewhere in the package or
+    # the tests; references from its own body do not count
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    defined = {}
+    used = set()
+
+    def visit(node, own, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = node.name
+        elif isinstance(node, ast.ClassDef) and path in SOURCES:
+            for fn in node.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not fn.name.startswith("_")):
+                    defined.setdefault(fn.name, f"{path.name}:{fn.lineno}")
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own, path)
+
+    for path in SOURCES + tests:
+        visit(ast.parse(path.read_text(), filename=str(path)), None, path)
+    assert defined
+    assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used) == []

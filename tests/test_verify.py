@@ -1,12 +1,16 @@
 import pytest
 
+import hesspave.exactla
 import hesspave.oracle
 import hesspave.paving
 import hesspave.verify
-from hesspave.combinatorics import Composition, HessenbergFunction
-from hesspave.verify import run_verification
+from hesspave.combinatorics import Composition, HessenbergFunction, Permutation, partitions
+from hesspave.exactla import generic_flag
+from hesspave.oracle import dw_equals_cell
+from hesspave.paving import enumerate_cells
+from hesspave.verify import _check_symbolic, run_verification
 
-MODULES = (hesspave.oracle, hesspave.paving, hesspave.verify)
+MODULES = (hesspave.exactla, hesspave.oracle, hesspave.paving, hesspave.verify)
 
 
 def names(report):
@@ -55,9 +59,9 @@ def test_json_shape():
     assert all(c["ok"] for c in data["checks"])
 
 
-def count_calls(monkeypatch, name):
-    """Count calls of paving.<name> through every module that bound it."""
-    orig = getattr(hesspave.paving, name)
+def count_calls(monkeypatch, name, home=hesspave.paving):
+    """Count calls of home.<name> through every module that bound it."""
+    orig = getattr(home, name)
     calls = []
 
     def counted(*args, **kwargs):
@@ -81,3 +85,29 @@ def test_one_cell_table_per_run(monkeypatch, parts, h, tables):
     assert report.passed
     assert len(cells) == tables
     assert len(walks) == tables
+
+
+def test_one_generic_flag_per_springer_cell(monkeypatch):
+    lam = Composition([2, 2])
+    flags = count_calls(monkeypatch, "generic_flag", hesspave.exactla)
+    report = run_verification(lam, HessenbergFunction.springer(4), q=2)
+    assert report.passed
+    assert "generic-flag-image" in names(report)
+    assert len(flags) == len(enumerate_cells(lam, HessenbergFunction.springer(4)))
+
+
+def test_image_check_evaluates_the_given_flag(monkeypatch):
+    w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
+    flag = generic_flag(w, lam)
+    generators = count_calls(monkeypatch, "bk_generator", hesspave.exactla)
+    assert dw_equals_cell(w, lam, 3, flag)
+    assert generators == []
+
+
+@pytest.mark.parametrize("parts", list(partitions(6)) + [(2, 2, 2, 1)],
+                         ids=lambda parts: "-".join(map(str, parts)))
+def test_symbolic_suite_every_springer_cell(parts):
+    lam = Composition(parts)
+    cells = enumerate_cells(lam, HessenbergFunction.springer(lam.n))
+    result = _check_symbolic(lam, cells, [generic_flag(c.w, lam) for c in cells])
+    assert result.ok, result.witness
