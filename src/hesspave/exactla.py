@@ -274,6 +274,18 @@ def bk_generator(
             f"coordinate keys {sorted(coords)} do not match inv^"
             f"{k} keys {sorted(expected)}"
         )
+    return _bk_matrix(w, lam, k, level, coords, domain)
+
+
+def _bk_matrix(
+    w: Permutation,
+    lam: Composition,
+    k: int,
+    level: tuple[int, ...],
+    coords: Mapping[tuple[int, int], object],
+    domain: Domain,
+) -> ExactMatrix:
+    """bk_generator for level = inv_lambda^k(w), with coords already checked."""
     base = base_filling(lam)
     g = ExactMatrix.identity(domain, w.n)
     for l in level:
@@ -292,10 +304,14 @@ def bk_generator(
 
 def generic_coordinates(w: Permutation, lam: Composition, k: int) -> dict[tuple[int, int], Poly]:
     """Fresh polynomial variables x_{w(k)w(l)} for level k."""
-    return {
-        (w(k), w(l)): Poly.var(w(k), w(l))
-        for l in springer_inversions(w, lam).level(k)
-    }
+    return _level_variables(w, k, springer_inversions(w, lam).level(k))
+
+
+def _level_variables(
+    w: Permutation, k: int, level: tuple[int, ...]
+) -> dict[tuple[int, int], Poly]:
+    """generic_coordinates for level = inv_lambda^k(w)."""
+    return {(w(k), w(l)): Poly.var(w(k), w(l)) for l in level}
 
 
 @dataclass(frozen=True)
@@ -330,11 +346,13 @@ def generic_flag_stages(w: Permutation, lam: Composition) -> list[Flag]:
     if not is_row_strict(tableau_of(w, lam)):
         raise ValueError("R(w) is not row-strict")
     n = w.n
+    spr = springer_inversions(w, lam)
     prod = ExactMatrix.identity(POLYNOMIALS, n)
     stages = []
     stages.append(Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1))))
     for k in range(2, n + 1):
-        g = bk_generator(w, lam, k, generic_coordinates(w, lam, k), POLYNOMIALS)
+        level = spr.level(k)
+        g = _bk_matrix(w, lam, k, level, _level_variables(w, k, level), POLYNOMIALS)
         prod = g @ prod
         stages.append(Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1))))
     return stages

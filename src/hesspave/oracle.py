@@ -5,13 +5,19 @@ compares against the q^dim predictions of the paving; also checks the
 generic-flag parametrization and the unipotent factorization structure by
 exhaustive enumeration.
 
-The heavy counting runs on numpy: for a point uwE_ of the Schubert cell
-C_w, the membership condition X(V_i) in V_{h(i)} is equivalent to
-(uw)^{-1} X (uw) having zero entries below row h(j) in column j, so one
-batch conjugation per w answers every h at once.  The batch holds every u
-in U^w(F_q) and never forms u^{-1}: it solves u B = X u W by
-back-substitution.  The exact Springer-fiber points that the generic-flag
-and factorization checks walk are the rows of the same batch.
+The counting is a pruned search on numpy, one per w.  A point uwE_ of the
+Schubert cell C_w is the flag of g = uW, whose column j is u e_{w(j)}: a 1 at
+row w(j), free entries at the rows above it that no earlier column uses, and
+0 elsewhere.  The flag lies in Hess(X, h) exactly when X g_j is in
+<g_1..g_{h(j)}> for every j, and h(j) < j, so column j is tested as soon as
+it is placed.  Each earlier g_k has a 1 at row w(k) and 0 at rows
+w(1..k-1), so the test is elimination in the order w(1), w(2), ...; the last
+nonzero coefficient is m_j, the lowest nonzero row of column j of
+g^{-1} X g.  With b the pointwise max of the requested h's, a branch is cut
+as soon as some X g_j does not reduce to 0 against g_1..g_{b(j)}, and each
+surviving point keeps its m-vector, so every h is answered at once by
+m <= h.  The exact Springer-fiber points that the generic-flag and
+factorization checks walk come from the same search.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import log2
+from typing import Sequence
 
 import numpy as np
 
@@ -110,40 +117,80 @@ def _free_positions(w: Permutation) -> list[tuple[int, int]]:
     return UnipotentPattern.schubert(w).positions_sorted()
 
 
-def _batch_u(free: list[tuple[int, int]], n: int, q: int) -> np.ndarray:
-    """All q^f matrices of U^w(F_q) as an (N, n, n) array, row-major order."""
-    f = len(free)
-    big = q**f
-    u = np.broadcast_to(np.eye(n, dtype=np.int64), (big, n, n)).copy()
-    idx = np.arange(big)
-    for p, (a, b) in enumerate(free):
-        u[:, a - 1, b - 1] = (idx // q ** (f - 1 - p)) % q
-    return u
+# children per numpy batch of the search; bounds its peak bytes
+_CHUNK = 1 << 13
 
 
-def _lowest_rows(u: np.ndarray, w: Permutation, x: np.ndarray, q: int) -> np.ndarray:
-    """Lowest nonzero row of each column of (uW)^{-1} X (uW) mod q, for a
-    batch u of upper unitriangular matrices (0 for a zero column).
+def _extend(
+    g: np.ndarray, m: np.ndarray, j: int, rows: list[int], free: list[int],
+    xt: np.ndarray, q: int, bound: int, start: int, stop: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Children start..stop-1 of the frontier (g, m) whose column j + 1
+    passes its test, as (g, m) with that column and its m-value filled in.
 
-    With C = X u W, the product is W^T B where u B = C; B is solved by
-    back-substitution from the bottom row and W^T reads its rows in w order.
+    Child i takes parent i // q^f and writes the base-q digits of i % q^f at
+    the free rows of column j + 1, the first free row slowest.  The column
+    passes when X g_{j+1} reduces to 0 against g_1..g_bound.
+    """
+    idx = np.arange(start, stop)
+    parent = idx // q ** len(free)
+    g, m = g[parent], m[parent]
+    col = g[:, :, j]
+    col[:, rows[j]] = 1
+    col[:, free] = idx[:, None] // q ** np.arange(len(free) - 1, -1, -1) % q
+    v = col @ xt % q
+    mj = m[:, j]
+    for k in range(bound):
+        c = v[:, rows[k], None]
+        mj[c[:, 0] != 0] = k + 1
+        v = (v - c * g[:, :, k]) % q
+    keep = ~v.any(axis=1)
+    return g[keep], m[keep]
+
+
+def _search(
+    w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every g = uW, u in U^w(F_q), whose flag has m <= bound pointwise:
+    the matrices g as an (N, n, n) array and their m-vectors as (N, n).
+
+    bound(j) < j is required: column j is tested only against the columns
+    before it.  The frontier is expanded depth first, at most _CHUNK
+    children at a time; points come out in order of their columns' free
+    entries, column 1 slowest.
     """
     n = w.n
-    perm = [w(j) - 1 for j in range(1, n + 1)]
-    b = ((x % q) @ u[:, :, perm]) % q
-    for i in range(n - 2, -1, -1):
-        b[:, i] = (b[:, i] - (u[:, i : i + 1, i + 1 :] @ b[:, i + 1 :])[:, 0]) % q
-    rows = np.arange(1, n + 1).reshape(1, n, 1)
-    return np.max(np.where(b[:, perm] != 0, rows, 0), axis=1)
+    if any(b >= j for j, b in enumerate(bound, start=1)):
+        raise ValueError(f"bound must satisfy bound(j) < j, got {tuple(bound)}")
+    rows = [w(j) - 1 for j in range(1, n + 1)]
+    xt = (x % q).T
+    # g holds entries mod q <= 13, so int8 keeps the frontier small
+    leaves = [(np.zeros((0, n, n), dtype=np.int8), np.zeros((0, n), dtype=np.int64))]
+
+    def place(j: int, g: np.ndarray, m: np.ndarray) -> None:
+        if j == n:
+            leaves.append((g, m))
+            return
+        free = [a for a in range(rows[j]) if a not in rows[:j]]
+        total = len(g) * q ** len(free)
+        for start in range(0, total, _CHUNK):
+            stop = min(start + _CHUNK, total)
+            place(j + 1, *_extend(g, m, j, rows, free, xt, q, bound[j], start, stop))
+
+    place(0, np.zeros((1, n, n), dtype=np.int8), np.zeros((1, n), dtype=np.int64))
+    return (np.concatenate([g for g, _ in leaves]),
+            np.concatenate([m for _, m in leaves]))
 
 
-def _m_vectors(w: Permutation, x: np.ndarray, q: int) -> np.ndarray:
-    """For every u in U^w(F_q): lowest nonzero row of each column of
-    (uW)^{-1} X (uW) mod q, as an (N, n) array (0 for a zero column).
+def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> np.ndarray:
+    """For every u in U^w(F_q) whose flag uwE_ has m <= bound: the lowest
+    nonzero row of each column of (uW)^{-1} X (uW) mod q, as an (N, n) array
+    (0 for a zero column).
 
-    Membership of uwE_ in Hess(X, h) is exactly m <= h.values pointwise.
+    Membership of uwE_ in Hess(X, h) is exactly m <= h.values pointwise, so
+    with bound >= h the rows answer h.
     """
-    return _lowest_rows(_batch_u(_free_positions(w), w.n, q), w, x, q)
+    return _search(w, x, q, bound)[1]
 
 
 def cell_point_count(
@@ -153,12 +200,11 @@ def cell_point_count(
     q: int,
     budget_bits: int = 24,
 ) -> int:
-    """|{u in U^w(F_q) : uwE_ in Hess(X_lambda, h)}| by brute force."""
+    """|{u in U^w(F_q) : uwE_ in Hess(X_lambda, h)}| by exhaustive search."""
     FieldSpec(q)
     _check_budget(w.length() * log2(q), budget_bits)
     x = _np_matrix(nilpotent_matrix(lam))
-    m = _m_vectors(w, x, q)
-    return int(np.all(m <= np.array(h.values), axis=1).sum())
+    return len(_m_vectors(w, x, q, h.values))
 
 
 def _np_matrix(m: ExactMatrix) -> np.ndarray:
@@ -174,8 +220,9 @@ def flag_point_counts(
 ) -> list[dict[tuple[int, ...], int]]:
     """For each h, the points of every Schubert cell C_w in Hess(x, h)(F_q).
 
-    Brute force over the whole flag variety; each cell is enumerated once
-    for all h.  The entries of x are read as integers mod q.
+    One pruned search per cell answers every h; the work budget is checked
+    against the size of the whole flag variety.  The entries of x are read
+    as integers mod q.
     """
     FieldSpec(q)
     n = x.n
@@ -185,10 +232,11 @@ def flag_point_counts(
     _check_budget(log2(total_points), budget_bits)
     xq = _np_matrix(x)
     hv = np.array([h.values for h in hs])
+    bound = hv.max(axis=0)
     perms = sorted(itertools.permutations(range(1, n + 1)))
 
     def count_one(word: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-        m = _m_vectors(Permutation(word), xq, q)
+        m = _m_vectors(Permutation(word), xq, q, bound)
         ok = np.all(m[:, None, :] <= hv[None, :, :], axis=2)
         return word, [int(c) for c in ok.sum(axis=0)]
 
@@ -232,12 +280,16 @@ def _springer_points(
     """All u in U^w(F_q) with uwE_ in the Springer fiber of X_lambda, exact."""
     dom = PrimeFieldDomain(q)
     n = w.n
-    u = _batch_u(_free_positions(w), n, q)
-    m = _lowest_rows(u, w, _np_matrix(nilpotent_matrix(lam)), q)
-    fiber = np.all(m <= np.array(HessenbergFunction.springer(n).values), axis=1)
+    x = _np_matrix(nilpotent_matrix(lam))
+    g, _ = _search(w, x, q, HessenbergFunction.springer(n).values)
+    # column j of g is u e_{w(j)}
+    u = g[:, :, [j - 1 for j in w.inverse().word]]
+    # enumeration order of U^w: the first free position (row-major) slowest
+    keys = [u[:, a - 1, b - 1] for a, b in reversed(_free_positions(w))]
+    order = np.lexsort(keys) if keys else np.arange(len(u))
     return [
         ExactMatrix.from_rows(dom, [[dom.from_int(v) for v in row] for row in point])
-        for point in u[fiber].tolist()
+        for point in u[order].tolist()
     ]
 
 

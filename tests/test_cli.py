@@ -190,12 +190,24 @@ class TestCount:
     @pytest.mark.parametrize("stem, args", [
         ("count_221_h00123_q3.json", ["--lambda", "2,2,1", "--h", "0,0,1,2,3", "--q", "3"]),
         ("count_31_springer_q5.csv", ["--lambda", "3,1", "--q", "5", "--format", "csv"]),
+        ("count_222_h011134_q2.json", ["--lambda", "2,2,2", "--h", "0,1,1,1,3,4", "--q", "2"]),
     ])
     def test_output_unchanged(self, capsys, stem, args):
         # tests/data holds the reference output, byte for byte
         code, out, _ = run(capsys, "count", *args)
         assert code == 0
         assert out == (DATA / stem).read_text()
+
+    def test_readme_example(self, capsys):
+        # 26.4 bits of flags, so the default 24-bit budget is not enough
+        code, out, _ = run(
+            capsys, "count", "--lambda", "2,2,2", "--h", "0,1,1,1,3,4", "--q", "3",
+            "--budget-bits", "27",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["match"] is True
+        assert data["total"] == data["predicted"]
 
 
 class TestProfile:

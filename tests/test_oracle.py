@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hesspave.combinatorics import (
     Composition,
@@ -31,6 +32,7 @@ from hesspave.oracle import (
     cell_point_count,
     conjugation_invariance,
     dw_equals_cell,
+    flag_point_counts,
     variety_point_count,
     variety_point_counts,
     zeros_structure_check,
@@ -52,12 +54,52 @@ def exact_u_points(w, dom):
         yield u
 
 
+# The brute-force reference for the pruned search: every u in U^w(F_q) at once.
+
+def _batch_u(free: list[tuple[int, int]], n: int, q: int) -> np.ndarray:
+    """All q^f matrices of U^w(F_q) as an (N, n, n) array, row-major order."""
+    f = len(free)
+    big = q**f
+    u = np.broadcast_to(np.eye(n, dtype=np.int64), (big, n, n)).copy()
+    idx = np.arange(big)
+    for p, (a, b) in enumerate(free):
+        u[:, a - 1, b - 1] = (idx // q ** (f - 1 - p)) % q
+    return u
+
+
+def _lowest_rows(u: np.ndarray, w: Permutation, x: np.ndarray, q: int) -> np.ndarray:
+    """Lowest nonzero row of each column of (uW)^{-1} X (uW) mod q, for a
+    batch u of upper unitriangular matrices (0 for a zero column).
+
+    With C = X u W, the product is W^T B where u B = C; B is solved by
+    back-substitution from the bottom row and W^T reads its rows in w order.
+    """
+    n = w.n
+    perm = [w(j) - 1 for j in range(1, n + 1)]
+    b = ((x % q) @ u[:, :, perm]) % q
+    for i in range(n - 2, -1, -1):
+        b[:, i] = (b[:, i] - (u[:, i : i + 1, i + 1 :] @ b[:, i + 1 :])[:, 0]) % q
+    rows = np.arange(1, n + 1).reshape(1, n, 1)
+    return np.max(np.where(b[:, perm] != 0, rows, 0), axis=1)
+
+
+def reference_m_vectors(w, x, q):
+    """m-vectors of every u in U^w(F_q), in the batch's order."""
+    free = UnipotentPattern.schubert(w).positions_sorted()
+    return _lowest_rows(_batch_u(free, w.n, q), w, x, q)
+
+
+def sorted_rows(m):
+    return sorted(map(tuple, np.asarray(m).tolist()))
+
+
 class TestBatchArithmetic:
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("n", [3, 4])
     def test_m_vectors_match_exact_conjugation(self, n, q):
         # reference: (uW)^{-1} X (uW) per matrix, with the Gauss-Jordan inverse
         dom = PrimeFieldDomain(q)
+        springer = HessenbergFunction.springer(n).values
         xs = [nilpotent_matrix(Composition(p), dom) for p in partitions(n)]
         xs.append(conjugate(_random_gl(n, q, np.random.default_rng(n * q)), xs[0]))
         for x in xs:
@@ -71,7 +113,47 @@ class TestBatchArithmetic:
                         max((i + 1 for i in range(n) if a.rows[i][j]), default=0)
                         for j in range(n)
                     ])
-                assert _m_vectors(w, _np_matrix(x), q).tolist() == expected
+                assert reference_m_vectors(w, _np_matrix(x), q).tolist() == expected
+                fiber = [m for m in expected if all(np.array(m) <= springer)]
+                assert sorted_rows(_m_vectors(w, _np_matrix(x), q, springer)) == (
+                    sorted_rows(fiber)
+                )
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_search_matches_brute_force(self, data):
+        n = data.draw(st.integers(1, 5))
+        split = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        cuts = [0] + [i for i, cut in enumerate(split, start=1) if cut] + [n]
+        lam = Composition([b - a for a, b in zip(cuts, cuts[1:])])
+        q = data.draw(st.sampled_from([2, 3, 5]))
+        hs = data.draw(st.lists(
+            st.sampled_from(list(all_hessenberg_functions(n))), min_size=1, max_size=3
+        ))
+        x = nilpotent_matrix(lam, PrimeFieldDomain(q))
+        if data.draw(st.booleans()):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            x = conjugate(_random_gl(n, q, rng), x)
+        # the reference builds all q^l(w) matrices, so w0 of S_5 is left
+        # out at q = 5 (5^10 of them)
+        cheap = [w for w in all_perms(n) if q ** w.length() <= 3**10]
+        ws = data.draw(st.lists(st.sampled_from(cheap), min_size=1, max_size=6, unique=True))
+        counts = flag_point_counts(x, hs, q, budget_bits=40)
+        for per_cell in counts:
+            assert set(per_cell) == {w.word for w in all_perms(n)}
+        bound = np.max([h.values for h in hs], axis=0)
+        for w in ws:
+            ref = reference_m_vectors(w, _np_matrix(x), q)
+            assert sorted_rows(_m_vectors(w, _np_matrix(x), q, bound)) == (
+                sorted_rows(ref[np.all(ref <= bound, axis=1)])
+            )
+            for per_cell, h in zip(counts, hs):
+                assert per_cell[w.word] == int(np.all(ref <= h.values, axis=1).sum())
+
+    def test_bound_must_stay_below_the_diagonal(self):
+        x = _np_matrix(nilpotent_matrix(Composition([2])))
+        with pytest.raises(ValueError, match="bound"):
+            _m_vectors(Permutation.identity(2), x, 2, (0, 2))
 
     @pytest.mark.parametrize("parts", [(2, 2), (3, 1), (2, 1, 1)])
     def test_springer_points_match_exact_membership(self, parts):
@@ -180,6 +262,15 @@ class TestVarietyCounts:
             variety_point_count(
                 Composition([2, 2]), HessenbergFunction.springer(4), 2, budget_bits=4
             )
+
+    def test_2221_springer_reach(self):
+        # |Fl_7(F_2)| is 2^26.2 flags, over the default 24-bit budget
+        lam, h = Composition([2, 2, 2, 1]), HessenbergFunction.springer(7)
+        [per_cell] = flag_point_counts(nilpotent_matrix(lam), [h], 2, budget_bits=27)
+        dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
+        assert len(per_cell) == 5040
+        assert per_cell == {w: 2 ** dims[w] if w in dims else 0 for w in per_cell}
+        assert sum(per_cell.values()) == poincare(lam, h).evaluate(2) == 51429
 
     def test_json_shape(self):
         report = variety_point_count(

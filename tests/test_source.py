@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import hesspave
@@ -145,3 +146,24 @@ def test_public_methods_are_used():
         visit(ast.parse(path.read_text(), filename=str(path)), None, path)
     assert defined
     assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used) == []
+
+
+def test_traced_names_exist():
+    # perfbench/tracing.py looks up every name in TRACED with getattr, so a
+    # rename here would crash every traced benchmark run; read it, do not import it
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(), filename=str(tracing))
+    [traced] = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    traced = ast.literal_eval(traced)
+    assert traced
+    missing = [
+        f"{module}.{name}"
+        for module, names in traced.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"hesspave.{module}"), name)
+    ]
+    assert missing == []
