@@ -128,8 +128,11 @@ def _emit(
     else:
         out = text() + "\n"
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(out)
+        try:
+            with open(args.out, "w") as f:
+                f.write(out)
+        except OSError as e:
+            raise InputError(f"--out: {e}")
     else:
         sys.stdout.write(out)
 
@@ -334,7 +337,7 @@ def cmd_profile(args) -> int:
     w = _parse_w(args.w, lam.n)
     t = tableau_of(w, lam)
     try:
-        prof = inversion_profile(t, lam, h)
+        prof = inversion_profile(t, h)
     except ValueError as e:
         raise InputError(str(e))
     payload = dict(_header(args, "profile"))

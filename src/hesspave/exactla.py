@@ -254,38 +254,27 @@ def _left_steps(base: Tableau, value: int, m: int) -> int | None:
 def bk_generator(
     w: Permutation,
     lam: Composition,
+    spr: InversionSet,
     k: int,
     coords: Mapping[tuple[int, int], object],
     domain: Domain = POLYNOMIALS,
 ) -> ExactMatrix:
     """The element of B_k(w) with the given coordinates.
 
-    coords must be keyed by exactly the pairs (w(k), w(l)) for
-    (k,l) in inv_lambda^k(w).  The matrix acts by
+    `spr` is inv_lambda(w).  coords must be keyed by exactly the pairs
+    (w(k), w(l)) for (k,l) in inv_lambda^k(w).  The matrix acts by
     g_k e_{w(j)} = e_{w(j)} + x_{w(k)w(l)} X^m e_{w(k)} whenever
     e_{w(j)} = X^m e_{w(l)}, and fixes all other basis vectors.
     """
     if not (2 <= k <= w.n):
         raise ValueError(f"k must be in 2..{w.n}, got {k}")
-    level = springer_inversions(w, lam).level(k)
+    level = spr.level(k)
     expected = {(w(k), w(l)) for l in level}
     if set(coords) != expected:
         raise ValueError(
             f"coordinate keys {sorted(coords)} do not match inv^"
             f"{k} keys {sorted(expected)}"
         )
-    return _bk_matrix(w, lam, k, level, coords, domain)
-
-
-def _bk_matrix(
-    w: Permutation,
-    lam: Composition,
-    k: int,
-    level: tuple[int, ...],
-    coords: Mapping[tuple[int, int], object],
-    domain: Domain,
-) -> ExactMatrix:
-    """bk_generator for level = inv_lambda^k(w), with coords already checked."""
     base = base_filling(lam)
     g = ExactMatrix.identity(domain, w.n)
     for l in level:
@@ -302,16 +291,11 @@ def _bk_matrix(
     return g
 
 
-def generic_coordinates(w: Permutation, lam: Composition, k: int) -> dict[tuple[int, int], Poly]:
-    """Fresh polynomial variables x_{w(k)w(l)} for level k."""
-    return _level_variables(w, k, springer_inversions(w, lam).level(k))
-
-
-def _level_variables(
-    w: Permutation, k: int, level: tuple[int, ...]
+def generic_coordinates(
+    w: Permutation, spr: InversionSet, k: int
 ) -> dict[tuple[int, int], Poly]:
-    """generic_coordinates for level = inv_lambda^k(w)."""
-    return {(w(k), w(l)): Poly.var(w(k), w(l)) for l in level}
+    """Fresh polynomial variables x_{w(k)w(l)} for level k of spr = inv_lambda(w)."""
+    return {(w(k), w(l)): Poly.var(w(k), w(l)) for l in spr.level(k)}
 
 
 @dataclass(frozen=True)
@@ -351,9 +335,7 @@ def generic_flag_stages(w: Permutation, lam: Composition) -> list[Flag]:
     stages = []
     stages.append(Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1))))
     for k in range(2, n + 1):
-        level = spr.level(k)
-        g = _bk_matrix(w, lam, k, level, _level_variables(w, k, level), POLYNOMIALS)
-        prod = g @ prod
+        prod = bk_generator(w, lam, spr, k, generic_coordinates(w, spr, k)) @ prod
         stages.append(Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1))))
     return stages
 
@@ -528,9 +510,10 @@ def bn_split(
     dom = g_n.domain
     n = w.n
     i = w(n)
-    level = springer_inversions(w, lam).level(n)
+    spr = springer_inversions(w, lam)
+    level = spr.level(n)
     coords = {(i, w(l)): g_n.entry(i, w(l)) for l in level}
-    if bk_generator(w, lam, n, coords, dom) != g_n:
+    if bk_generator(w, lam, spr, n, coords, dom) != g_n:
         raise ValueError("input is not an element of B_n(w)")
     u_i = ExactMatrix.identity(dom, n)
     for l in level:

@@ -284,12 +284,9 @@ def _springer_points(
     g, _ = _search(w, x, q, HessenbergFunction.springer(n).values)
     # column j of g is u e_{w(j)}
     u = g[:, :, [j - 1 for j in w.inverse().word]]
-    # enumeration order of U^w: the first free position (row-major) slowest
-    keys = [u[:, a - 1, b - 1] for a, b in reversed(_free_positions(w))]
-    order = np.lexsort(keys) if keys else np.arange(len(u))
     return [
         ExactMatrix.from_rows(dom, [[dom.from_int(v) for v in row] for row in point])
-        for point in u[order].tolist()
+        for point in u.tolist()
     ]
 
 

@@ -320,7 +320,7 @@ def _grid_profile(
     return InversionProfile(d)
 
 
-def inversion_profile(t: Tableau, lam: Composition, h: HessenbergFunction) -> InversionProfile:
+def inversion_profile(t: Tableau, h: HessenbergFunction) -> InversionProfile:
     """The profile d_R of an h-strict tableau R."""
     if not is_h_strict(t, h):
         raise ValueError("tableau is not h-strict")

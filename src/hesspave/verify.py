@@ -110,13 +110,13 @@ def _check_max_standard(cells) -> CheckResult:
     return CheckResult("maximal-cells-standard", True)
 
 
-def _check_profiles(lam, h, cells) -> CheckResult:
+def _check_profiles(h, cells) -> CheckResult:
     for c in cells:
         t = c.tableau
         s = standardize(t)
         if s.rows == t.rows:
             continue
-        p, ps = inversion_profile(t, lam, h), inversion_profile(s, lam, h)
+        p, ps = inversion_profile(t, h), inversion_profile(s, h)
         if not ps.dominates(p) or ps.total == p.total and ps.d == p.d:
             return CheckResult("profile-inequality", False, f"w={c.w}")
     return CheckResult("profile-inequality", True)
@@ -129,15 +129,16 @@ def _check_symbolic(lam, springer_cells, flags) -> CheckResult:
         w = c.w
         if not verify_flag_membership(flag, x, springer):
             return CheckResult("generic-flag-membership", False, f"w={w}")
+        spr = c.springer_inv
         for k in range(2, lam.n + 1):
-            coords = generic_coordinates(w, lam, k)
-            g = bk_generator(w, lam, k, coords)
+            coords = generic_coordinates(w, spr, k)
+            g = bk_generator(w, lam, spr, k, coords)
             doubled = {key: v + v for key, v in coords.items()}
-            if g @ g != bk_generator(w, lam, k, doubled):
+            if g @ g != bk_generator(w, lam, spr, k, doubled):
                 return CheckResult("group-law", False, f"w={w}, k={k}")
         for l in range(1, lam.n + 1):
             if c.tableau.right_neighbor(l) is not None and any(
-                difference_residual(w, c.tableau, c.springer_inv, x, l, flag)
+                difference_residual(w, c.tableau, spr, x, l, flag)
             ):
                 return CheckResult("difference-residual", False, f"w={w}, l={l}")
     return CheckResult("symbolic-identities", True)
@@ -165,7 +166,7 @@ def run_verification(
         checks.append(_check_cells(h, cells))
         checks.append(_check_zero_cell(lam, h, cells))
         checks.append(_check_max_standard(cells))
-        checks.append(_check_profiles(lam, h, cells))
+        checks.append(_check_profiles(h, cells))
         if lam.n <= 5:
             springer = HessenbergFunction.springer(lam.n)
             springer_cells = cells if h.is_springer() else enumerate_cells(lam, springer)

@@ -103,14 +103,15 @@ def test_criterion_1_paper_examples():
         # inversion set and the level-4 / level-6 generators for (3,2,2)
         lam = Composition([3, 2, 2])
         w = Permutation([3, 2, 6, 1, 7, 4, 5])
-        assert springer_inversions(w, lam).pairs == {
+        spr = springer_inversions(w, lam)
+        assert spr.pairs == {
             (7, 5), (6, 5), (4, 2), (4, 3), (2, 1)}
-        g4 = bk_generator(w, lam, 4, generic_coordinates(w, lam, 4))
+        g4 = bk_generator(w, lam, spr, 4, generic_coordinates(w, spr, 4))
         assert g4 == (
             ExactMatrix.identity(POLYNOMIALS, 7)
             .with_entry(1, 2, x(1, 2)).with_entry(1, 6, x(1, 6))
         )
-        g6 = bk_generator(w, lam, 6, generic_coordinates(w, lam, 6))
+        g6 = bk_generator(w, lam, spr, 6, generic_coordinates(w, spr, 6))
         assert g6 == (
             ExactMatrix.identity(POLYNOMIALS, 7)
             .with_entry(4, 7, x(4, 7)).with_entry(1, 6, x(4, 7))
@@ -119,15 +120,16 @@ def test_criterion_1_paper_examples():
         # all B_k generators and the staged generic flag for (2,2,2)
         lam = Composition([2, 2, 2])
         w = Permutation([3, 6, 2, 1, 5, 4])
+        spr = springer_inversions(w, lam)
         ident = ExactMatrix.identity(POLYNOMIALS, 6)
-        assert bk_generator(w, lam, 2, {}) == ident
-        assert bk_generator(w, lam, 3, generic_coordinates(w, lam, 3)) == (
+        assert bk_generator(w, lam, spr, 2, {}) == ident
+        assert bk_generator(w, lam, spr, 3, generic_coordinates(w, spr, 3)) == (
             ident.with_entry(2, 6, x(2, 6)))
-        assert bk_generator(w, lam, 4, generic_coordinates(w, lam, 4)) == (
+        assert bk_generator(w, lam, spr, 4, generic_coordinates(w, spr, 4)) == (
             ident.with_entry(1, 2, x(1, 2)).with_entry(1, 6, x(1, 6)))
-        assert bk_generator(w, lam, 5, generic_coordinates(w, lam, 5)) == (
+        assert bk_generator(w, lam, spr, 5, generic_coordinates(w, spr, 5)) == (
             ident.with_entry(5, 6, x(5, 6)).with_entry(2, 3, x(5, 6)))
-        assert bk_generator(w, lam, 6, generic_coordinates(w, lam, 6)) == (
+        assert bk_generator(w, lam, spr, 6, generic_coordinates(w, spr, 6)) == (
             ident.with_entry(4, 5, x(4, 5)).with_entry(4, 6, x(4, 6))
             .with_entry(1, 2, x(4, 5)).with_entry(1, 3, x(4, 6)))
 
@@ -170,7 +172,7 @@ def test_criterion_1_paper_examples():
         h12 = HessenbergFunction([max(0, i - 2) for i in range(1, 13)])
         S = standardize(R)
         assert S.rows == ((1, 4, 7, 10), (2, 5, 8, 11), (3, 9, 12), (6,))
-        p, ps = inversion_profile(R, R.shape, h12), inversion_profile(S, S.shape, h12)
+        p, ps = inversion_profile(R, h12), inversion_profile(S, h12)
         assert (p(1, 1), ps(1, 1)) == (2, 3)
         assert (p(1, 2), ps(1, 2)) == (1, 1)
         assert (p(3, 3), ps(3, 3)) == (0, 1)
@@ -237,14 +239,14 @@ def _check_symbolic_cell(w, lam, t, base, kernel, xm, springer):
     ident = ExactMatrix.identity(POLYNOMIALS, n)
 
     for k in range(2, n + 1):
-        coords = generic_coordinates(w, lam, k)
-        g = bk_generator(w, lam, k, coords)
+        coords = generic_coordinates(w, spr, k)
+        g = bk_generator(w, lam, spr, k, coords)
 
         # group law and commutativity: coordinates add
         shifted = {key: Poly.var(key[0], key[1]) * Poly.const(2) for key in coords}
-        h_k = bk_generator(w, lam, k, shifted)
+        h_k = bk_generator(w, lam, spr, k, shifted)
         summed = bk_generator(
-            w, lam, k, {key: coords[key] + shifted[key] for key in coords})
+            w, lam, spr, k, {key: coords[key] + shifted[key] for key in coords})
         assert g @ h_k == summed == h_k @ g
 
         # stabilization: g_k fixes e_{w(j)} for j >= k and moves each e_{w(j)}
@@ -281,7 +283,7 @@ def _check_symbolic_cell(w, lam, t, base, kernel, xm, springer):
             relabeled = {
                 (yp(k), yp(l)): Poly.var(w(k), w(l)) for l in spr.level(k)
             }
-            small = bk_generator(yp, lamp, k, relabeled)
+            small = bk_generator(yp, lamp, spr_y, k, relabeled)
             embedded = ident
             for a in range(1, n):
                 for b in range(1, n):
@@ -289,7 +291,7 @@ def _check_symbolic_cell(w, lam, t, base, kernel, xm, springer):
             assert vmat.transpose() @ g @ vmat == embedded
 
     # top-level splitting g_n = u_i b_n
-    gn = bk_generator(w, lam, n, generic_coordinates(w, lam, n))
+    gn = bk_generator(w, lam, spr, n, generic_coordinates(w, spr, n))
     u_i, b_n = bn_split(gn, w, lam)
     assert u_i @ b_n == gn
     i = w(n)
@@ -319,8 +321,8 @@ def test_criterion_5_maximal_cells_standard():
                         s = standardize(c.tableau)
                         if s.rows == c.tableau.rows:
                             continue
-                        p = inversion_profile(c.tableau, lam, h)
-                        ps = inversion_profile(s, lam, h)
+                        p = inversion_profile(c.tableau, h)
+                        ps = inversion_profile(s, h)
                         assert ps.dominates(p)
                         assert ps.total > p.total
 

@@ -51,6 +51,15 @@ class TestCells:
         assert out == ""
         assert json.loads(path.read_text())["count"] == 1
 
+    def test_out_unopenable_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys, "poincare", "--lambda", "2,1", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: --out: ")
+        assert not path.parent.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     @pytest.mark.parametrize("h, stem", [

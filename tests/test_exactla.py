@@ -195,9 +195,10 @@ class TestBkGenerator:
         # level 4 of w = [3,2,6,1,7,4,5] on (3,2,2) gives I + x12 E12 + x16 E16
         lam = Composition([3, 2, 2])
         w = Permutation([3, 2, 6, 1, 7, 4, 5])
-        coords = generic_coordinates(w, lam, 4)
+        spr = springer_inversions(w, lam)
+        coords = generic_coordinates(w, spr, 4)
         assert set(coords) == {(1, 2), (1, 6)}
-        g = bk_generator(w, lam, 4, coords)
+        g = bk_generator(w, lam, spr, 4, coords)
         expect = (
             ExactMatrix.identity(POLYNOMIALS, 7)
             .with_entry(1, 2, Poly.var(1, 2))
@@ -209,9 +210,10 @@ class TestBkGenerator:
         # level 6 of the same cell: the x47 coordinate repeats one box left
         lam = Composition([3, 2, 2])
         w = Permutation([3, 2, 6, 1, 7, 4, 5])
-        coords = generic_coordinates(w, lam, 6)
+        spr = springer_inversions(w, lam)
+        coords = generic_coordinates(w, spr, 6)
         assert set(coords) == {(4, 7)}
-        g = bk_generator(w, lam, 6, coords)
+        g = bk_generator(w, lam, spr, 6, coords)
         x = Poly.var(4, 7)
         expect = (
             ExactMatrix.identity(POLYNOMIALS, 7)
@@ -223,41 +225,55 @@ class TestBkGenerator:
     def test_empty_level_is_identity(self):
         lam = Composition([2, 2, 2])
         w = Permutation([3, 6, 2, 1, 5, 4])
-        assert springer_inversions(w, lam).level(2) == ()
-        g = bk_generator(w, lam, 2, {})
+        spr = springer_inversions(w, lam)
+        assert spr.level(2) == ()
+        g = bk_generator(w, lam, spr, 2, {})
         assert g == ExactMatrix.identity(POLYNOMIALS, 6)
 
     def test_key_validation(self):
         lam = Composition([2, 2])
         w = Permutation.identity(4)
+        spr = springer_inversions(w, lam)
         with pytest.raises(ValueError):
-            bk_generator(w, lam, 3, {(9, 9): Poly.var(9, 9)})
+            bk_generator(w, lam, spr, 3, {(9, 9): Poly.var(9, 9)})
         with pytest.raises(ValueError):
-            bk_generator(w, lam, 1, {})
+            bk_generator(w, lam, spr, 1, {})
+
+    def test_rejects_inversions_of_another_cell(self):
+        # the keys are checked against the spr passed in, not recomputed from w
+        lam = Composition([3, 2, 2])
+        w = Permutation([3, 2, 6, 1, 7, 4, 5])
+        coords = generic_coordinates(w, springer_inversions(w, lam), 4)
+        other = springer_inversions(Permutation([7, 6, 5, 4, 3, 2, 1]), lam)
+        assert {(w(4), w(l)) for l in other.level(4)} != set(coords)
+        with pytest.raises(ValueError, match="do not match"):
+            bk_generator(w, lam, other, 4, coords)
 
     def test_group_law(self):
         # B_k(w) is abelian: coordinates add under multiplication
         lam = Composition([2, 2, 2])
         w = Permutation([3, 6, 2, 1, 5, 4])
+        spr = springer_inversions(w, lam)
         for k in range(2, 7):
-            c1 = generic_coordinates(w, lam, k)
+            c1 = generic_coordinates(w, spr, k)
             c2 = {key: Poly.var(key[0], key[1]) * Poly.const(3) for key in c1}
-            prod = bk_generator(w, lam, k, c1) @ bk_generator(w, lam, k, c2)
+            prod = bk_generator(w, lam, spr, k, c1) @ bk_generator(w, lam, spr, k, c2)
             both = {key: c1[key] + c2[key] for key in c1}
-            assert prod == bk_generator(w, lam, k, both)
+            assert prod == bk_generator(w, lam, spr, k, both)
 
     def test_fixes_high_columns_and_kernel(self):
         # g_k fixes e_{w(j)} for j >= k and commutes with X at level n
         lam = Composition([2, 2, 2])
         w = Permutation([3, 6, 2, 1, 5, 4])
+        spr = springer_inversions(w, lam)
         x = nilpotent_matrix(lam, POLYNOMIALS)
         n = 6
         ident = ExactMatrix.identity(POLYNOMIALS, n)
         for k in range(2, n + 1):
-            g = bk_generator(w, lam, k, generic_coordinates(w, lam, k))
+            g = bk_generator(w, lam, spr, k, generic_coordinates(w, spr, k))
             for j in range(k, n + 1):
                 assert g.column(w(j)) == ident.column(w(j))
-        gn = bk_generator(w, lam, n, generic_coordinates(w, lam, n))
+        gn = bk_generator(w, lam, spr, n, generic_coordinates(w, spr, n))
         assert gn @ x == x @ gn
 
 
@@ -482,8 +498,9 @@ class TestFactorizations:
         # with x45 = 2, x46 = 3: u_4 = I + 2 E45 + 3 E46, b_6 = I + 2 E12 + 3 E13
         lam = Composition([2, 2, 2])
         w = Permutation([3, 6, 2, 1, 5, 4])
+        spr = springer_inversions(w, lam)
         g = bk_generator(
-            w, lam, 6, {(4, 5): Fraction(2), (4, 6): Fraction(3)}, RATIONALS
+            w, lam, spr, 6, {(4, 5): Fraction(2), (4, 6): Fraction(3)}, RATIONALS
         )
         u_i, b_n = bn_split(g, w, lam)
         expect_u = (
@@ -503,7 +520,8 @@ class TestFactorizations:
     def test_bn_split_generic(self):
         lam = Composition([3, 2, 2])
         w = Permutation([3, 2, 6, 1, 7, 4, 5])
-        g = bk_generator(w, lam, 7, generic_coordinates(w, lam, 7))
+        spr = springer_inversions(w, lam)
+        g = bk_generator(w, lam, spr, 7, generic_coordinates(w, spr, 7))
         u_i, b_n = bn_split(g, w, lam)
         assert u_i @ b_n == g
         v, _ = factorize(w)

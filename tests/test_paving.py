@@ -280,7 +280,7 @@ class TestCellDescriptors:
                 grid = [list(r) for r in c.tableau.rows]
                 assert c.hess_inv.pairs == reference_inversions(grid, h)[0]
                 assert c.springer_inv.pairs == reference_inversions(grid, springer)[0]
-                assert nonzero(inversion_profile(c.tableau, lam, h)) == reference_profile(grid, h)
+                assert nonzero(inversion_profile(c.tableau, h)) == reference_profile(grid, h)
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 3 * 11
         assert cells_seen > 10_000
 
@@ -546,23 +546,22 @@ class TestProfilesAndSorting:
         self.h = HessenbergFunction([max(0, i - 2) for i in range(1, 13)])
 
     def test_profile_values(self):
-        p = inversion_profile(self.R, self.R.shape, self.h)
+        p = inversion_profile(self.R, self.h)
         assert (p(1, 1), p(1, 2), p(3, 3)) == (2, 1, 0)
         s = standardize(self.R)
-        ps = inversion_profile(s, s.shape, self.h)
+        ps = inversion_profile(s, self.h)
         assert (ps(1, 1), ps(1, 2), ps(3, 3)) == (3, 1, 1)
 
     def test_profile_total(self):
         lam = Composition([2, 2, 1])
         h = HessenbergFunction([0, 1, 1, 3, 3])
         for c in enumerate_cells(lam, h):
-            p = inversion_profile(c.tableau, lam, h)
+            p = inversion_profile(c.tableau, h)
             assert p.total == c.dim
 
     def test_profile_rejects_non_h_strict(self):
         with pytest.raises(ValueError):
-            inversion_profile(
-                Tableau([[2, 1]]), Composition([2]), HessenbergFunction([0, 1]))
+            inversion_profile(Tableau([[2, 1]]), HessenbergFunction([0, 1]))
 
     def test_trace_two_column(self):
         steps = column_sort_trace(self.R, 1, 1, self.h)
@@ -621,7 +620,7 @@ class TestMaximalCells:
                         s = standardize(c.tableau)
                         if s.rows == c.tableau.rows:
                             continue
-                        p = inversion_profile(c.tableau, lam, h)
-                        ps = inversion_profile(s, lam, h)
+                        p = inversion_profile(c.tableau, h)
+                        ps = inversion_profile(s, h)
                         assert ps.dominates(p)
                         assert ps.total > p.total

@@ -167,3 +167,33 @@ def test_traced_names_exist():
         if not hasattr(importlib.import_module(f"hesspave.{module}"), name)
     ]
     assert missing == []
+
+
+def _only_raises(fn) -> bool:
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return bool(body) and all(isinstance(stmt, ast.Raise) for stmt in body)
+
+
+def test_parameters_are_read():
+    # a parameter that the body never reads is dead weight at every call
+    # site; bodies that only raise (abstract base methods) are exempt
+    found = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _only_raises(fn):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            found += [
+                f"{path.name}:{fn.lineno} {fn.name}({p})"
+                for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")
+            ]
+    assert found == []

@@ -111,3 +111,20 @@ def test_symbolic_suite_every_springer_cell(parts):
     cells = enumerate_cells(lam, HessenbergFunction.springer(lam.n))
     result = _check_symbolic(lam, cells, [generic_flag(c.w, lam) for c in cells])
     assert result.ok, result.witness
+
+
+def test_symbolic_check_reads_inv_from_the_cells(monkeypatch):
+    # inv_lambda(w) comes from each cell descriptor; the check recomputes none
+    lam = Composition([2, 2, 1])
+    cells = enumerate_cells(lam, HessenbergFunction.springer(5))
+    flags = [generic_flag(c.w, lam) for c in cells]
+    calls = count_calls(monkeypatch, "springer_inversions")
+    result = _check_symbolic(lam, cells, flags)
+    assert result.ok, result.witness
+    assert calls == []
+
+
+def test_generic_flag_computes_inv_once(monkeypatch):
+    calls = count_calls(monkeypatch, "springer_inversions")
+    generic_flag(Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2]))
+    assert len(calls) == 1
