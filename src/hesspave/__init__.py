@@ -21,6 +21,7 @@ from .combinatorics import (
     is_row_strict,
     parse_tableau,
     partitions,
+    permutation_of_tableau,
     standardize,
     tableau_of,
 )
@@ -57,6 +58,7 @@ from .oracle import (
     cell_point_count,
     conjugation_invariance,
     dw_equals_cell,
+    springer_points,
     variety_point_count,
     zeros_structure_check,
 )

@@ -144,9 +144,9 @@ def cmd_cells(args) -> int:
     payload = dict(_header(args, "cells"))
     payload["cells"] = [
         {
-            "w": list(c.w.word),
-            "tableau": [list(r) for r in c.tableau.rows],
-            "inversions": [list(p) for p in c.hess_inv.sorted_pairs()],
+            "w": c.w.word,
+            "tableau": c.rows,
+            "inversions": c.hess_inv.sorted_pairs(),
             "dim": c.dim,
         }
         for c in cells

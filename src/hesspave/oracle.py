@@ -274,10 +274,16 @@ def variety_point_count(
     return variety_point_counts(lam, [h], q, budget_bits, workers)[0]
 
 
-def _springer_points(
-    w: Permutation, lam: Composition, q: int
+def springer_points(
+    w: Permutation, lam: Composition, q: int, budget_bits: int = 24
 ) -> list[ExactMatrix]:
-    """All u in U^w(F_q) with uwE_ in the Springer fiber of X_lambda, exact."""
+    """All u in U^w(F_q) with uwE_ in the Springer fiber of X_lambda, exact.
+
+    One search serves both structure checks, `dw_equals_cell` and
+    `zeros_structure_check`, which take its points from their caller.
+    """
+    FieldSpec(q)
+    _check_budget(w.length() * log2(q), budget_bits)
     dom = PrimeFieldDomain(q)
     n = w.n
     x = _np_matrix(nilpotent_matrix(lam))
@@ -298,19 +304,24 @@ def _canonical_key(m: ExactMatrix) -> tuple:
 
 
 def dw_equals_cell(
-    w: Permutation, lam: Composition, q: int, flag: Flag, budget_bits: int = 24
+    w: Permutation,
+    lam: Composition,
+    q: int,
+    flag: Flag,
+    points: list[ExactMatrix],
+    budget_bits: int = 24,
 ) -> bool:
     """Set equality of the generic-flag image and the brute-force cell.
 
-    `flag` is generic_flag(w, lambda).  Evaluates its matrix at every
-    coordinate tuple over F_q, canonicalizes the resulting flags, and
-    compares with {u : uwE_ in Springer fiber}; also asserts the
-    parametrization is injective (q^{d_w} distinct flags).
+    `flag` is generic_flag(w, lambda) and `points` is springer_points(w,
+    lambda, q).  Evaluates the flag's matrix at every coordinate tuple over
+    F_q, canonicalizes the resulting flags, and compares with the points;
+    also asserts the parametrization is injective (q^{d_w} distinct flags).
     """
     FieldSpec(q)
     dom = PrimeFieldDomain(q)
     spr = springer_inversions(w, lam)
-    _check_budget(max(len(spr), w.length()) * log2(q), budget_bits)
+    _check_budget(len(spr) * log2(q), budget_bits)
     keys = [(w(k), w(l)) for k, l in spr.sorted_pairs()]
     rows = flag.matrix().rows
     dw_keys = set()
@@ -326,21 +337,20 @@ def dw_equals_cell(
     free = _free_positions(w)
     cell_keys = {
         (w.word,) + tuple(u.entry(a, b).v for a, b in free)
-        for u in _springer_points(w, lam, q)
+        for u in points
     }
     return dw_keys == cell_keys
 
 
 def zeros_structure_check(
-    w: Permutation, lam: Composition, q: int, budget_bits: int = 24
+    w: Permutation, lam: Composition, points: list[ExactMatrix]
 ) -> bool:
-    """For every Springer-fiber point of C_w, the U_i factor of uw = u_i v u_0 y
-    vanishes outside the columns that end a row of the base filling."""
-    FieldSpec(q)
-    _check_budget(w.length() * log2(q), budget_bits)
+    """For every Springer-fiber point u of C_w (`points`, from springer_points),
+    the U_i factor of uw = u_i v u_0 y vanishes outside the columns that end
+    a row of the base filling."""
     i = w(w.n)
     end_cols = {row[-1] for row in base_filling(lam).rows}
-    for u in _springer_points(w, lam, q):
+    for u in points:
         u_i, _ = factor_unipotent(u, w)
         for j in range(i + 1, w.n + 1):
             if j not in end_cols and u_i.entry(i, j):

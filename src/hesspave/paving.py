@@ -10,6 +10,7 @@ to the right of l (no condition when l ends its row).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .combinatorics import (
@@ -17,8 +18,8 @@ from .combinatorics import (
     HessenbergFunction,
     Permutation,
     Tableau,
+    base_filling,
     is_h_strict,
-    permutation_of_tableau,
     tableau_of,
 )
 
@@ -52,6 +53,17 @@ class InversionSet:
         return sorted(self.pairs)
 
 
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """table[l][k] == (k, l) for 0 <= k, l <= n.
+
+    Every inversion set of a size-n filling shares these tuples, so a cell
+    table of many cells does not allocate (and garbage-collect) one tuple
+    per pair.
+    """
+    return tuple(tuple((k, l) for k in range(n + 1)) for l in range(n + 1))
+
+
 def _inversion_pairs(
     rows: Sequence[Sequence[int | None]],
     pos: dict[int, tuple[int, int]],
@@ -63,16 +75,18 @@ def _inversion_pairs(
     `pos` maps each value to its 1-based (row, column).  A row may be padded
     with None holes; a hole to the right of l counts as the end of its row.
     """
+    table = _pair_table(n)
     pairs = []
     for l in range(1, n + 1):
         rl, cl = pos[l]
         row = rows[rl - 1]
         r = row[cl] if cl < len(row) else None
         bound = n if r is None else h_values[r - 1]
+        with_l = table[l]
         for k in range(l + 1, bound + 1):
             rk, ck = pos[k]
             if ck < cl or (ck == cl and rk > rl):
-                pairs.append((k, l))
+                pairs.append(with_l[k])
     return pairs
 
 
@@ -96,13 +110,31 @@ def springer_inversions(w: Permutation, lam: Composition) -> InversionSet:
 
 @dataclass(frozen=True)
 class CellDescriptor:
-    """One affine cell of the paving: C_w meets Hess(X_lambda,h) in C^dim."""
+    """One affine cell of the paving: C_w meets Hess(X_lambda,h) in C^dim.
+
+    `rows` is the filling R(w) as it came from the walk.  The validated
+    `tableau` and the Springer inversions inv_lambda(w) are built on first
+    read and cached, so a cell table that only lists w, R(w) and
+    inv_{lambda,h}(w) never pays for them.
+    """
 
     w: Permutation
-    tableau: Tableau
     hess_inv: InversionSet
-    springer_inv: InversionSet
     dim: int
+    rows: tuple[tuple[int, ...], ...]
+    h: HessenbergFunction
+
+    @cached_property
+    def tableau(self) -> Tableau:
+        return Tableau(self.rows)
+
+    @cached_property
+    def springer_inv(self) -> InversionSet:
+        if self.h.is_springer():
+            return self.hess_inv
+        return InversionSet(
+            _tableau_inversions(self.tableau, HessenbergFunction.springer(self.h.n))
+        )
 
 
 def _placements(
@@ -146,14 +178,19 @@ def _placements(
 
 def iter_fillings(
     lam: Composition, h: HessenbergFunction, max_dim: int | None = None
-) -> Iterator[tuple[list[list[int]], int]]:
+) -> Iterator[tuple[list[list[int]], list[int], dict[int, tuple[int, int]], int]]:
     """Depth-first enumeration of RS_h(lambda) with the inversion count.
 
     Walks the states of `_placements` from n down to 1, writing each value
     into the box it takes; dim is the sum of the gains.  A branch is pruned
-    as soon as its partial sum exceeds `max_dim`.
+    as soon as its partial sum exceeds `max_dim`.  Each placement of m also
+    records w(m), the label of m's box in the base filling R(e), and the
+    box's 1-based (row, column), so a filling arrives with its permutation
+    and positions already known.
 
-    Yields (rows, dim); the rows list is reused, copy if kept.
+    Yields (rows, word, pos, dim): the filling R(w), the one-line word of w,
+    the map value -> (row, column) and the dimension.  The rows, word and pos
+    containers are reused; copy them if kept.
     """
     n = lam.n
     if n != h.n:
@@ -163,18 +200,25 @@ def iter_fillings(
     hv = h.values
     nrows = lam.num_rows
     grid = [[0] * p for p in lam.parts]
+    labels = base_filling(lam).rows
+    boxes = [[(i + 1, c) for c in range(1, p + 1)] for i, p in enumerate(lam.parts)]
+    word = [0] * n
+    pos: dict[int, tuple[int, int]] = {}
 
     def walk(
         m: int, rem: tuple[int, ...], bounds: tuple[int, ...], dim: int
-    ) -> Iterator[tuple[list[list[int]], int]]:
+    ) -> Iterator[tuple[list[list[int]], list[int], dict[int, tuple[int, int]], int]]:
         if m == 0:
-            yield grid, dim
+            yield grid, word, pos, dim
             return
         for i, child_rem, child_bounds, gain in _placements(m, rem, bounds, hv, nrows):
             d = dim + gain
             if max_dim is not None and d > max_dim:
                 continue
-            grid[i][rem[i] - 1] = m
+            c = rem[i] - 1
+            grid[i][c] = m
+            word[m - 1] = labels[i][c]
+            pos[m] = boxes[i][c]
             yield from walk(m - 1, child_rem, child_bounds, d)
 
     yield from walk(n, lam.parts, (n,) * nrows, 0)
@@ -183,22 +227,25 @@ def iter_fillings(
 def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescriptor]:
     """All affine cells of Hess(X_lambda, h), sorted by the one-line word of w.
 
-    An empty list signals that the variety is empty.  The walk counts each
-    cell's inversions on its own; a descriptor whose inversion set disagrees
-    with that count raises RuntimeError.
+    An empty list signals that the variety is empty.  Each descriptor is
+    built from what the walk holds: the frozen rows, w validated as a
+    permutation (so no box took two values) and inv_{lambda,h}(w) from the
+    pair kernel `_inversion_pairs`.  The walk counts each cell's inversions
+    on its own; a kernel set whose size disagrees with that count raises
+    RuntimeError.  The tableau and the Springer inversions are left to the
+    descriptor's first read.
     """
-    springer_h = None if h.is_springer() else HessenbergFunction.springer(lam.n)
+    hv = h.values
+    n = lam.n
     cells = []
-    for rows, dim in iter_fillings(lam, h):
-        t = Tableau(rows, lam)
-        w = permutation_of_tableau(t)
-        hess = InversionSet(_tableau_inversions(t, h))
+    for grid, word, pos, dim in iter_fillings(lam, h):
+        rows = tuple(map(tuple, grid))
+        hess = InversionSet(_inversion_pairs(rows, pos, hv, n))
         if len(hess) != dim:
             raise RuntimeError(
-                f"walk counted {dim} inversions for {t.rows}, descriptor has {len(hess)}"
+                f"walk counted {dim} inversions for {rows}, descriptor has {len(hess)}"
             )
-        spr = hess if springer_h is None else InversionSet(_tableau_inversions(t, springer_h))
-        cells.append(CellDescriptor(w, t, hess, spr, dim))
+        cells.append(CellDescriptor(Permutation(word), hess, dim, rows, h))
     cells.sort(key=lambda c: c.w.word)
     return cells
 
@@ -286,7 +333,7 @@ def zero_dim_cells(lam: Composition, h: HessenbergFunction) -> list[Tableau]:
     """All tableaux of cells of dimension zero (pruned enumeration)."""
     return [
         Tableau(rows, lam)
-        for rows, _ in iter_fillings(lam, h, max_dim=0)
+        for rows, _, _, _ in iter_fillings(lam, h, max_dim=0)
     ]
 
 

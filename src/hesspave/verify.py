@@ -31,6 +31,7 @@ from .oracle import (
     conjugation_invariance,
     dw_equals_cell,
     flag_point_counts,
+    springer_points,
     zeros_structure_check,
 )
 from .paving import (
@@ -158,7 +159,9 @@ def run_verification(
     The cell table of (lambda, h) is built once and shared by every check;
     the Springer-fiber checks (n <= 5) share the Springer table, which is
     the same list when h is Springer, and one generic flag per Springer
-    cell, which the symbolic and F_q image checks both use.
+    cell, which the symbolic and F_q image checks both use.  At n <= 4 each
+    Springer cell's F_q points are searched once and handed to both the
+    image and the zero-structure check.
     """
     checks: list[CheckResult] = []
     try:
@@ -180,10 +183,11 @@ def run_verification(
                                       None if report.match else witness))
             if lam.n <= 4:
                 for c, flag in zip(springer_cells, flags):
-                    if not dw_equals_cell(c.w, lam, q, flag, budget_bits):
+                    points = springer_points(c.w, lam, q, budget_bits)
+                    if not dw_equals_cell(c.w, lam, q, flag, points, budget_bits):
                         checks.append(CheckResult("generic-flag-image", False, f"w={c.w}"))
                         break
-                    if not zeros_structure_check(c.w, lam, q, budget_bits):
+                    if not zeros_structure_check(c.w, lam, points):
                         checks.append(CheckResult("factor-zero-structure", False, f"w={c.w}"))
                         break
                 else:

@@ -38,7 +38,7 @@ from hesspave.exactla import (
     nilpotent_matrix,
     verify_flag_membership,
 )
-from hesspave.oracle import dw_equals_cell, variety_point_counts
+from hesspave.oracle import dw_equals_cell, springer_points, variety_point_counts
 from hesspave.paving import (
     column_sort_trace,
     enumerate_cells,
@@ -210,7 +210,8 @@ def test_criterion_3_generic_flag_image():
                 for w in all_perms(n):
                     if is_row_strict(tableau_of(w, lam)):
                         flag = generic_flag(w, lam)
-                        assert dw_equals_cell(w, lam, 2, flag), (parts, w.word)
+                        points = springer_points(w, lam, 2)
+                        assert dw_equals_cell(w, lam, 2, flag, points), (parts, w.word)
 
 
 def test_criterion_4_symbolic_identities():
@@ -328,19 +329,32 @@ def test_criterion_5_maximal_cells_standard():
 
 
 def test_criterion_6_unique_zero_cell():
-    with criterion(6, "unique zero-dimensional cell"):
+    """The paper's connectedness theorem, read off the paving.
+
+    With an affine paving, H_0 has one generator per zero-dimensional cell,
+    so a nonempty Hess(X_lambda, h) is connected iff it has exactly one zero
+    cell.  Every composition with n <= 7 under every h has one zero cell,
+    equal to the greedy R0, or none with r0_tableau returning None.
+    """
+    with criterion(6, "nonempty Hess(X_lambda, h) is connected: one zero cell, R0"):
+        cases = nonempty = 0
         for n in range(1, 8):
             hs = list(all_hessenberg_functions(n))
-            for parts in partitions(n):
+            for parts in sorted({c for p in partitions(n) for c in itertools.permutations(p)}):
                 lam = Composition(parts)
                 for h in hs:
+                    cases += 1
                     zeros = zero_dim_cells(lam, h)
                     r0 = r0_tableau(lam, h)
                     if r0 is None:
                         assert zeros == [], (parts, h.values)
                     else:
+                        nonempty += 1
                         assert len(zeros) == 1, (parts, h.values)
                         assert zeros[0].rows == r0.rows
+        assert cases == sum(2 ** (n - 1) * len(list(all_hessenberg_functions(n)))
+                            for n in range(1, 8))
+        assert 0 < nonempty < cases
 
 
 def hook_length_count(partition):

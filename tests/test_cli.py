@@ -32,6 +32,30 @@ class TestCells:
         _, out2, _ = run(capsys, "cells", "--lambda", "2,2,1", "--h", "0,1,1,2,3")
         assert out1 == out2
 
+    def test_table_builds_no_tableau_and_no_springer_set(self, capsys, monkeypatch):
+        # the walk supplies w, R(w) and inv_{lambda,h}(w); the validated
+        # Tableau and inv_lambda(w) of each cell are left unbuilt
+        from hesspave import paving
+        from hesspave.combinatorics import Composition, Tableau, base_filling
+
+        base_filling(Composition([3, 3, 2, 2]))
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Tableau, "__init__", counted(Tableau.__init__))
+        for name in ("_tableau_inversions", "springer_inversions"):
+            monkeypatch.setattr(paving, name, counted(getattr(paving, name)))
+        code, out, _ = run(capsys, "cells", "--lambda", "3,3,2,2",
+                           "--h", "0,0,1,2,3,4,5,6,7,8")
+        assert code == 0
+        assert json.loads(out)["count"] > 1000
+        assert calls == []
+
     def test_csv(self, capsys):
         code, out, _ = run(
             capsys, "cells", "--lambda", "1,1", "--h", "0,0", "--format", "csv"

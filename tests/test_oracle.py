@@ -28,11 +28,11 @@ from hesspave.oracle import (
     _m_vectors,
     _np_matrix,
     _random_gl,
-    _springer_points,
     cell_point_count,
     conjugation_invariance,
     dw_equals_cell,
     flag_point_counts,
+    springer_points,
     variety_point_count,
     variety_point_counts,
     zeros_structure_check,
@@ -173,7 +173,7 @@ class TestBatchArithmetic:
                 if verify_flag_membership(Flag.from_matrix(u @ wmat), x, h)
             ]
             # the two lists agree as multisets; neither consumer reads the order
-            assert sorted_points(_springer_points(w, lam, 2)) == sorted_points(expected)
+            assert sorted_points(springer_points(w, lam, 2)) == sorted_points(expected)
 
 
 class TestCellCounts:
@@ -297,40 +297,43 @@ class TestGenericFlagImage:
             lam = Composition(parts)
             for w in all_perms(4):
                 if is_row_strict(tableau_of(w, lam)):
-                    assert dw_equals_cell(w, lam, 2, generic_flag(w, lam))
+                    points = springer_points(w, lam, 2)
+                    assert dw_equals_cell(w, lam, 2, generic_flag(w, lam), points)
 
     def test_q3_spot_check(self):
         w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
-        assert dw_equals_cell(w, lam, 3, generic_flag(w, lam))
+        assert dw_equals_cell(w, lam, 3, generic_flag(w, lam), springer_points(w, lam, 3))
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_zeroed_coordinate_fails(self, q):
         # a flag with one coordinate set to 0 covers only q^(d-1) points
         w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
         flag = generic_flag(w, lam)
+        points = springer_points(w, lam, q)
         keys = sorted(flag_variables(flag))
         assert keys
         for key in keys:
             cut = Flag(flag.domain, tuple(
                 tuple(e.subs_zero({key}) for e in col) for col in flag.columns
             ))
-            assert not dw_equals_cell(w, lam, q, cut)
+            assert not dw_equals_cell(w, lam, q, cut, points)
 
     def test_flag_of_other_w_fails(self):
         # another cell's flag either has a coordinate that w does not name
         # (substitution raises) or lands in that other cell
         lam = Composition([2, 2])
         w = Permutation([2, 4, 1, 3])
+        points = springer_points(w, lam, 2)
         keys = {(w(k), w(l)) for k, l in springer_inversions(w, lam).pairs}
         others = [v for v in all_perms(4) if v != w and is_row_strict(tableau_of(v, lam))]
         assert others
         for v in others:
             flag = generic_flag(v, lam)
             if flag_variables(flag) <= keys:
-                assert not dw_equals_cell(w, lam, 2, flag)
+                assert not dw_equals_cell(w, lam, 2, flag, points)
             else:
                 with pytest.raises(KeyError):
-                    dw_equals_cell(w, lam, 2, flag)
+                    dw_equals_cell(w, lam, 2, flag, points)
 
 
 class TestZeroStructure:
@@ -338,12 +341,11 @@ class TestZeroStructure:
         for parts in [(2, 2), (2, 1, 1)]:
             lam = Composition(parts)
             for w in all_perms(4):
-                assert zeros_structure_check(w, lam, 2)
+                assert zeros_structure_check(w, lam, springer_points(w, lam, 2))
 
     def test_paper_cell(self):
-        assert zeros_structure_check(
-            Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2]), 2
-        )
+        w, lam = Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2])
+        assert zeros_structure_check(w, lam, springer_points(w, lam, 2))
 
 
 class TestConjugation:

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 from math import factorial, prod
 
 import pytest
@@ -284,6 +285,25 @@ class TestCellDescriptors:
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 3 * 11
         assert cells_seen > 10_000
 
+    def test_tableau_and_springer_set_are_built_once_when_read(self, monkeypatch):
+        lam, h = Composition([2, 2, 1]), HessenbergFunction([0, 1, 1, 2, 3])
+        base_filling(lam)
+        built = []
+        init = Tableau.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tableau, "__init__", counting)
+        cells = enumerate_cells(lam, h)
+        assert cells and built == []
+        c = cells[-1]
+        assert c.springer_inv is c.springer_inv
+        assert c.tableau is c.tableau
+        assert len(built) == 1
+        assert c.springer_inv == springer_inversions(c.w, lam)
+
     def test_sort_trace_profiles_match_reference(self):
         # the trace's grids have None holes where rows of unequal length swap
         R = Tableau([[2, 4, 8, 10], [1, 5, 7, 11], [3, 9, 12], [6]])
@@ -295,6 +315,23 @@ class TestCellDescriptors:
 
 
 class TestPrunedWalk:
+    def test_walk_carries_w_and_positions(self):
+        # what each placement records is what the tableau functions derive
+        cases = fillings = 0
+        for n in range(1, 7):
+            hs = list(all_hessenberg_functions(n)) if n <= 5 else [HessenbergFunction.springer(n)]
+            for parts in compositions(n):
+                lam = Composition(parts)
+                for h in hs:
+                    cases += 1
+                    for rows, word, pos, _ in iter_fillings(lam, h):
+                        fillings += 1
+                        t = Tableau(rows, lam)
+                        assert tuple(word) == permutation_of_tableau(t).word
+                        assert pos == t.index
+        assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 32
+        assert fillings > 10_000
+
     def test_max_dim_yields_the_full_walk_filtered(self):
         # a pair is counted when its larger entry is placed, so `max_dim`
         # cuts a branch early; what is left must be exactly the full walk's
@@ -304,10 +341,10 @@ class TestPrunedWalk:
             if lam.n > 5:
                 continue
             cases += 1
-            full = [([list(r) for r in rows], d) for rows, d in iter_fillings(lam, h)]
+            full = [([list(r) for r in rows], d) for rows, _, _, d in iter_fillings(lam, h)]
             for max_dim in (0, 1, 2):
                 pruned = [([list(r) for r in rows], d)
-                          for rows, d in iter_fillings(lam, h, max_dim)]
+                          for rows, _, _, d in iter_fillings(lam, h, max_dim)]
                 expect = [(rows, d) for rows, d in full if d <= max_dim]
                 assert pruned == expect, (lam.parts, h.values, max_dim)
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42
@@ -326,7 +363,7 @@ class TestPrunedWalk:
         monkeypatch.setattr(paving, "_placements", counting)
         for n in range(1, 7):
             lam, h = Composition([1] * n), HessenbergFunction.springer(n)
-            columns = [[row[0] for row in rows] for rows, _ in iter_fillings(lam, h)]
+            columns = [[row[0] for row in rows] for rows, _, _, _ in iter_fillings(lam, h)]
             assert len(columns) == factorial(n)
             for max_dim in (0, 1, 2):
                 expect = set()
@@ -456,7 +493,48 @@ def springer_poincare(lam):
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def springer_line_count(mu):
+    """|B_mu(F_q)| as coefficients in q, by the line V_1 in ker X_mu.
+
+    Lines whose quotient has Jordan type mu minus a box at the end of a row
+    of length r number q^{#parts > r} [m_r(mu)]_q, which gives
+    |B_mu| = sum_r q^{#parts > r} [m_r(mu)]_q |B_{mu-r}|; no paving enters.
+    """
+    if not mu:
+        return (1,)
+    total = []
+    for r in set(mu):
+        shift = sum(1 for p in mu if p > r)
+        mult = mu.count(r)
+        i = mu.index(r) + mult - 1  # the last row of length r stays sorted
+        rest = springer_line_count(tuple(p for p in mu[:i] + (r - 1,) + mu[i + 1:] if p))
+        size = shift + mult - 1 + len(rest)
+        total.extend([0] * (size - len(total)))
+        for j in range(mult):  # [m]_q = 1 + q + ... + q^{m-1}
+            for d, c in enumerate(rest, start=shift + j):
+                total[d] += c
+    return tuple(total)
+
+
 class TestSpringerClosedForm:
+    def test_line_recursion_every_partition_to_12(self):
+        assert springer_line_count((1, 1)) == (1, 1)
+        assert springer_line_count((2, 1)) == (1, 2)
+        checked = 0
+        for n in range(1, 13):
+            for parts in partitions(n):
+                p = poincare(Composition(parts), HessenbergFunction.springer(n))
+                assert p.coeffs == springer_line_count(parts), parts
+                checked += 1
+        assert checked == 271
+
+    @pytest.mark.parametrize("parts", [(5, 4, 3, 2, 2, 2, 1, 1), (4, 4, 4, 4, 4),
+                                       (6, 5, 4, 3, 2)])
+    def test_line_recursion_at_n_20(self, parts):
+        p = poincare(Composition(parts), HessenbergFunction.springer(20))
+        assert p.coeffs == springer_line_count(parts)
+
     def test_kostka_foulkes_examples(self):
         def kostka(mu, lam):
             charges = [_charge(word) for shape, word in _ssyt_words(lam) if shape == mu]

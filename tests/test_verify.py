@@ -6,7 +6,7 @@ import hesspave.paving
 import hesspave.verify
 from hesspave.combinatorics import Composition, HessenbergFunction, Permutation, partitions
 from hesspave.exactla import generic_flag
-from hesspave.oracle import dw_equals_cell
+from hesspave.oracle import dw_equals_cell, springer_points
 from hesspave.paving import enumerate_cells
 from hesspave.verify import _check_symbolic, run_verification
 
@@ -99,9 +99,23 @@ def test_one_generic_flag_per_springer_cell(monkeypatch):
 def test_image_check_evaluates_the_given_flag(monkeypatch):
     w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
     flag = generic_flag(w, lam)
+    points = springer_points(w, lam, 3)
     generators = count_calls(monkeypatch, "bk_generator", hesspave.exactla)
-    assert dw_equals_cell(w, lam, 3, flag)
+    assert dw_equals_cell(w, lam, 3, flag, points)
     assert generators == []
+
+
+def test_one_point_search_per_springer_cell(monkeypatch):
+    # the image and zero-structure checks share each cell's F_q points
+    lam, springer = Composition([1, 1, 1, 1]), HessenbergFunction.springer(4)
+    searches = count_calls(monkeypatch, "springer_points", hesspave.oracle)
+    report = run_verification(lam, springer, q=2)
+    assert report.passed
+    assert {"generic-flag-image", "factor-zero-structure"} <= set(names(report))
+    assert sorted(args[0].word for args in searches) == [
+        c.w.word for c in enumerate_cells(lam, springer)
+    ]
+    assert len(searches) == 24
 
 
 @pytest.mark.parametrize("parts", list(partitions(6)) + [(2, 2, 2, 1)],
