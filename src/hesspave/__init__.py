@@ -38,6 +38,7 @@ from .exactla import (
     ExactMatrix,
     Flag,
     UnipotentPattern,
+    bk_entries,
     bk_generator,
     bn_split,
     bruhat_canonical_form,

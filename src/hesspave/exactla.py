@@ -96,6 +96,19 @@ class ExactMatrix:
             rows.append(tuple(row))
         return ExactMatrix(self.domain, tuple(rows))
 
+    def add_row_multiples(self, entries: Sequence[tuple[int, int, object]]) -> "ExactMatrix":
+        """(I + sum of x E_{tgt,src}) @ self for the 1-based triples (tgt, src, x).
+
+        Row operations: row tgt gains x times row src, every row read from
+        self, so no dense product is formed.
+        """
+        rows = list(self.rows)
+        for tgt, src, x in entries:
+            rows[tgt - 1] = tuple(
+                a + x * b if b else a for a, b in zip(rows[tgt - 1], self.rows[src - 1])
+            )
+        return ExactMatrix(self.domain, tuple(rows))
+
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return ExactMatrix(self.domain, tuple(
             tuple(a + b for a, b in zip(r1, r2))
@@ -251,15 +264,15 @@ def _left_steps(base: Tableau, value: int, m: int) -> int | None:
     return base.entry(r, c - m) if c - m >= 1 else None
 
 
-def bk_generator(
+def bk_entries(
     w: Permutation,
     lam: Composition,
     spr: InversionSet,
     k: int,
     coords: Mapping[tuple[int, int], object],
-    domain: Domain = POLYNOMIALS,
-) -> ExactMatrix:
-    """The element of B_k(w) with the given coordinates.
+) -> list[tuple[int, int, object]]:
+    """The element of B_k(w) with the given coordinates, as the triples
+    (tgt, src, x) with g_k = I + sum of x E_{tgt,src}.
 
     `spr` is inv_lambda(w).  coords must be keyed by exactly the pairs
     (w(k), w(l)) for (k,l) in inv_lambda^k(w).  The matrix acts by
@@ -276,7 +289,7 @@ def bk_generator(
             f"{k} keys {sorted(expected)}"
         )
     base = base_filling(lam)
-    g = ExactMatrix.identity(domain, w.n)
+    entries = []
     for l in level:
         x = coords[(w(k), w(l))]
         m = 0
@@ -286,9 +299,23 @@ def bk_generator(
                 break
             tgt = _left_steps(base, w(k), m)
             if tgt is not None:
-                g = g.with_entry(tgt, src, g.entry(tgt, src) + x)
+                entries.append((tgt, src, x))
             m += 1
-    return g
+    return entries
+
+
+def bk_generator(
+    w: Permutation,
+    lam: Composition,
+    spr: InversionSet,
+    k: int,
+    coords: Mapping[tuple[int, int], object],
+    domain: Domain = POLYNOMIALS,
+) -> ExactMatrix:
+    """The element of B_k(w) with the given coordinates, as a matrix over
+    `domain`; see bk_entries."""
+    entries = bk_entries(w, lam, spr, k, coords)
+    return ExactMatrix.identity(domain, w.n).add_row_multiples(entries)
 
 
 def generic_coordinates(
@@ -325,7 +352,8 @@ class Flag:
 def generic_flag_stages(w: Permutation, lam: Composition) -> list[Flag]:
     """The flags D_w^1, ..., D_w^n = generic points of g_k...g_2 wE_.
 
-    Stage k has columns g_k g_{k-1} ... g_2 e_{w(j)}.
+    Stage k has columns g_k g_{k-1} ... g_2 e_{w(j)}; each g_k is applied
+    as row operations.
     """
     if not is_row_strict(tableau_of(w, lam)):
         raise ValueError("R(w) is not row-strict")
@@ -335,7 +363,8 @@ def generic_flag_stages(w: Permutation, lam: Composition) -> list[Flag]:
     stages = []
     stages.append(Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1))))
     for k in range(2, n + 1):
-        prod = bk_generator(w, lam, spr, k, generic_coordinates(w, spr, k)) @ prod
+        prod = prod.add_row_multiples(
+            bk_entries(w, lam, spr, k, generic_coordinates(w, spr, k)))
         stages.append(Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1))))
     return stages
 

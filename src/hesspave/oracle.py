@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import log2
 from typing import Sequence
 
@@ -41,9 +42,7 @@ from .exactla import (
     ExactMatrix,
     Flag,
     UnipotentPattern,
-    bruhat_canonical_form,
     conjugate,
-    factor_unipotent,
     nilpotent_matrix,
 )
 from .paving import CellDescriptor, enumerate_cells, springer_inversions
@@ -296,11 +295,53 @@ def springer_points(
     ]
 
 
-def _canonical_key(m: ExactMatrix) -> tuple:
-    w, u = bruhat_canonical_form(m)
-    return (w.word,) + tuple(
-        u.entry(a, b).v for a, b in _free_positions(w)
-    )
+def _evaluate(polys: list, coords: list[tuple[int, int]], q: int) -> np.ndarray:
+    """Each polynomial at every tuple over F_q of the variables `coords`, the
+    first slowest, as a (q^len(coords), len(polys)) array of residues."""
+    dom = PrimeFieldDomain(q)
+    d = len(coords)
+    grid = np.arange(q**d)[:, None] // q ** np.arange(d - 1, -1, -1) % q
+    value_of = {var: grid[:, i] for i, var in enumerate(coords)}
+    out = np.zeros((q**d, len(polys)), dtype=np.int64)
+    for p, poly in enumerate(polys):
+        for mono, coeff in poly.terms.items():
+            term = np.full(q**d, dom.from_fraction(Fraction(coeff)).v, dtype=np.int64)
+            for var, e in mono:
+                term = term * value_of[var] ** e % q
+            out[:, p] += term
+    return out % q
+
+
+def _image_keys(
+    w: Permutation, coords: list[tuple[int, int]], q: int, flag: Flag
+) -> set[tuple] | None:
+    """The Bruhat keys (w.word, then u's entries at the free positions of
+    U^w) of the flag at every tuple over F_q of its coordinates `coords`, or
+    None when the flag's matrix does not reduce to u W over the polynomials.
+
+    The matrix is reduced once, symbolically, by the column sweep of
+    bruhat_canonical_form: each pivot must be the constant 1 at row w(j) with
+    only zero entries below it, so no step divides.  Evaluation Z[x] -> F_q
+    is a ring homomorphism, so the evaluated free entries are the keys that
+    canonicalizing each evaluated flag gives.  A variable outside `coords`
+    raises KeyError, as in Poly.substitute.
+    """
+    unknown = set().union(*(e.variables() for col in flag.columns for e in col)) - set(coords)
+    if unknown:
+        raise KeyError(f"no value for variable x{min(unknown)}")
+    n = w.n
+    cols = [list(col) for col in flag.columns]
+    for j in range(n):
+        r = w(j + 1) - 1
+        if cols[j][r] != 1 or any(cols[j][r + 1:]):
+            return None
+        for j2 in range(j + 1, n):
+            c = cols[j2][r]
+            if c:
+                cols[j2] = [x - c * y if y else x for x, y in zip(cols[j2], cols[j])]
+    winv = w.inverse()
+    free = [cols[winv(b) - 1][a - 1] for a, b in _free_positions(w)]
+    return {(w.word,) + key for key in map(tuple, _evaluate(free, coords, q).tolist())}
 
 
 def dw_equals_cell(
@@ -314,24 +355,16 @@ def dw_equals_cell(
     """Set equality of the generic-flag image and the brute-force cell.
 
     `flag` is generic_flag(w, lambda) and `points` is springer_points(w,
-    lambda, q).  Evaluates the flag's matrix at every coordinate tuple over
-    F_q, canonicalizes the resulting flags, and compares with the points;
-    also asserts the parametrization is injective (q^{d_w} distinct flags).
+    lambda, q).  Keys the flag at every coordinate tuple over F_q (see
+    _image_keys) and compares with the points; also asserts the
+    parametrization is injective (q^{d_w} distinct flags).
     """
     FieldSpec(q)
-    dom = PrimeFieldDomain(q)
     spr = springer_inversions(w, lam)
     _check_budget(len(spr) * log2(q), budget_bits)
-    keys = [(w(k), w(l)) for k, l in spr.sorted_pairs()]
-    rows = flag.matrix().rows
-    dw_keys = set()
-    for vals in itertools.product(dom.elements(), repeat=len(keys)):
-        values = dict(zip(keys, vals))
-        point = ExactMatrix.from_rows(
-            dom, [[e.substitute(values, dom) for e in row] for row in rows]
-        )
-        dw_keys.add(_canonical_key(point))
-    if len(dw_keys) != q ** len(spr):
+    coords = [(w(k), w(l)) for k, l in spr.sorted_pairs()]
+    dw_keys = _image_keys(w, coords, q, flag)
+    if dw_keys is None or len(dw_keys) != q ** len(spr):
         return False
     # each point u is already in U^w, so by uniqueness it is its own key
     free = _free_positions(w)
@@ -347,14 +380,23 @@ def zeros_structure_check(
 ) -> bool:
     """For every Springer-fiber point u of C_w (`points`, from springer_points),
     the U_i factor of uw = u_i v u_0 y vanishes outside the columns that end
-    a row of the base filling."""
-    i = w(w.n)
+    a row of the base filling.
+
+    Row i = w(n) of u_i is minus row n of (uW)^{-1}, which is row i of
+    u^{-1}; as u is unitriangular, that row r solves r u = e_i column by
+    column.
+    """
+    n = w.n
+    i = w(n)
     end_cols = {row[-1] for row in base_filling(lam).rows}
+    watched = [j - 1 for j in range(i + 1, n + 1) if j not in end_cols]
     for u in points:
-        u_i, _ = factor_unipotent(u, w)
-        for j in range(i + 1, w.n + 1):
-            if j not in end_cols and u_i.entry(i, j):
-                return False
+        r = [u.domain.zero()] * n
+        r[i - 1] = u.domain.one()
+        for j in range(i, n):
+            r[j] = -sum((r[k] * u.rows[k][j] for k in range(i - 1, j)), u.domain.zero())
+        if any(r[j] for j in watched):
+            return False
     return True
 
 

@@ -18,6 +18,8 @@ from .combinatorics import (
 )
 from .exactla import (
     POLYNOMIALS,
+    ExactMatrix,
+    bk_entries,
     bk_generator,
     difference_residual,
     generic_coordinates,
@@ -125,6 +127,7 @@ def _check_profiles(h, cells) -> CheckResult:
 
 def _check_symbolic(lam, springer_cells, flags) -> CheckResult:
     x = nilpotent_matrix(lam, POLYNOMIALS)
+    identity = ExactMatrix.identity(POLYNOMIALS, lam.n)
     springer = HessenbergFunction.springer(lam.n)
     for c, flag in zip(springer_cells, flags):
         w = c.w
@@ -133,9 +136,11 @@ def _check_symbolic(lam, springer_cells, flags) -> CheckResult:
         spr = c.springer_inv
         for k in range(2, lam.n + 1):
             coords = generic_coordinates(w, spr, k)
-            g = bk_generator(w, lam, spr, k, coords)
+            g = bk_entries(w, lam, spr, k, coords)
+            # g_k g_k, applied to I as row operations
+            square = identity.add_row_multiples(g).add_row_multiples(g)
             doubled = {key: v + v for key, v in coords.items()}
-            if g @ g != bk_generator(w, lam, spr, k, doubled):
+            if square != bk_generator(w, lam, spr, k, doubled):
                 return CheckResult("group-law", False, f"w={w}, k={k}")
         for l in range(1, lam.n + 1):
             if c.tableau.right_neighbor(l) is not None and any(

@@ -165,6 +165,11 @@ class TestVerify:
         ("verify_2_h00_q2", ["--lambda", "2", "--h", "0,0", "--q", "2"], 0),
         ("verify_22_springer_q2_budget3",
          ["--lambda", "2,2", "--q", "2", "--budget-bits", "3"], 3),
+        # the symbolic suite at n = 5
+        ("verify_221_springer_q2_seed0", ["--lambda", "2,2,1", "--q", "2", "--seed", "0"], 0),
+        # the image and zero-structure checks on all 24 cells of the flag variety
+        ("verify_1111_springer_q2_seed0",
+         ["--lambda", "1,1,1,1", "--q", "2", "--seed", "0"], 0),
     ])
     def test_output_unchanged(self, capsys, stem, args, expected_code):
         # tests/data holds the reference JSON, byte for byte

@@ -18,6 +18,7 @@ from hesspave.exactla import (
     ExactMatrix,
     Flag,
     UnipotentPattern,
+    bk_entries,
     bk_generator,
     bn_split,
     bruhat_canonical_form,
@@ -261,6 +262,32 @@ class TestBkGenerator:
             both = {key: c1[key] + c2[key] for key in c1}
             assert prod == bk_generator(w, lam, spr, k, both)
 
+    def test_entries_state_the_generator(self):
+        # g_k = I + sum of x E_{tgt,src} over its triples, for every level
+        lam = Composition([3, 2, 2])
+        w = Permutation([3, 2, 6, 1, 7, 4, 5])
+        spr = springer_inversions(w, lam)
+        for k in range(2, 8):
+            coords = generic_coordinates(w, spr, k)
+            expect = ExactMatrix.identity(POLYNOMIALS, 7)
+            for tgt, src, x in bk_entries(w, lam, spr, k, coords):
+                assert tgt != src
+                expect = expect.with_entry(tgt, src, expect.entry(tgt, src) + x)
+            assert bk_generator(w, lam, spr, k, coords) == expect
+
+    def test_add_row_multiples_is_left_product(self):
+        # rows are read from the matrix before the step, as in (I + N) @ M
+        rng = random.Random(7)
+        for _ in range(20):
+            m = random_invertible(GF3, 4, rng)
+            entries = [(rng.randint(1, 4), rng.randint(1, 4), GF3.from_int(rng.randrange(3)))
+                       for _ in range(rng.randint(0, 5))]
+            entries = [(t, s, x) for t, s, x in entries if t != s]
+            g = ExactMatrix.identity(GF3, 4)
+            for tgt, src, x in entries:
+                g = g.with_entry(tgt, src, g.entry(tgt, src) + x)
+            assert m.add_row_multiples(entries) == g @ m
+
     def test_fixes_high_columns_and_kernel(self):
         # g_k fixes e_{w(j)} for j >= k and commutes with X at level n
         lam = Composition([2, 2, 2])
@@ -277,7 +304,32 @@ class TestBkGenerator:
         assert gn @ x == x @ gn
 
 
+def dense_generic_flag_stages(w, lam):
+    """Reference: the stages as dense products bk_generator(...) @ prod."""
+    n = w.n
+    spr = springer_inversions(w, lam)
+    prod = ExactMatrix.identity(POLYNOMIALS, n)
+    stages = [Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1)))]
+    for k in range(2, n + 1):
+        prod = bk_generator(w, lam, spr, k, generic_coordinates(w, spr, k)) @ prod
+        stages.append(Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1))))
+    return stages
+
+
 class TestGenericFlag:
+    @pytest.mark.parametrize("n, cells", [(1, 1), (2, 3), (3, 10), (4, 47), (5, 246)])
+    def test_stages_match_dense_product(self, n, cells):
+        # row operations give the same polynomials as the dense products, on
+        # every row-strict w (n!/prod(lambda_i!) of them per partition)
+        checked = 0
+        for parts in partitions(n):
+            lam = Composition(parts)
+            for w in all_perms(n):
+                if is_row_strict(tableau_of(w, lam)):
+                    assert generic_flag_stages(w, lam) == dense_generic_flag_stages(w, lam)
+                    checked += 1
+        assert checked == cells
+
     def test_requires_row_strict(self):
         with pytest.raises(ValueError):
             generic_flag(Permutation([3, 1, 4, 2]), Composition([2, 2]))

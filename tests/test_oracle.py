@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hesspave.combinatorics import (
     HessenbergFunction,
     Permutation,
     all_hessenberg_functions,
+    base_filling,
     is_row_strict,
     partitions,
     tableau_of,
@@ -18,13 +20,16 @@ from hesspave.exactla import (
     ExactMatrix,
     Flag,
     UnipotentPattern,
+    bruhat_canonical_form,
     conjugate,
+    factor_unipotent,
     generic_flag,
     nilpotent_matrix,
     verify_flag_membership,
 )
 from hesspave.oracle import (
     BudgetExceededError,
+    _image_keys,
     _m_vectors,
     _np_matrix,
     _random_gl,
@@ -123,7 +128,7 @@ class TestBatchArithmetic:
                     sorted_rows(fiber)
                 )
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_search_matches_brute_force(self, data):
         n = data.draw(st.integers(1, 5))
@@ -291,6 +296,38 @@ def flag_variables(flag):
     return set().union(*(e.variables() for col in flag.columns for e in col))
 
 
+# The exact per-point references for the image and zero-structure checks.
+
+def canonical_key(m):
+    """(w.word, u's entries at the free positions of U^w) of the flag of m."""
+    w, u = bruhat_canonical_form(m)
+    return (w.word,) + tuple(
+        u.entry(a, b).v for a, b in UnipotentPattern.schubert(w).positions_sorted()
+    )
+
+
+def reference_image_keys(w, lam, q, flag):
+    """canonical_key of the flag evaluated at every coordinate tuple over F_q."""
+    dom = PrimeFieldDomain(q)
+    coords = [(w(k), w(l)) for k, l in springer_inversions(w, lam).sorted_pairs()]
+    rows = flag.matrix().rows
+    keys = []
+    for vals in itertools.product(dom.elements(), repeat=len(coords)):
+        values = dict(zip(coords, vals))
+        keys.append(canonical_key(ExactMatrix.from_rows(
+            dom, [[e.substitute(values, dom) for e in row] for row in rows]
+        )))
+    return keys
+
+
+def reference_zeros(w, lam, u_i):
+    """True iff u_i, the U_i factor of uw = u_i v u_0 y from factor_unipotent,
+    vanishes outside the columns that end a row of the base filling."""
+    i = w(w.n)
+    end_cols = {row[-1] for row in base_filling(lam).rows}
+    return all(not u_i.entry(i, j) for j in range(i + 1, w.n + 1) if j not in end_cols)
+
+
 class TestGenericFlagImage:
     def test_row_strict_cells(self):
         for parts in [(2, 2), (3, 1), (2, 1, 1)]:
@@ -299,6 +336,20 @@ class TestGenericFlagImage:
                 if is_row_strict(tableau_of(w, lam)):
                     points = springer_points(w, lam, 2)
                     assert dw_equals_cell(w, lam, 2, generic_flag(w, lam), points)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_keys_match_per_point_canonical_form(self, n, q):
+        # the one symbolic reduction keys every evaluated flag as
+        # bruhat_canonical_form does point by point
+        for parts in partitions(n):
+            lam = Composition(parts)
+            for c in enumerate_cells(lam, HessenbergFunction.springer(n)):
+                flag = generic_flag(c.w, lam)
+                coords = [(c.w(k), c.w(l)) for k, l in c.springer_inv.sorted_pairs()]
+                ref = reference_image_keys(c.w, lam, q, flag)
+                assert len(set(ref)) == len(ref) == q ** c.dim
+                assert _image_keys(c.w, coords, q, flag) == set(ref)
 
     def test_q3_spot_check(self):
         w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
@@ -346,6 +397,41 @@ class TestZeroStructure:
     def test_paper_cell(self):
         w, lam = Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2])
         assert zeros_structure_check(w, lam, springer_points(w, lam, 2))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_factor_unipotent_on_every_point(self, n, q):
+        # every u in U^w(F_q), not only the fiber points, so both answers occur
+        dom = PrimeFieldDomain(q)
+        answers = set()
+        for w in all_perms(n):
+            for u in exact_u_points(w, dom):
+                u_i, _ = factor_unipotent(u, w)
+                for parts in partitions(n):
+                    lam = Composition(parts)
+                    expected = reference_zeros(w, lam, u_i)
+                    assert zeros_structure_check(w, lam, [u]) == expected
+                    answers.add(expected)
+        assert answers == {True, False}
+
+
+def test_springer_fiber_checks_reach_n5():
+    # image, injectivity and zero structure on every Springer cell of every
+    # partition of 5 at q = 2, one search per cell; on a 2-core Xeon the two
+    # checks take about 0.25 s of CPU, the per-point exact path took 9 s
+    spent = 0.0
+    cells = 0
+    for parts in partitions(5):
+        lam = Composition(parts)
+        for c in enumerate_cells(lam, HessenbergFunction.springer(5)):
+            flag, points = generic_flag(c.w, lam), springer_points(c.w, lam, 2)
+            start = time.process_time()
+            assert dw_equals_cell(c.w, lam, 2, flag, points), (parts, c.w)
+            assert zeros_structure_check(c.w, lam, points), (parts, c.w)
+            spent += time.process_time() - start
+            cells += 1
+    assert cells == 246
+    assert spent < 2.0
 
 
 class TestConjugation:

@@ -5,7 +5,7 @@ import hesspave.oracle
 import hesspave.paving
 import hesspave.verify
 from hesspave.combinatorics import Composition, HessenbergFunction, Permutation, partitions
-from hesspave.exactla import generic_flag
+from hesspave.exactla import ExactMatrix, generic_flag
 from hesspave.oracle import dw_equals_cell, springer_points
 from hesspave.paving import enumerate_cells
 from hesspave.verify import _check_symbolic, run_verification
@@ -125,6 +125,24 @@ def test_symbolic_suite_every_springer_cell(parts):
     cells = enumerate_cells(lam, HessenbergFunction.springer(lam.n))
     result = _check_symbolic(lam, cells, [generic_flag(c.w, lam) for c in cells])
     assert result.ok, result.witness
+
+
+def test_flags_and_symbolic_suite_form_no_dense_product(monkeypatch):
+    # B_k(w) acts by row operations in generic_flag and the group law
+    lam = Composition([2, 2, 1])
+    cells = enumerate_cells(lam, HessenbergFunction.springer(5))
+    products = []
+    matmul = ExactMatrix.__matmul__
+
+    def counted(self, other):
+        products.append(self.n)
+        return matmul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
+    flags = [generic_flag(c.w, lam) for c in cells]
+    result = _check_symbolic(lam, cells, flags)
+    assert result.ok, result.witness
+    assert products == []
 
 
 def test_symbolic_check_reads_inv_from_the_cells(monkeypatch):
