@@ -5,19 +5,23 @@ compares against the q^dim predictions of the paving; also checks the
 generic-flag parametrization and the unipotent factorization structure by
 exhaustive enumeration.
 
-The counting is a pruned search on numpy, one per w.  A point uwE_ of the
-Schubert cell C_w is the flag of g = uW, whose column j is u e_{w(j)}: a 1 at
-row w(j), free entries at the rows above it that no earlier column uses, and
-0 elsewhere.  The flag lies in Hess(X, h) exactly when X g_j is in
-<g_1..g_{h(j)}> for every j, and h(j) < j, so column j is tested as soon as
-it is placed.  Each earlier g_k has a 1 at row w(k) and 0 at rows
-w(1..k-1), so the test is elimination in the order w(1), w(2), ...; the last
-nonzero coefficient is m_j, the lowest nonzero row of column j of
-g^{-1} X g.  With b the pointwise max of the requested h's, a branch is cut
-as soon as some X g_j does not reduce to 0 against g_1..g_{b(j)}, and each
-surviving point keeps its m-vector, so every h is answered at once by
-m <= h.  The exact Springer-fiber points that the generic-flag and
-factorization checks walk come from the same search.
+The counting is one pruned search on numpy over every Schubert cell at once.
+A point uwE_ of the Schubert cell C_w is the flag of g = uW, whose column j
+is u e_{w(j)}: a 1 at row w(j), free entries at the rows above it that no
+earlier column uses, and 0 elsewhere.  So the first j columns of g fix
+w(1..j), and the search is one tree over (w(1..j), g_1..g_j) for all w,
+expanded a column per level with every node of a level in shared batches.
+The flag lies in Hess(X, h) exactly when X g_j is in <g_1..g_{h(j)}> for
+every j, and h(j) < j, so column j is tested as soon as it is placed.  Each
+earlier g_k has a 1 at row w(k) and 0 at rows w(1..k-1), so the test is
+elimination in the order w(1), w(2), ...; the last nonzero coefficient is
+m_j, the lowest nonzero row of column j of g^{-1} X g.  With b the
+pointwise max of the requested h's, a branch is cut as soon as some X g_j
+does not reduce to 0 against g_1..g_{b(j)}, and each surviving point keeps
+its m-vector, so every h is answered at once by m <= h.  Fixing a prefix of
+w restricts the same search to one cell (or, with one value, to the cells
+of one w(1)); the exact Springer-fiber points that the generic-flag and
+factorization checks walk come from it.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log2
-from typing import Sequence
+from functools import lru_cache
+from math import factorial, log2
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -117,68 +122,117 @@ def _free_positions(w: Permutation) -> list[tuple[int, int]]:
 
 
 # children per numpy batch of the search; bounds its peak bytes
-_CHUNK = 1 << 13
+_CHUNK = 1 << 12
+
+# A batch of N search nodes is an (n + 3, n, N) int8 array: at level j,
+# nodes[k] for k < j is column k of g, nodes[_M] holds the m-values of those
+# columns, nodes[_ROWS] the rows w(1..j) - 1 followed by the unused rows in
+# increasing order, and nodes[_LEHMER] the Lehmer digits of w(1..j) (how
+# many unused rows lie above each w(k)).
+_M, _ROWS, _LEHMER = -3, -2, -1
 
 
-def _extend(
-    g: np.ndarray, m: np.ndarray, j: int, rows: list[int], free: list[int],
-    xt: np.ndarray, q: int, bound: int, start: int, stop: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Children start..stop-1 of the frontier (g, m) whose column j + 1
-    passes its test, as (g, m) with that column and its m-value filled in.
+@lru_cache(maxsize=256)
+def _child_table(f: int, q: int, t: int | None) -> tuple[np.ndarray, ...]:
+    """The children of a node with f unused rows, the same for every node.
 
-    Child i takes parent i // q^f and writes the base-q digits of i % q^f at
-    the free rows of column j + 1, the first free row slowest.  The column
-    passes when X g_{j+1} reduces to 0 against g_1..g_bound.
+    Returns, read-only: their values at the node's unused rows in
+    increasing order, as an (f, T) array; which unused row takes the 1 of
+    the new column, as (T,); and the (f, f) array whose column s moves
+    unused row s in front of the others.  Unused row s takes the 1 and the
+    s unused rows above it take base-q digits, the first slowest; s runs
+    over 0..f-1 in order, or is only t when t is given.
     """
-    idx = np.arange(start, stop)
-    parent = idx // q ** len(free)
-    g, m = g[parent], m[parent]
-    col = g[:, :, j]
-    col[:, rows[j]] = 1
-    col[:, free] = idx[:, None] // q ** np.arange(len(free) - 1, -1, -1) % q
-    v = col @ xt % q
-    mj = m[:, j]
-    for k in range(bound):
-        c = v[:, rows[k], None]
-        mj[c[:, 0] != 0] = k + 1
-        v = (v - c * g[:, :, k]) % q
-    keep = ~v.any(axis=1)
-    return g[keep], m[keep]
+    vals, ts = [], []
+    for s in range(f) if t is None else [t]:
+        block = np.zeros((f, q**s), dtype=np.int8)
+        block[:s] = np.arange(q**s) // q ** np.arange(s - 1, -1, -1)[:, None] % q
+        block[s] = 1
+        vals.append(block)
+        ts.append(np.full(q**s, s, dtype=np.int8))
+    rotations = np.array([[s, *range(s), *range(s + 1, f)] for s in range(f)]).T
+    tables = np.concatenate(vals, axis=1), np.concatenate(ts), rotations
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _search(
-    w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every g = uW, u in U^w(F_q), whose flag has m <= bound pointwise:
-    the matrices g as an (N, n, n) array and their m-vectors as (N, n).
+    x: np.ndarray, q: int, bound: Sequence[int], prefix: Sequence[int] = ()
+) -> Iterator[np.ndarray]:
+    """Every flag g = uW, over every w that starts with `prefix`, whose
+    m-vector is <= bound pointwise, as batches of last-level nodes (see _M).
 
     bound(j) < j is required: column j is tested only against the columns
-    before it.  The frontier is expanded depth first, at most _CHUNK
-    children at a time; points come out in order of their columns' free
-    entries, column 1 slowest.
+    before it.  Level j places column j of every node in shared batches.
+    Every node of a level has the same children (_child_table), so a batch
+    is a slice of parents times a slice of that table, at most _CHUNK
+    children, and each parent's columns broadcast over its children.  The
+    frontier is expanded depth first.  For a fixed w (prefix = w.word) the
+    points come out in order of their columns' free entries, column 1
+    slowest.
     """
-    n = w.n
+    n = len(bound)
     if any(b >= j for j, b in enumerate(bound, start=1)):
         raise ValueError(f"bound must satisfy bound(j) < j, got {tuple(bound)}")
-    rows = [w(j) - 1 for j in range(1, n + 1)]
-    xt = (x % q).T
-    # g holds entries mod q <= 13, so int8 keeps the frontier small
-    leaves = [(np.zeros((0, n, n), dtype=np.int8), np.zeros((0, n), dtype=np.int64))]
+    # entries of X g_j are below n q^2 < 2^24, so float32 holds them exactly
+    xq = (x % q).astype(np.float32)
+    tables = [
+        _child_table(n - j, q, sum(v not in prefix[:j] for v in range(1, prefix[j]))
+                     if j < len(prefix) else None)
+        for j in range(n)
+    ]
 
-    def place(j: int, g: np.ndarray, m: np.ndarray) -> None:
-        if j == n:
-            leaves.append((g, m))
-            return
-        free = [a for a in range(rows[j]) if a not in rows[:j]]
-        total = len(g) * q ** len(free)
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            place(j + 1, *_extend(g, m, j, rows, free, xt, q, bound[j], start, stop))
+    def children(nodes: np.ndarray, j: int, lo: int, hi: int) -> np.ndarray:
+        """The children lo..hi-1 of the table of level j, of every node in
+        `nodes`, whose column j passes its test."""
+        vals, ts, rotations = tables[j]
+        vals, ts = vals[:, lo:hi], ts[lo:hi]
+        rows = nodes[_ROWS]
+        # X g_j for every (child, parent): the values at the parent's unused
+        # rows times X's columns there, as an (n, children, parents) array
+        v = (vals.T @ xq[:, rows[j:]]).astype(np.int16)
+        m = np.zeros(v.shape[1:], dtype=np.int8)
+        parents = np.arange(v.shape[2])
+        # the reduction stays below 2 n q^2 < 2^15; x - q * (x // q) is x mod q
+        for k in range(bound[j]):
+            c = v[rows[k], :, parents].T
+            c -= q * (c // q)
+            m[c != 0] = k + 1
+            v -= c * nodes[k][:, None]
+        keep = ~(v - q * (v // q)).any(axis=0)
+        # parent-major, so a fixed w's points keep their order
+        parent, child = np.nonzero(keep.T)
+        kids, t = nodes[:, :, parent], ts[child]
+        kids[j, kids[_ROWS, j:], np.arange(len(t))] = vals[:, child]
+        kids[_M, j] = m[child, parent]
+        kids[_ROWS, j:] = np.take_along_axis(kids[_ROWS, j:], rotations[:, t], axis=0)
+        kids[_LEHMER, j] = t
+        return kids
 
-    place(0, np.zeros((1, n, n), dtype=np.int8), np.zeros((1, n), dtype=np.int64))
-    return (np.concatenate([g for g, _ in leaves]),
-            np.concatenate([m for _, m in leaves]))
+    def expand(nodes: np.ndarray, j: int) -> Iterator[np.ndarray]:
+        size = len(tables[j][1])
+        step = max(1, _CHUNK // size)
+        for start in range(0, nodes.shape[2], step):
+            for lo in range(0, size, _CHUNK):
+                kids = children(nodes[:, :, start:start + step], j, lo, min(lo + _CHUNK, size))
+                if not kids.shape[2]:
+                    continue
+                if j + 1 == n:
+                    yield kids
+                else:
+                    yield from expand(kids, j + 1)
+
+    root = np.zeros((n + 3, n, 1), dtype=np.int8)
+    root[_ROWS, :, 0] = np.arange(n)
+    return expand(root, 0)
+
+
+def _leaves(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> np.ndarray:
+    """The search's points of C_w as one (n + 3, n, N) batch of nodes."""
+    n = w.n
+    return np.concatenate([np.zeros((n + 3, n, 0), dtype=np.int8),
+                           *_search(x, q, bound, w.word)], axis=2)
 
 
 def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> np.ndarray:
@@ -189,7 +243,7 @@ def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> n
     Membership of uwE_ in Hess(X, h) is exactly m <= h.values pointwise, so
     with bound >= h the rows answer h.
     """
-    return _search(w, x, q, bound)[1]
+    return _leaves(w, x, q, bound)[_M].T
 
 
 def cell_point_count(
@@ -219,9 +273,11 @@ def flag_point_counts(
 ) -> list[dict[tuple[int, ...], int]]:
     """For each h, the points of every Schubert cell C_w in Hess(x, h)(F_q).
 
-    One pruned search per cell answers every h; the work budget is checked
-    against the size of the whole flag variety.  The entries of x are read
-    as integers mod q.
+    One pruned search over every w answers every h, and each batch of its
+    points is tallied by w's rank and dropped; with workers > 1 the search
+    is split by w(1) over a thread pool.  The work budget is checked against
+    the size of the whole flag variety.  The entries of x are read as
+    integers mod q.
     """
     FieldSpec(q)
     n = x.n
@@ -232,19 +288,26 @@ def flag_point_counts(
     xq = _np_matrix(x)
     hv = np.array([h.values for h in hs])
     bound = hv.max(axis=0)
-    perms = sorted(itertools.permutations(range(1, n + 1)))
+    # the lexicographic rank of w from its Lehmer code
+    place = np.array([factorial(n - 1 - j) for j in range(n)])
 
-    def count_one(word: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-        m = _m_vectors(Permutation(word), xq, q, bound)
-        ok = np.all(m[:, None, :] <= hv[None, :, :], axis=2)
-        return word, [int(c) for c in ok.sum(axis=0)]
+    def count(prefix: tuple[int, ...]) -> np.ndarray:
+        counts = np.zeros((len(hs), factorial(n)), dtype=np.int64)
+        for nodes in _search(xq, q, bound, prefix):
+            rank = place @ nodes[_LEHMER]
+            ok = np.all(nodes[_M] <= hv[:, :, None], axis=1)
+            for hi in range(len(hs)):
+                counts[hi] += np.bincount(rank[ok[hi]], minlength=counts.shape[1])
+        return counts
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(count_one, perms))
+            counts = sum(pool.map(count, [(v,) for v in range(1, n + 1)]))
     else:
-        results = [count_one(word) for word in perms]
-    return [{word: counts[hi] for word, counts in results} for hi in range(len(hs))]
+        counts = count(())
+    # itertools lists the permutations in rank order
+    perms = list(itertools.permutations(range(1, n + 1)))
+    return [dict(zip(perms, row)) for row in counts.tolist()]
 
 
 def variety_point_counts(
@@ -275,24 +338,21 @@ def variety_point_count(
 
 def springer_points(
     w: Permutation, lam: Composition, q: int, budget_bits: int = 24
-) -> list[ExactMatrix]:
-    """All u in U^w(F_q) with uwE_ in the Springer fiber of X_lambda, exact.
+) -> np.ndarray:
+    """All u in U^w(F_q) with uwE_ in the Springer fiber of X_lambda, as an
+    (N, n, n) array of residues.
 
     One search serves both structure checks, `dw_equals_cell` and
     `zeros_structure_check`, which take its points from their caller.
     """
     FieldSpec(q)
     _check_budget(w.length() * log2(q), budget_bits)
-    dom = PrimeFieldDomain(q)
     n = w.n
     x = _np_matrix(nilpotent_matrix(lam))
-    g, _ = _search(w, x, q, HessenbergFunction.springer(n).values)
-    # column j of g is u e_{w(j)}
-    u = g[:, :, [j - 1 for j in w.inverse().word]]
-    return [
-        ExactMatrix.from_rows(dom, [[dom.from_int(v) for v in row] for row in point])
-        for point in u.tolist()
-    ]
+    nodes = _leaves(w, x, q, HessenbergFunction.springer(n).values)
+    # nodes[j] is column j of g, which is u e_{w(j)}
+    ut = nodes[[j - 1 for j in w.inverse().word]]
+    return ut.transpose(2, 1, 0).astype(np.int64)
 
 
 def _evaluate(polys: list, coords: list[tuple[int, int]], q: int) -> np.ndarray:
@@ -349,7 +409,7 @@ def dw_equals_cell(
     lam: Composition,
     q: int,
     flag: Flag,
-    points: list[ExactMatrix],
+    points: np.ndarray,
     budget_bits: int = 24,
 ) -> bool:
     """Set equality of the generic-flag image and the brute-force cell.
@@ -367,37 +427,31 @@ def dw_equals_cell(
     if dw_keys is None or len(dw_keys) != q ** len(spr):
         return False
     # each point u is already in U^w, so by uniqueness it is its own key
-    free = _free_positions(w)
-    cell_keys = {
-        (w.word,) + tuple(u.entry(a, b).v for a, b in free)
-        for u in points
-    }
-    return dw_keys == cell_keys
+    free = np.array(_free_positions(w), dtype=np.intp).reshape(-1, 2) - 1
+    entries = points[:, free[:, 0], free[:, 1]]
+    return dw_keys == {(w.word,) + key for key in map(tuple, entries.tolist())}
 
 
 def zeros_structure_check(
-    w: Permutation, lam: Composition, points: list[ExactMatrix]
+    w: Permutation, lam: Composition, q: int, points: np.ndarray
 ) -> bool:
-    """For every Springer-fiber point u of C_w (`points`, from springer_points),
-    the U_i factor of uw = u_i v u_0 y vanishes outside the columns that end
-    a row of the base filling.
+    """For every Springer-fiber point u of C_w (`points`, residues mod q from
+    springer_points), the U_i factor of uw = u_i v u_0 y vanishes outside
+    the columns that end a row of the base filling.
 
     Row i = w(n) of u_i is minus row n of (uW)^{-1}, which is row i of
-    u^{-1}; as u is unitriangular, that row r solves r u = e_i column by
-    column.
+    u^{-1}; as u is unitriangular, that row r solves r u = e_i mod q column
+    by column, for every point at once.
     """
     n = w.n
     i = w(n)
     end_cols = {row[-1] for row in base_filling(lam).rows}
     watched = [j - 1 for j in range(i + 1, n + 1) if j not in end_cols]
-    for u in points:
-        r = [u.domain.zero()] * n
-        r[i - 1] = u.domain.one()
-        for j in range(i, n):
-            r[j] = -sum((r[k] * u.rows[k][j] for k in range(i - 1, j)), u.domain.zero())
-        if any(r[j] for j in watched):
-            return False
-    return True
+    r = np.zeros((len(points), n), dtype=np.int64)
+    r[:, i - 1] = 1
+    for j in range(i, n):
+        r[:, j] = -(r[:, i - 1:j] * points[:, i - 1:j, j]).sum(axis=1) % q
+    return not r[:, watched].any()
 
 
 def _random_gl(n: int, q: int, rng: np.random.Generator) -> ExactMatrix:

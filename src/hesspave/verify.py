@@ -192,7 +192,7 @@ def run_verification(
                     if not dw_equals_cell(c.w, lam, q, flag, points, budget_bits):
                         checks.append(CheckResult("generic-flag-image", False, f"w={c.w}"))
                         break
-                    if not zeros_structure_check(c.w, lam, points):
+                    if not zeros_structure_check(c.w, lam, q, points):
                         checks.append(CheckResult("factor-zero-structure", False, f"w={c.w}"))
                         break
                 else:

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,8 +99,14 @@ def sorted_rows(m):
     return sorted(map(tuple, np.asarray(m).tolist()))
 
 
-def sorted_points(us):
-    return sorted(tuple(tuple(e.v for e in row) for row in u.rows) for u in us)
+def residues(us, n):
+    """Exact points over GF(q) as the (N, n, n) residue array of springer_points."""
+    return np.array([[[e.v for e in row] for row in u.rows] for u in us],
+                    dtype=np.int64).reshape(-1, n, n)
+
+
+def sorted_points(points):
+    return sorted(np.asarray(points).tolist())
 
 
 class TestBatchArithmetic:
@@ -178,7 +185,9 @@ class TestBatchArithmetic:
                 if verify_flag_membership(Flag.from_matrix(u @ wmat), x, h)
             ]
             # the two lists agree as multisets; neither consumer reads the order
-            assert sorted_points(springer_points(w, lam, 2)) == sorted_points(expected)
+            assert sorted_points(springer_points(w, lam, 2)) == (
+                sorted_points(residues(expected, 4))
+            )
 
 
 class TestCellCounts:
@@ -267,6 +276,18 @@ class TestVarietyCounts:
         b = variety_point_count(lam, h, 3, workers=2)
         assert a.per_cell == b.per_cell
 
+    def test_workers_agree_on_a_dense_conjugate(self):
+        # a random conjugate of X_lambda prunes little, so every w(1) carries
+        # work; the searches split by w(1) add up to the one search
+        lam, q = Composition([2, 2, 1]), 3
+        x = conjugate(_random_gl(5, q, np.random.default_rng(5)),
+                      nilpotent_matrix(lam, PrimeFieldDomain(q)))
+        hs = [HessenbergFunction.springer(5), HessenbergFunction([0, 1, 1, 2, 3])]
+        counts = flag_point_counts(x, hs, q, workers=1)
+        assert flag_point_counts(x, hs, q, workers=2) == counts
+        for per_cell, h in zip(counts, hs):
+            assert sum(per_cell.values()) == poincare(lam, h).evaluate(q)
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             variety_point_count(
@@ -281,6 +302,27 @@ class TestVarietyCounts:
         assert len(per_cell) == 5040
         assert per_cell == {w: 2 ** dims[w] if w in dims else 0 for w in per_cell}
         assert sum(per_cell.values()) == poincare(lam, h).evaluate(2) == 51429
+
+    def test_332_springer_reach(self):
+        # |Fl_8(F_2)| is 2^34.2 flags; the shared search visits few of them
+        lam, h = Composition([3, 3, 2]), HessenbergFunction.springer(8)
+        [per_cell] = flag_point_counts(nilpotent_matrix(lam), [h], 2, budget_bits=35)
+        dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
+        assert len(per_cell) == 40320
+        assert per_cell == {w: 2 ** dims[w] if w in dims else 0 for w in per_cell}
+
+    def test_counting_keeps_no_points(self):
+        # X = 0 prunes nothing, so all 9,765 flags of Fl_5(F_2) are found;
+        # each batch is tallied and dropped, and the frontier stays chunked
+        x, h = nilpotent_matrix(Composition([1] * 5)), HessenbergFunction.springer(5)
+        tracemalloc.start()
+        try:
+            [per_cell] = flag_point_counts(x, [h], 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(per_cell.values()) == 9765
+        assert peak <= 2 * 2**20
 
     def test_json_shape(self):
         report = variety_point_count(
@@ -392,11 +434,11 @@ class TestZeroStructure:
         for parts in [(2, 2), (2, 1, 1)]:
             lam = Composition(parts)
             for w in all_perms(4):
-                assert zeros_structure_check(w, lam, springer_points(w, lam, 2))
+                assert zeros_structure_check(w, lam, 2, springer_points(w, lam, 2))
 
     def test_paper_cell(self):
         w, lam = Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2])
-        assert zeros_structure_check(w, lam, springer_points(w, lam, 2))
+        assert zeros_structure_check(w, lam, 2, springer_points(w, lam, 2))
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("n", [3, 4])
@@ -410,7 +452,7 @@ class TestZeroStructure:
                 for parts in partitions(n):
                     lam = Composition(parts)
                     expected = reference_zeros(w, lam, u_i)
-                    assert zeros_structure_check(w, lam, [u]) == expected
+                    assert zeros_structure_check(w, lam, q, residues([u], n)) == expected
                     answers.add(expected)
         assert answers == {True, False}
 
@@ -427,7 +469,7 @@ def test_springer_fiber_checks_reach_n5():
             flag, points = generic_flag(c.w, lam), springer_points(c.w, lam, 2)
             start = time.process_time()
             assert dw_equals_cell(c.w, lam, 2, flag, points), (parts, c.w)
-            assert zeros_structure_check(c.w, lam, points), (parts, c.w)
+            assert zeros_structure_check(c.w, lam, 2, points), (parts, c.w)
             spent += time.process_time() - start
             cells += 1
     assert cells == 246

@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import lru_cache
 from math import factorial, prod
 
@@ -400,7 +401,7 @@ class TestPoincareRecursion:
         with pytest.raises(ValueError, match="size mismatch"):
             poincare(Composition([2, 1]), HessenbergFunction.springer(4))
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_property_small(self, data):
         n = data.draw(st.integers(1, 7))
@@ -563,6 +564,30 @@ class TestSpringerClosedForm:
         # X_lambda for a composition is conjugate to X of the sorted partition
         shuffled = Composition(parts[1:] + parts[:1])
         assert poincare(shuffled, HessenbergFunction.springer(n)) == p
+
+    def test_reordering_invariance_sampled_h(self):
+        # X_lambda for a composition is conjugate to X of the sorted
+        # partition, so Hess(X_lambda, h) and Hess(X_{sort lambda}, h) are
+        # isomorphic for every h, though the recursion runs on other states
+        rng = random.Random(0)
+        pairs = nonempty = 0
+        for n in range(8, 13):
+            for _ in range(30):
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, 3)))
+                parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+                if parts == sorted(parts, reverse=True):
+                    parts.reverse()
+                # h(i) is i - 1 lowered by up to 1 or 2, kept weakly increasing
+                drop, values = rng.randint(1, 2), [0]
+                for i in range(2, n + 1):
+                    values.append(max(i - 1 - rng.randint(0, drop), values[-1]))
+                h = HessenbergFunction(values)
+                p = poincare(Composition(parts), h)
+                assert p == poincare(Composition(sorted(parts, reverse=True)), h), (parts, h)
+                pairs += 1
+                nonempty += p.total_cells > 0
+        assert pairs == 150
+        assert nonempty >= 75
 
     @pytest.mark.parametrize("parts, states", [((3, 3, 2, 2), 143), ((6, 5, 4, 3, 2), 2519)])
     def test_memo_states(self, parts, states, monkeypatch):
