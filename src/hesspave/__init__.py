@@ -3,6 +3,9 @@
 Exact-arithmetic computation of cell tables, dimensions, Poincare
 polynomials, and generic-cell coordinates, with symbolic and finite-field
 verification.
+
+The finite-field layer (`oracle` and `verify`) imports numpy, which only
+the F_q checks need, so its names load on first access (PEP 562).
 """
 
 from .combinatorics import (
@@ -29,6 +32,8 @@ from .domains import (
     GF,
     POLYNOMIALS,
     RATIONALS,
+    BudgetExceededError,
+    FieldSpec,
     Poly,
     PolynomialDomain,
     PrimeFieldDomain,
@@ -52,22 +57,12 @@ from .exactla import (
     project_cell,
     verify_flag_membership,
 )
-from .oracle import (
-    BudgetExceededError,
-    CountReport,
-    FieldSpec,
-    cell_point_count,
-    conjugation_invariance,
-    dw_equals_cell,
-    springer_points,
-    variety_point_count,
-    zeros_structure_check,
-)
 from .paving import (
     CellDescriptor,
     InversionProfile,
     InversionSet,
     PoincareData,
+    cell_profile,
     column_sort_trace,
     enumerate_cells,
     hessenberg_inversions,
@@ -76,6 +71,35 @@ from .paving import (
     r0_tableau,
     springer_inversions,
 )
-from .verify import run_verification
 
 __version__ = "0.1.0"
+
+_FQ_NAMES = frozenset({
+    "CountReport",
+    "cell_point_count",
+    "conjugation_invariance",
+    "dw_equals_cell",
+    "run_verification",
+    "springer_points",
+    "variety_point_count",
+    "zeros_structure_check",
+})
+
+
+def __getattr__(name: str):
+    if name not in _FQ_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .oracle import (
+        CountReport,
+        cell_point_count,
+        conjugation_invariance,
+        dw_equals_cell,
+        springer_points,
+        variety_point_count,
+        zeros_structure_check,
+    )
+    from .verify import run_verification
+
+    loaded = {key: value for key, value in locals().items() if key in _FQ_NAMES}
+    globals().update(loaded)
+    return loaded[name]

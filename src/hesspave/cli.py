@@ -6,6 +6,10 @@ configuration (including the seed); CSV and text are convenience views.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
 exceeded.
+
+Only `count` and `verify` search over F_q, so only they import the numpy
+layer (`oracle`, and `verify`, which builds on it); the exact commands
+start without it.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from .combinatorics import (
     is_row_strict,
     tableau_of,
 )
-from .domains import Poly
+from .domains import BudgetExceededError, FieldSpec, Poly
 from .exactla import generic_flag, hess_zero_coordinates
-from .oracle import BudgetExceededError, FieldSpec, variety_point_count
 from .paving import (
     enumerate_cells,
     inversion_profile,
@@ -35,7 +38,6 @@ from .paving import (
     r0_tableau,
     zero_dim_cells,
 )
-from .verify import run_verification
 
 VERSION = "0.1.0"
 
@@ -51,7 +53,7 @@ class InputError(Exception):
 
 def _parse_int_list(text: str, label: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise InputError(f"{label} must be a comma-separated list of integers, got {text!r}")
 
@@ -219,6 +221,8 @@ def cmd_r0(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
+
     lam = _parse_lambda(args.lam)
     h = _parse_h(args.h, lam.n)
     q = None if args.q is None else _check_q(args.q)
@@ -303,6 +307,8 @@ def _simple_term(p: Poly, i: int) -> str:
 
 
 def cmd_count(args) -> int:
+    from .oracle import variety_point_count
+
     lam = _parse_lambda(args.lam)
     h = _parse_h(args.h, lam.n)
     if args.q is None:
@@ -404,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.budget_bits < 1:
         print("input error: --budget-bits must be >= 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.seed is not None and args.seed < 0:
+        print("input error: --seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT_ERROR
     source = "--workers"
     if args.workers is None:

@@ -5,6 +5,10 @@ Elements support +, -, * via Python operators; each domain knows how to make
 multivariate polynomials in variables x[a,b] indexed by integer pairs, with
 rational coefficients and a canonical normal form, so equality is exact term
 comparison.
+
+The field sizes the F_q enumeration accepts (`FieldSpec`) and the error it
+raises past its work budget live here too, so the command line can check
+`--q` and report a budget overrun without importing the numpy layer.
 """
 
 from __future__ import annotations
@@ -276,6 +280,21 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+class BudgetExceededError(Exception):
+    """Raised when an enumeration would exceed the work budget."""
+
+
+@dataclass(frozen=True)
+class FieldSpec:
+    """A prime field size small enough for exhaustive enumeration."""
+
+    q: int
+
+    def __post_init__(self):
+        if self.q not in (2, 3, 5, 7, 11, 13):
+            raise ValueError(f"q must be a prime <= 13, got {self.q}")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .combinatorics import (
     Permutation,
     base_filling,
 )
-from .domains import PrimeFieldDomain
+from .domains import BudgetExceededError, FieldSpec, PrimeFieldDomain
 from .exactla import (
     ExactMatrix,
     Flag,
@@ -51,21 +51,6 @@ from .exactla import (
     nilpotent_matrix,
 )
 from .paving import CellDescriptor, enumerate_cells, springer_inversions
-
-
-class BudgetExceededError(Exception):
-    """Raised when an enumeration would exceed the work budget."""
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """A prime field size small enough for exhaustive enumeration."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q not in (2, 3, 5, 7, 11, 13):
-            raise ValueError(f"q must be a prime <= 13, got {self.q}")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
     Composition,
@@ -356,13 +356,13 @@ class InversionProfile:
 
 
 def _grid_profile(
-    rows: Sequence[Sequence[int | None]],
+    pairs: Iterable[tuple[int, int]],
     pos: dict[int, tuple[int, int]],
-    h: HessenbergFunction,
     num_cols: int,
 ) -> InversionProfile:
+    """d(i, j): how many inversions (k, l) have k in column i and l in column j."""
     d = {(i, j): 0 for i in range(1, num_cols + 1) for j in range(i, num_cols + 1)}
-    for k, l in _inversion_pairs(rows, pos, h.values, h.n):
+    for k, l in pairs:
         d[(pos[k][1], pos[l][1])] += 1
     return InversionProfile(d)
 
@@ -371,7 +371,18 @@ def inversion_profile(t: Tableau, h: HessenbergFunction) -> InversionProfile:
     """The profile d_R of an h-strict tableau R."""
     if not is_h_strict(t, h):
         raise ValueError("tableau is not h-strict")
-    return _grid_profile(t.rows, t.index, h, t.shape.num_cols)
+    return _grid_profile(_tableau_inversions(t, h), t.index, t.shape.num_cols)
+
+
+def cell_profile(cell: CellDescriptor) -> InversionProfile:
+    """The profile d_R(w) of a cell, read off its inversions inv_{lambda,h}(w).
+
+    A cell's tableau is h-strict by construction and its inversions are
+    already known, so this is `inversion_profile(cell.tableau, h)` without
+    the h-strictness check and without a second pass of the pair kernel.
+    """
+    t = cell.tableau
+    return _grid_profile(cell.hess_inv.pairs, t.index, t.shape.num_cols)
 
 
 @dataclass(frozen=True)
@@ -429,7 +440,7 @@ def column_sort_trace(
             for ci, v in enumerate(row, start=1)
             if v is not None
         }
-        return _grid_profile(g, pos, h, width)
+        return _grid_profile(_inversion_pairs(g, pos, h.values, h.n), pos, width)
 
     steps = [SortStep(tuple(tuple(r) for r in grid), profile_of(grid))]
 

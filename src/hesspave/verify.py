@@ -37,6 +37,7 @@ from .oracle import (
     zeros_structure_check,
 )
 from .paving import (
+    cell_profile,
     enumerate_cells,
     inversion_profile,
     maximal_cells_are_standard,
@@ -119,7 +120,7 @@ def _check_profiles(h, cells) -> CheckResult:
         s = standardize(t)
         if s.rows == t.rows:
             continue
-        p, ps = inversion_profile(t, h), inversion_profile(s, h)
+        p, ps = cell_profile(c), inversion_profile(s, h)
         if not ps.dominates(p) or ps.total == p.total and ps.d == p.d:
             return CheckResult("profile-inequality", False, f"w={c.w}")
     return CheckResult("profile-inequality", True)

@@ -40,6 +40,7 @@ from hesspave.exactla import (
 )
 from hesspave.oracle import dw_equals_cell, springer_points, variety_point_counts
 from hesspave.paving import (
+    cell_profile,
     column_sort_trace,
     enumerate_cells,
     hessenberg_inversions,
@@ -322,7 +323,7 @@ def test_criterion_5_maximal_cells_standard():
                         s = standardize(c.tableau)
                         if s.rows == c.tableau.rows:
                             continue
-                        p = inversion_profile(c.tableau, h)
+                        p = cell_profile(c)
                         ps = inversion_profile(s, h)
                         assert ps.dominates(p)
                         assert ps.total > p.total

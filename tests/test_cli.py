@@ -307,6 +307,33 @@ class TestInputErrors:
         assert err.startswith("input error:")
         assert "--w has 3 values but n=4" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["cells", "--lambda", "2,,1"],
+        ["poincare", "--lambda", "2,1,"],
+        ["cells", "--lambda", "1,1,1", "--h", "0,0,1,,"],
+        ["poincare", "--lambda", "1,1,1", "--h", ",0,1"],
+        ["profile", "--lambda", "2,1", "--w", "3,,1,2"],
+        ["generic-flag", "--lambda", "2,1", "--w", "1,2,3,"],
+    ])
+    def test_empty_list_token(self, capsys, argv):
+        flag, value = argv[-2:]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (f"input error: {flag} must be a comma-separated list of "
+                       f"integers, got {value!r}\n")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("verify", ["--q", "2"]),
+        ("count", ["--q", "2"]),
+        ("poincare", []),
+    ])
+    def test_negative_seed(self, capsys, command, extra):
+        code, out, err = run(capsys, command, "--lambda", "2,1", *extra, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "input error: --seed must be >= 0\n"
+
     def test_bad_budget(self, capsys):
         code, _, err = run(capsys, "cells", "--lambda", "2", "--budget-bits", "0")
         assert code == 2
@@ -332,13 +359,15 @@ class TestParser:
         assert build_parser() is build_parser()
 
     def test_workers_env_read_at_call_time(self, capsys, monkeypatch):
+        from hesspave import oracle
+
         seen = []
 
         def fake_count(lam, h, q, budget_bits, workers):
             seen.append(workers)
             raise cli.BudgetExceededError("stop")
 
-        monkeypatch.setattr(cli, "variety_point_count", fake_count)
+        monkeypatch.setattr(oracle, "variety_point_count", fake_count)
         argv = ["count", "--lambda", "2,1", "--q", "2"]
         monkeypatch.setenv("HESSPAVE_WORKERS", "3")
         assert run(capsys, *argv)[0] == 3
@@ -360,6 +389,72 @@ class TestParser:
         code, _, err = run(capsys, "poincare", "--lambda", "2")
         assert code == 2
         assert err == "input error: HESSPAVE_WORKERS must be >= 1\n"
+
+
+def _fresh_python(code: str) -> dict:
+    """Run `code` in a new interpreter that imports hesspave from this tree;
+    it prints one JSON value, which is returned."""
+    import os
+    import subprocess
+    import sys
+
+    import hesspave
+
+    src = str(Path(hesspave.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestColdStart:
+    def test_exact_commands_never_load_numpy(self):
+        # numpy (through the F_q layer) is a cost of count and verify only
+        loaded = _fresh_python("""
+import contextlib, io, json, sys
+from hesspave.cli import main
+runs = [
+    ["cells", "--lambda", "2,2,1"],
+    ["poincare", "--lambda", "2,2,1"],
+    ["r0", "--lambda", "2,2,1", "--h", "0,1,1,2,3"],
+    ["profile", "--lambda", "2,1", "--w", "2,3,1"],
+    ["generic-flag", "--lambda", "2,1", "--w", "2,3,1"],
+    ["count", "--lambda", "2,1", "--q", "2"],
+]
+seen = {}
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen[argv[0]] = [code, "numpy" in sys.modules, "hesspave.oracle" in sys.modules]
+print(json.dumps(seen))
+""")
+        for command in ("cells", "poincare", "r0", "profile", "generic-flag"):
+            assert loaded[command] == [0, False, False], command
+        assert loaded["count"] == [0, True, True]
+
+    def test_package_names_resolve_on_first_access(self):
+        seen = _fresh_python("""
+import json, sys
+import hesspave
+from hesspave import cli
+before = "numpy" in sys.modules
+try:
+    hesspave.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "numpy" in sys.modules
+from hesspave.oracle import variety_point_count
+from hesspave.verify import run_verification
+print(json.dumps({
+    "before": before,
+    "unknown": unknown,
+    "same": [hesspave.variety_point_count is variety_point_count,
+             hesspave.run_verification is run_verification],
+    "all": sorted(n for n in hesspave._FQ_NAMES if getattr(hesspave, n, None) is None),
+}))
+""")
+        assert seen == {"before": False, "unknown": False, "same": [True, True], "all": []}
 
 
 def test_console_script_installed():

@@ -27,6 +27,7 @@ from hesspave.combinatorics import (
 from hesspave import paving
 from hesspave.paving import (
     InversionSet,
+    cell_profile,
     column_sort_trace,
     enumerate_cells,
     hessenberg_inversions,
@@ -661,6 +662,18 @@ class TestProfilesAndSorting:
         for c in enumerate_cells(lam, h):
             p = inversion_profile(c.tableau, h)
             assert p.total == c.dim
+
+    def test_cell_profile_matches_inversion_profile(self):
+        # every cell of every composition with n <= 5 under every h
+        cells_seen = 0
+        for n in range(1, 6):
+            for parts in compositions(n):
+                lam = Composition(parts)
+                for h in all_hessenberg_functions(n):
+                    for c in enumerate_cells(lam, h):
+                        cells_seen += 1
+                        assert cell_profile(c) == inversion_profile(c.tableau, h)
+        assert cells_seen > 10_000
 
     def test_profile_rejects_non_h_strict(self):
         with pytest.raises(ValueError):
