@@ -44,6 +44,9 @@ from .paving import (
     r0_tableau,
 )
 
+# Random conjugates of X_lambda whose point count the conjugation check compares.
+CONJUGATION_TRIALS = 5
+
 
 @dataclass
 class CheckResult:
@@ -158,7 +161,6 @@ def run_verification(
     budget_bits: int = 24,
     seed: int | None = None,
     workers: int = 1,
-    trials: int = 5,
 ) -> VerifyReport:
     """Run every invariant suite that applies to (lambda, h) and optional q.
 
@@ -200,7 +202,7 @@ def run_verification(
                     checks.append(CheckResult("generic-flag-image", True))
                     checks.append(CheckResult("factor-zero-structure", True))
                 ok = conjugation_invariance(
-                    lam, h, q, report.total, trials, seed or 0, budget_bits
+                    lam, h, q, report.total, CONJUGATION_TRIALS, seed or 0, budget_bits
                 )
                 checks.append(CheckResult("conjugation-invariance", ok))
     except BudgetExceededError as e:

@@ -7,7 +7,6 @@ counts over small prime fields, and classical counting formulas
 """
 
 import itertools
-import os
 from contextlib import contextmanager
 
 from hesspave.combinatorics import (
@@ -51,8 +50,6 @@ from hesspave.paving import (
     springer_inversions,
     zero_dim_cells,
 )
-
-WORKERS = int(os.environ.get("HESSPAVE_WORKERS", "1"))
 
 
 @contextmanager
@@ -197,9 +194,7 @@ def test_criterion_2_point_count_identity():
             for parts in partitions(n):
                 lam = Composition(parts)
                 for q in (2, 3):
-                    for report in variety_point_counts(
-                        lam, hs, q, workers=WORKERS
-                    ):
+                    for report in variety_point_counts(lam, hs, q):
                         assert report.match, (parts, report.q)
 
 

@@ -329,15 +329,32 @@ class TestInputErrors:
         ("poincare", []),
     ])
     def test_negative_seed(self, capsys, command, extra):
-        code, out, err = run(capsys, command, "--lambda", "2,1", *extra, "--seed", "-1")
+        argv = [command, "--lambda", "2,1", *extra, "--seed", "-1"]
+        if command != "verify":
+            # only verify reads a seed; the others' parsers reject the flag
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            return
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == "input error: --seed must be >= 0\n"
 
     def test_bad_budget(self, capsys):
-        code, _, err = run(capsys, "cells", "--lambda", "2", "--budget-bits", "0")
+        for command in ("count", "verify"):
+            code, out, err = run(capsys, command, "--lambda", "2", "--q", "2",
+                                 "--budget-bits", "0")
+            assert code == 2
+            assert out == ""
+            assert err == "input error: --budget-bits must be >= 1\n"
+
+    def test_every_violated_search_flag_listed(self, capsys):
+        code, _, err = run(capsys, "verify", "--lambda", "2", "--q", "4", "--budget-bits",
+                           "0", "--seed", "-1", "--workers", "0")
         assert code == 2
-        assert "budget-bits" in err
+        assert err == ("input error: --budget-bits must be >= 1; --seed must be >= 0; "
+                       "--workers must be >= 1; --q: q must be a prime <= 13, got 4\n")
 
     @pytest.mark.parametrize("command", ["count", "verify"])
     @pytest.mark.parametrize("q", ["0", "1", "4", "17"])
@@ -358,7 +375,7 @@ class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_workers_env_read_at_call_time(self, capsys, monkeypatch):
+    def test_workers_flag_reaches_count(self, capsys, monkeypatch):
         from hesspave import oracle
 
         seen = []
@@ -369,26 +386,67 @@ class TestParser:
 
         monkeypatch.setattr(oracle, "variety_point_count", fake_count)
         argv = ["count", "--lambda", "2,1", "--q", "2"]
-        monkeypatch.setenv("HESSPAVE_WORKERS", "3")
-        assert run(capsys, *argv)[0] == 3
-        monkeypatch.setenv("HESSPAVE_WORKERS", "2")
-        assert run(capsys, *argv)[0] == 3
-        monkeypatch.delenv("HESSPAVE_WORKERS")
         assert run(capsys, *argv)[0] == 3
         assert run(capsys, *argv, "--workers", "4")[0] == 3
-        assert seen == [3, 2, 1, 4]
+        assert seen == [1, 4]
 
-    def test_bad_workers_env(self, capsys, monkeypatch):
+    def test_flags_per_command(self):
+        # every command reads --lambda, --h, --format and --out; the F_q
+        # search flags belong to count and verify, --seed to verify alone;
+        # cells and poincare accept --workers without reading it
+        dests = {"--lambda": "lam", "--h": "h", "--format": "format", "--out": "out",
+                 "--q": "q", "--budget-bits": "budget_bits", "--workers": "workers",
+                 "--seed": "seed", "--w": "w"}
+        search = {"--q", "--budget-bits", "--workers"}
+        extra = {
+            "cells": {"--workers"},
+            "poincare": {"--workers"},
+            "r0": set(),
+            "verify": search | {"--seed"},
+            "generic-flag": {"--w"},
+            "count": search,
+            "profile": {"--w"},
+        }
+        parser = build_parser()
+        for command, flags in extra.items():
+            accepted = {"--lambda", "--h", "--format", "--out"} | flags
+            ns = parser.parse_args([command, "--lambda", "2,1"])
+            assert set(vars(ns)) == {"command", "func"} | {dests[f] for f in accepted}
+            for flag in set(dests) - accepted:
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--lambda", "2,1", flag, "1"])
+                assert exc.value.code == 2, (command, flag)
+
+    def test_workers_env_is_not_read(self, capsys, monkeypatch):
+        runs = [
+            ["cells", "--lambda", "2,1"],
+            ["poincare", "--lambda", "2,1"],
+            ["r0", "--lambda", "2,1"],
+            ["verify", "--lambda", "2,1", "--q", "2"],
+            ["generic-flag", "--lambda", "2,1", "--w", "2,3,1"],
+            ["count", "--lambda", "2,1", "--q", "2"],
+            ["profile", "--lambda", "2,1", "--w", "2,3,1"],
+        ]
+        plain = [run(capsys, *argv) for argv in runs]
         monkeypatch.setenv("HESSPAVE_WORKERS", "many")
-        code, _, err = run(capsys, "poincare", "--lambda", "2")
-        assert code == 2
-        assert err.startswith("input error: HESSPAVE_WORKERS")
+        assert [run(capsys, *argv) for argv in runs] == plain
+        assert all(code == 0 for code, _, _ in plain)
 
-    def test_workers_env_below_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("HESSPAVE_WORKERS", "0")
-        code, _, err = run(capsys, "poincare", "--lambda", "2")
-        assert code == 2
-        assert err == "input error: HESSPAVE_WORKERS must be >= 1\n"
+    def test_benchmark_argv_parse(self):
+        # perfbench/workloads.py imports nothing from hesspave; every argv it
+        # builds must stay accepted, since its digests are keyed by argv
+        import importlib.util
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        parser = build_parser()
+        argvs = [op["argv"] for workload in workloads.WORKLOADS
+                 for seed in range(5) for op in workloads.build_ops(workload, seed)]
+        assert argvs
+        for argv in argvs:
+            assert parser.parse_args(argv).command == argv[0]
 
 
 def _fresh_python(code: str) -> dict:
