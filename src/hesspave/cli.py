@@ -135,7 +135,9 @@ def _emit(
 ) -> None:
     """Write the view `--format` asks for; the CSV and text views are built lazily."""
     if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        out = json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), check_circular=False
+        ) + "\n"
     elif args.format == "csv":
         out = "\n".join(csv_rows()) + "\n"
     else:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import starmap
+from operator import itemgetter, le
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
@@ -32,7 +34,7 @@ class InversionSet:
 
     def __init__(self, pairs):
         pairs = frozenset(pairs)
-        if any(k <= l for k, l in pairs):
+        if any(starmap(le, pairs)):
             raise ValueError("inversion pairs must have the larger index first")
         object.__setattr__(self, "pairs", pairs)
 
@@ -188,6 +190,10 @@ def iter_fillings(
     box's 1-based (row, column), so a filling arrives with its permutation
     and positions already known.
 
+    Many prefixes reach one state (rem, bounds), so each state's children
+    are expanded once and kept, as `poincare` keeps its counts; the walk
+    itself is one explicit stack of child iterators.
+
     Yields (rows, word, pos, dim): the filling R(w), the one-line word of w,
     the map value -> (row, column) and the dimension.  The rows, word and pos
     containers are reused; copy them if kept.
@@ -204,24 +210,45 @@ def iter_fillings(
     boxes = [[(i + 1, c) for c in range(1, p + 1)] for i, p in enumerate(lam.parts)]
     word = [0] * n
     pos: dict[int, tuple[int, int]] = {}
+    # no filling has more than n^2 inversions, so this limit prunes nothing
+    limit = n * n if max_dim is None else max_dim
+    # (rem, bounds) -> [(grid row, column, w(m), box, child state, gain)]
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple]] = {}
 
-    def walk(
-        m: int, rem: tuple[int, ...], bounds: tuple[int, ...], dim: int
-    ) -> Iterator[tuple[list[list[int]], list[int], dict[int, tuple[int, int]], int]]:
-        if m == 0:
-            yield grid, word, pos, dim
-            return
-        for i, child_rem, child_bounds, gain in _placements(m, rem, bounds, hv, nrows):
-            d = dim + gain
-            if max_dim is not None and d > max_dim:
-                continue
+    def expand(m: int, state: tuple[tuple[int, ...], tuple[int, ...]]) -> list[tuple]:
+        rem = state[0]
+        kids = []
+        for i, child_rem, child_bounds, gain in _placements(m, *state, hv, nrows):
             c = rem[i] - 1
-            grid[i][c] = m
-            word[m - 1] = labels[i][c]
-            pos[m] = boxes[i][c]
-            yield from walk(m - 1, child_rem, child_bounds, d)
+            kids.append((grid[i], c, labels[i][c], boxes[i][c], (child_rem, child_bounds), gain))
+        memo[state] = kids
+        return kids
 
-    yield from walk(n, lam.parts, (n,) * nrows, 0)
+    m, dim = n, 0
+    it = iter(expand(n, (lam.parts, (n,) * nrows)))
+    stack: list[tuple[Iterator[tuple], int]] = []
+    while True:
+        for row, c, label, box, child, gain in it:
+            d = dim + gain
+            if d > limit:
+                continue
+            row[c] = m
+            word[m - 1] = label
+            pos[m] = box
+            if m == 1:
+                yield grid, word, pos, d
+                continue
+            kids = memo.get(child)
+            if kids is None:
+                kids = expand(m - 1, child)
+            stack.append((it, dim))
+            it, dim, m = iter(kids), d, m - 1
+            break
+        else:
+            if not stack:
+                return
+            it, dim = stack.pop()
+            m += 1
 
 
 def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescriptor]:
@@ -237,7 +264,7 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescrip
     """
     hv = h.values
     n = lam.n
-    cells = []
+    found = []
     for grid, word, pos, dim in iter_fillings(lam, h):
         rows = tuple(map(tuple, grid))
         hess = InversionSet(_inversion_pairs(rows, pos, hv, n))
@@ -245,9 +272,12 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescrip
             raise RuntimeError(
                 f"walk counted {dim} inversions for {rows}, descriptor has {len(hess)}"
             )
-        cells.append(CellDescriptor(Permutation(word), hess, dim, rows, h))
-    cells.sort(key=lambda c: c.w.word)
-    return cells
+        found.append((tuple(word), hess, dim, rows))
+    found.sort(key=itemgetter(0))
+    return [
+        CellDescriptor(Permutation(word), hess, dim, rows, h)
+        for word, hess, dim, rows in found
+    ]
 
 
 @dataclass(frozen=True)
@@ -488,8 +518,10 @@ def maximal_cells_are_standard(
     """
     top = max((c.dim for c in cells), default=0)
     for c in cells:
+        if c.dim != top:
+            continue
         t = c.tableau
-        if c.dim == top and any(
+        if any(
             any(a > b for a, b in zip(colvals, colvals[1:]))
             for colvals in _columns(t)
         ):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from argparse import Namespace
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,8 @@ import hesspave.cli as cli
 from hesspave.cli import build_parser, main
 
 DATA = Path(__file__).with_name("data")
+# sha256 of the reference output of each argv, for outputs too large to keep
+DIGESTS_N8_9 = json.loads((DATA / "cells_n8_9_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -95,6 +99,22 @@ class TestCells:
         code, out, _ = run(capsys, "cells", "--lambda", "2,2,2", "--h", h, "--format", fmt)
         assert code == 0
         assert out == (DATA / f"{stem}.{fmt}").read_text()
+
+    @pytest.mark.parametrize("argv, digest", DIGESTS_N8_9.items())
+    def test_output_unchanged_at_n_8_and_9(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_json_of_a_cyclic_payload_still_raises(self, capsys):
+        # payloads are built fresh and acyclic, so the encoder skips its
+        # cycle markers; a cycle would still end in RecursionError
+        payload = {"cells": []}
+        payload["cells"].append(payload)
+        args = Namespace(format="json", out=None)
+        with pytest.raises(RecursionError):
+            cli._emit(args, payload, list, str)
+        assert capsys.readouterr().out == ""
 
 
 class TestPoincare:

@@ -330,7 +330,7 @@ class TestPrunedWalk:
                         fillings += 1
                         t = Tableau(rows, lam)
                         assert tuple(word) == permutation_of_tableau(t).word
-                        assert pos == t.index
+                        assert type(pos) is dict and pos == t.index
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 32
         assert fillings > 10_000
 
@@ -352,34 +352,157 @@ class TestPrunedWalk:
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42
 
     def test_max_dim_prunes_when_the_larger_entry_is_placed(self, monkeypatch):
-        # one column has no dead ends, so the pruned walk expands exactly the
+        # one column has no dead ends, so the pruned walk reaches exactly the
         # prefixes (n, ..., m+1 placed) of fillings with at most max_dim
-        # pairs (k, l) whose k is already placed
+        # pairs (k, l) whose k is already placed.  Such a prefix reaches the
+        # state whose placed rows are empty (rem 0, bound 0) and whose open
+        # rows have rem 1 and bound m; prefixes that reach one state share
+        # its expansion, so `_placements` runs exactly once on each state
         calls = []
         inner = paving._placements
 
-        def counting(m, *args):
-            calls.append(m)
-            return inner(m, *args)
+        def counting(m, rem, bounds, *args):
+            calls.append((m, rem, bounds))
+            return inner(m, rem, bounds, *args)
 
         monkeypatch.setattr(paving, "_placements", counting)
+        merged = {}
         for n in range(1, 7):
             lam, h = Composition([1] * n), HessenbergFunction.springer(n)
             columns = [[row[0] for row in rows] for rows, _, _, _ in iter_fillings(lam, h)]
             assert len(columns) == factorial(n)
             for max_dim in (0, 1, 2):
-                expect = set()
+                prefixes, expect = set(), set()
                 for col in columns:
                     row_of = {v: r for r, v in enumerate(col)}
                     for m in range(n, 0, -1):
                         pairs = sum(1 for k in range(m + 1, n + 1) for l in range(1, k)
                                     if row_of[k] > row_of[l])
                         if pairs <= max_dim:
-                            expect.add(tuple(row_of[v] for v in range(n, m, -1)))
+                            placed = tuple(row_of[v] for v in range(n, m, -1))
+                            prefixes.add(placed)
+                            expect.add((m, tuple(0 if r in placed else 1 for r in range(n)),
+                                        tuple(0 if r in placed else m for r in range(n))))
                 calls.clear()
                 for _ in iter_fillings(lam, h, max_dim):
                     pass
-                assert len(calls) == len(expect), (n, max_dim)
+                assert sorted(calls) == sorted(expect), (n, max_dim)
+                merged[n, max_dim] = (len(prefixes), len(calls))
+        # 3 placed in any row, then 2 above it: 6 prefixes, 5 states
+        assert merged[3, 1] == (6, 5)
+
+    @pytest.mark.parametrize("parts", [(3, 3, 2, 2), (2, 4, 3), (4, 1, 1, 1, 1)])
+    def test_walk_expands_each_poincare_state_once(self, parts, monkeypatch):
+        # without pruning, the walk expands every state that the Poincare
+        # recursion counts, and each of them once
+        calls = []
+        step = paving._placements
+
+        def counted(m, rem, bounds, *args):
+            calls.append((m, rem, bounds))
+            return step(m, rem, bounds, *args)
+
+        monkeypatch.setattr(paving, "_placements", counted)
+        lam = Composition(parts)
+        h = HessenbergFunction.springer(lam.n)
+        poincare(lam, h)
+        states = sorted(calls)
+        calls.clear()
+        fillings = sum(1 for _ in iter_fillings(lam, h))
+        assert sorted(calls) == states
+        assert len(set(states)) == len(states) < fillings
+
+
+def reference_walk(lam, h, max_dim=None):
+    """The recursive filling walk that `iter_fillings` replaced: one
+    generator frame per placed value and `_placements` at every node, with
+    no memo.  Yields copies of (rows, word, pos, dim)."""
+    n = lam.n
+    hv = h.values
+    grid = [[0] * p for p in lam.parts]
+    labels = base_filling(lam).rows
+    word = [0] * n
+    pos = {}
+
+    def walk(m, rem, bounds, dim):
+        if m == 0:
+            yield [list(r) for r in grid], list(word), dict(pos), dim
+            return
+        for i, child_rem, child_bounds, gain in paving._placements(
+            m, rem, bounds, hv, lam.num_rows
+        ):
+            d = dim + gain
+            if max_dim is not None and d > max_dim:
+                continue
+            c = rem[i] - 1
+            grid[i][c] = m
+            word[m - 1] = labels[i][c]
+            pos[m] = (i + 1, c + 1)
+            yield from walk(m - 1, child_rem, child_bounds, d)
+
+    if n:
+        yield from walk(n, lam.parts, (n,) * lam.num_rows, 0)
+
+
+class TestWalkAgainstReference:
+    def test_same_sequence_as_the_recursive_walk(self):
+        # order included: the cell table, r0 and every digest rest on it
+        cases = fillings = 0
+        for n in range(1, 7):
+            hs = list(all_hessenberg_functions(n)) if n <= 5 else [HessenbergFunction.springer(n)]
+            for parts in compositions(n):
+                lam = Composition(parts)
+                for h in hs:
+                    for max_dim in (None, 0, 1, 2):
+                        cases += 1
+                        got = [([list(r) for r in rows], list(word), dict(pos), dim)
+                               for rows, word, pos, dim in iter_fillings(lam, h, max_dim)]
+                        assert got == list(reference_walk(lam, h, max_dim)), \
+                            (parts, h.values, max_dim)
+                        fillings += len(got)
+        assert cases == 4 * (1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 32)
+        assert fillings > 20_000
+
+
+class TestChecksOnBadInput:
+    """The per-cell checks of `enumerate_cells` still fire when fed bad data."""
+
+    lam, h = Composition([2, 1]), HessenbergFunction.springer(3)
+
+    def _tampered(self, monkeypatch, tamper):
+        walk = paving.iter_fillings
+
+        def tampered(lam, h, max_dim=None):
+            for rows, word, pos, dim in walk(lam, h, max_dim):
+                yield tamper(rows, list(word), pos, dim)
+
+        monkeypatch.setattr(paving, "iter_fillings", tampered)
+
+    def test_walk_count_disagreeing_with_kernel_raises(self, monkeypatch):
+        self._tampered(monkeypatch, lambda rows, word, pos, dim: (rows, word, pos, dim + 1))
+        with pytest.raises(RuntimeError, match="walk counted"):
+            enumerate_cells(self.lam, self.h)
+
+    def test_kernel_counts_pair_by_pair(self, monkeypatch):
+        # drop the kernel's last pair: the count check sees it at once
+        kernel = paving._inversion_pairs
+        monkeypatch.setattr(paving, "_inversion_pairs", lambda *a: kernel(*a)[:-1])
+        with pytest.raises(RuntimeError, match="walk counted"):
+            enumerate_cells(self.lam, self.h)
+
+    def test_word_that_is_not_a_permutation_raises(self, monkeypatch):
+        self._tampered(monkeypatch, lambda rows, word, pos, dim: (rows, [1] * len(word), pos, dim))
+        with pytest.raises(ValueError, match="not a permutation"):
+            enumerate_cells(self.lam, self.h)
+
+    def test_pair_with_smaller_index_first_raises(self, monkeypatch):
+        kernel = paving._inversion_pairs
+        monkeypatch.setattr(paving, "_inversion_pairs",
+                            lambda *a: [(l, k) for k, l in kernel(*a)])
+        with pytest.raises(ValueError, match="larger index first"):
+            enumerate_cells(self.lam, self.h)
+        with pytest.raises(ValueError, match="larger index first"):
+            InversionSet([(2, 1), (3, 3)])
 
 
 class TestPoincareRecursion:
@@ -725,6 +848,21 @@ class TestMaximalCells:
                 for h in all_hessenberg_functions(n):
                     ok, witness = maximal_cells_are_standard(enumerate_cells(lam, h))
                     assert ok, witness
+
+    def test_reads_the_tableau_of_top_cells_only(self, monkeypatch):
+        lam, h = Composition([3, 2, 1]), HessenbergFunction([0, 1, 1, 2, 4, 5])
+        cells = enumerate_cells(lam, h)
+        top = max(c.dim for c in cells)
+        built = []
+        init = Tableau.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tableau, "__init__", counting)
+        assert maximal_cells_are_standard(cells) == (True, None)
+        assert 0 < len(built) == sum(c.dim == top for c in cells) < len(cells)
 
     def test_profile_domination(self):
         # d_R <= d_std(R) with a strict inequality for non-standard R

@@ -1,10 +1,33 @@
 import ast
 import importlib
+import warnings
 from pathlib import Path
+
+import pytest
 
 import hesspave
 
 SOURCES = sorted(Path(hesspave.__file__).parent.glob("*.py"))
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+
+
+def test_one_version_string():
+    # pyproject reads the version from hesspave.__version__ instead of
+    # stating its own
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    attr = project["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "hesspave.__version__"
+    try:
+        from setuptools.config.pyprojecttoml import read_configuration
+    except ImportError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expanded = read_configuration(PYPROJECT)
+    assert expanded["project"]["version"] == hesspave.__version__
 
 
 def test_no_assert_statements():
