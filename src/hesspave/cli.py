@@ -5,7 +5,7 @@ JSON is the canonical output format and is byte-deterministic for a fixed
 configuration (including the seed); CSV and text are convenience views.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
-exceeded.
+or resource limit exceeded (the F_q budget, the recursion limit or memory).
 
 Only `count` and `verify` search over F_q, so only they import the numpy
 layer (`oracle`, and `verify`, which builds on it); the exact commands
@@ -156,28 +156,24 @@ def cmd_cells(args, lam: Composition, h: HessenbergFunction) -> int:
     cells = enumerate_cells(lam, h)
     payload = _header(args, lam, h)
     payload["cells"] = [
-        {
-            "w": c.w.word,
-            "tableau": c.rows,
-            "inversions": c.hess_inv.sorted_pairs(),
-            "dim": c.dim,
-        }
+        {"w": c.word, "tableau": c.rows, "inversions": c.pairs, "dim": c.dim}
         for c in cells
     ]
     payload["count"] = len(cells)
 
     def csv_rows() -> list[str]:
         return ["w;dim;inversions"] + [
-            ",".join(str(v) for v in c.w.word)
+            ",".join(map(str, c.word))
             + f";{c.dim};"
-            + " ".join(f"({k},{l})" for k, l in c.hess_inv.sorted_pairs())
+            + " ".join(f"({k},{l})" for k, l in c.pairs)
             for c in cells
         ]
 
     def text() -> str:
         lines = [f"{len(cells)} cells for lambda={lam}, h={h}"]
         for c in cells:
-            lines.append(f"w={c.w}  dim={c.dim}  inv={c.hess_inv.sorted_pairs()}")
+            w = ",".join(map(str, c.word))
+            lines.append(f"w=[{w}]  dim={c.dim}  inv={list(c.pairs)}")
         return "\n".join(lines)
 
     _emit(args, payload, csv_rows, text)
@@ -421,6 +417,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        print("resource limit: recursion too deep for this input", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("resource limit: out of memory for this input", file=sys.stderr)
         return EXIT_BUDGET
 
 

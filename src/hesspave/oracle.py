@@ -69,7 +69,7 @@ class CountReport:
         cls, q: int, per_cell: dict[tuple[int, ...], int], cells: list[CellDescriptor]
     ) -> "CountReport":
         """Compare brute-force counts per w with the q^dim of each paving cell."""
-        expected = {c.w.word: q**c.dim for c in cells}
+        expected = {c.word: q**c.dim for c in cells}
         total = sum(per_cell.values())
         predicted = sum(expected.values())
         match = total == predicted and all(

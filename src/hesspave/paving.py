@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import starmap
-from operator import itemgetter, le
+from operator import attrgetter, le
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
@@ -56,14 +56,16 @@ class InversionSet:
 
 
 @lru_cache(maxsize=None)
-def _pair_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """table[l][k] == (k, l) for 0 <= k, l <= n.
+def _pair_table(n: int) -> list[tuple[tuple[int, int], ...] | None]:
+    """Rows of shared pair tuples for size n: table[l][k] == (k, l), 0 <= k <= n.
 
     Every inversion set of a size-n filling shares these tuples, so a cell
     table of many cells does not allocate (and garbage-collect) one tuple
-    per pair.
+    per pair.  Row l starts as None and `_inversion_pairs` fills it the first
+    time it finds a pair (k, l), so a shape whose cells have few pairs never
+    pays for the (n+1)^2 tuples of a full table.
     """
-    return tuple(tuple((k, l) for k in range(n + 1)) for l in range(n + 1))
+    return [None] * (n + 1)
 
 
 def _inversion_pairs(
@@ -88,6 +90,8 @@ def _inversion_pairs(
         for k in range(l + 1, bound + 1):
             rk, ck = pos[k]
             if ck < cl or (ck == cl and rk > rl):
+                if with_l is None:
+                    with_l = table[l] = tuple((kk, l) for kk in range(n + 1))
                 pairs.append(with_l[k])
     return pairs
 
@@ -114,17 +118,26 @@ def springer_inversions(w: Permutation, lam: Composition) -> InversionSet:
 class CellDescriptor:
     """One affine cell of the paving: C_w meets Hess(X_lambda,h) in C^dim.
 
-    `rows` is the filling R(w) as it came from the walk.  The validated
-    `tableau` and the Springer inversions inv_lambda(w) are built on first
-    read and cached, so a cell table that only lists w, R(w) and
-    inv_{lambda,h}(w) never pays for them.
+    The fields are what the walk produced: the one-line `word` of w, the
+    filling R(w) as `rows` and inv_{lambda,h}(w) as `pairs`, sorted by
+    (k, l).  The views `w`, `hess_inv`, `tableau` and the Springer
+    inversions inv_lambda(w) are built on first read and cached, so a cell
+    table that only lists w, R(w) and inv_{lambda,h}(w) never pays for them.
     """
 
-    w: Permutation
-    hess_inv: InversionSet
-    dim: int
+    word: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
+    pairs: tuple[tuple[int, int], ...]
+    dim: int
     h: HessenbergFunction
+
+    @cached_property
+    def w(self) -> Permutation:
+        return Permutation(self.word)
+
+    @cached_property
+    def hess_inv(self) -> InversionSet:
+        return InversionSet(self.pairs)
 
     @cached_property
     def tableau(self) -> Tableau:
@@ -254,30 +267,36 @@ def iter_fillings(
 def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescriptor]:
     """All affine cells of Hess(X_lambda, h), sorted by the one-line word of w.
 
-    An empty list signals that the variety is empty.  Each descriptor is
-    built from what the walk holds: the frozen rows, w validated as a
-    permutation (so no box took two values) and inv_{lambda,h}(w) from the
-    pair kernel `_inversion_pairs`.  The walk counts each cell's inversions
-    on its own; a kernel set whose size disagrees with that count raises
-    RuntimeError.  The tableau and the Springer inversions are left to the
-    descriptor's first read.
+    An empty list signals that the variety is empty.  Each descriptor holds
+    what the walk produced: the frozen rows, the word of w and the pairs of
+    inv_{lambda,h}(w) from the pair kernel `_inversion_pairs`.  Every cell is
+    checked as it is built: each pair must have the larger index first
+    (ValueError), the walk counts each cell's inversions on its own and a
+    kernel list whose size disagrees with that count raises RuntimeError,
+    and the word must take each of 1..n once, so no box took two values
+    (ValueError).  `Permutation`, `InversionSet` and `Tableau` are left to
+    the descriptor's first read.
     """
     hv = h.values
     n = lam.n
-    found = []
+    values = set(range(1, n + 1))
+    cells = []
     for grid, word, pos, dim in iter_fillings(lam, h):
         rows = tuple(map(tuple, grid))
-        hess = InversionSet(_inversion_pairs(rows, pos, hv, n))
-        if len(hess) != dim:
+        pairs = _inversion_pairs(rows, pos, hv, n)
+        if any(starmap(le, pairs)):
+            raise ValueError("inversion pairs must have the larger index first")
+        if len(pairs) != dim:
             raise RuntimeError(
-                f"walk counted {dim} inversions for {rows}, descriptor has {len(hess)}"
+                f"walk counted {dim} inversions for {rows}, descriptor has {len(pairs)}"
             )
-        found.append((tuple(word), hess, dim, rows))
-    found.sort(key=itemgetter(0))
-    return [
-        CellDescriptor(Permutation(word), hess, dim, rows, h)
-        for word, hess, dim, rows in found
-    ]
+        word = tuple(word)
+        if set(word) != values:
+            raise ValueError(f"not a permutation of 1..{n}: {word}")
+        pairs.sort()
+        cells.append(CellDescriptor(word, rows, tuple(pairs), dim, h))
+    cells.sort(key=attrgetter("word"))
+    return cells
 
 
 @dataclass(frozen=True)

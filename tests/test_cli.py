@@ -36,29 +36,29 @@ class TestCells:
         _, out2, _ = run(capsys, "cells", "--lambda", "2,2,1", "--h", "0,1,1,2,3")
         assert out1 == out2
 
-    def test_table_builds_no_tableau_and_no_springer_set(self, capsys, monkeypatch):
-        # the walk supplies w, R(w) and inv_{lambda,h}(w); the validated
-        # Tableau and inv_lambda(w) of each cell are left unbuilt
-        from hesspave import paving
-        from hesspave.combinatorics import Composition, Tableau, base_filling
+    def test_table_builds_no_view_per_cell(self, capsys, monkeypatch):
+        # `cells` prints the descriptors' word, rows and pairs; no cell
+        # builds its Permutation, InversionSet (Hessenberg or Springer) or
+        # Tableau
+        from hesspave.combinatorics import Composition, Permutation, Tableau, base_filling
+        from hesspave.paving import InversionSet
 
-        base_filling(Composition([3, 3, 2, 2]))
-        calls = []
+        for parts in ([3, 2, 2, 1], [3, 3, 2, 2]):
+            base_filling(Composition(parts))
+        built = []
+        for cls in (Permutation, InversionSet, Tableau):
+            init = cls.__init__
 
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
+            def counting(self, *args, init=init, name=cls.__name__):
+                built.append(name)
+                init(self, *args)
 
-        monkeypatch.setattr(Tableau, "__init__", counted(Tableau.__init__))
-        for name in ("_tableau_inversions", "springer_inversions"):
-            monkeypatch.setattr(paving, name, counted(getattr(paving, name)))
-        code, out, _ = run(capsys, "cells", "--lambda", "3,3,2,2",
-                           "--h", "0,0,1,2,3,4,5,6,7,8")
-        assert code == 0
-        assert json.loads(out)["count"] > 1000
-        assert calls == []
+            monkeypatch.setattr(cls, "__init__", counting)
+        for argv in (["--lambda", "3,2,2,1"], ["--lambda", "3,3,2,2", "--h", "0,0,1,2,3,4,5,6,7,8"]):
+            code, out, _ = run(capsys, "cells", *argv, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["count"] > 1000
+        assert built == []
 
     def test_csv(self, capsys):
         code, out, _ = run(
@@ -389,6 +389,23 @@ class TestInputErrors:
         code, _, err = run(capsys, "count", "--lambda", "2,1", "--q", "2", "--workers", workers)
         assert code == 2
         assert err == "input error: --workers must be >= 1\n"
+
+
+class TestResourceLimits:
+    """Running out of stack or memory is one stderr line and exit 3."""
+
+    def test_recursion_limit_exits_3(self, capsys):
+        # poincare's memoized recursion is n deep
+        code, out, err = run(capsys, "poincare", "--lambda", "1000")
+        assert code == 3
+        assert out == ""
+        assert err == "resource limit: recursion too deep for this input\n"
+
+    def test_out_of_memory_exits_3(self, capsys):
+        code, out, err = run(capsys, "cells", "--lambda", "99999999999999")
+        assert code == 3
+        assert out == ""
+        assert err == "resource limit: out of memory for this input\n"
 
 
 class TestParser:

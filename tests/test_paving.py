@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 from math import factorial, prod
 
@@ -254,14 +255,14 @@ def nonzero(profile):
 
 
 def descriptor_cases():
-    """Every composition with n <= 5 under every h, and every partition with
-    n = 6 under the Springer h and two others."""
+    """Every composition with n <= 5 under every h, and every composition
+    with n = 6 under the Springer h and two others."""
     for n in range(1, 6):
         for parts in compositions(n):
             for h in all_hessenberg_functions(n):
                 yield Composition(parts), h
     others = [HessenbergFunction([0, 1, 1, 1, 3, 4]), HessenbergFunction([0, 0, 1, 2, 3, 3])]
-    for parts in partitions(6):
+    for parts in compositions(6):
         for h in [HessenbergFunction.springer(6)] + others:
             yield Composition(parts), h
 
@@ -276,6 +277,10 @@ class TestCellDescriptors:
             cases += 1
             for c in enumerate_cells(lam, h):
                 cells_seen += 1
+                # the slim fields against the views built from them
+                assert c.w == Permutation(c.word)
+                assert c.pairs == tuple(c.hess_inv.sorted_pairs())
+                assert c.tableau.rows == c.rows
                 assert tableau_of(c.w, lam).rows == c.tableau.rows
                 assert permutation_of_tableau(c.tableau) == c.w
                 assert c.hess_inv == hessenberg_inversions(c.w, lam, h)
@@ -284,27 +289,43 @@ class TestCellDescriptors:
                 assert c.hess_inv.pairs == reference_inversions(grid, h)[0]
                 assert c.springer_inv.pairs == reference_inversions(grid, springer)[0]
                 assert nonzero(inversion_profile(c.tableau, h)) == reference_profile(grid, h)
-        assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 3 * 11
+        assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 3 * 32
         assert cells_seen > 10_000
 
-    def test_tableau_and_springer_set_are_built_once_when_read(self, monkeypatch):
+    def test_views_are_built_once_on_first_read(self, monkeypatch):
         lam, h = Composition([2, 2, 1]), HessenbergFunction([0, 1, 1, 2, 3])
         base_filling(lam)
         built = []
-        init = Tableau.__init__
+        for cls in (Permutation, InversionSet, Tableau):
+            init = cls.__init__
 
-        def counting(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
+            def counting(self, *args, init=init, name=cls.__name__):
+                built.append(name)
+                init(self, *args)
 
-        monkeypatch.setattr(Tableau, "__init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         cells = enumerate_cells(lam, h)
         assert cells and built == []
         c = cells[-1]
-        assert c.springer_inv is c.springer_inv
-        assert c.tableau is c.tableau
-        assert len(built) == 1
-        assert c.springer_inv == springer_inversions(c.w, lam)
+        first = c.w, c.hess_inv, c.tableau, c.springer_inv
+        again = c.w, c.hess_inv, c.tableau, c.springer_inv
+        assert all(a is b for a, b in zip(first, again))
+        # one Tableau for the view, one InversionSet each for hess_inv and
+        # springer_inv (h is not Springer), and one Permutation
+        assert sorted(built) == ["InversionSet", "InversionSet", "Permutation", "Tableau"]
+
+    def test_one_row_of_many_boxes_allocates_no_pair_table(self):
+        # the pair table's rows are built on demand: a single row has no
+        # inversions, so none is built (a full table at n = 3000 is 9M tuples)
+        n = 3000
+        tracemalloc.start()
+        try:
+            cells = enumerate_cells(Composition([n]), HessenbergFunction.springer(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(c.word, c.dim) for c in cells] == [(tuple(range(1, n + 1)), 0)]
+        assert peak < 20 * 2**20
 
     def test_sort_trace_profiles_match_reference(self):
         # the trace's grids have None holes where rows of unequal length swap

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import hesspave.exactla
@@ -7,7 +9,7 @@ import hesspave.verify
 from hesspave.combinatorics import Composition, HessenbergFunction, Permutation, partitions
 from hesspave.exactla import ExactMatrix, generic_flag
 from hesspave.oracle import dw_equals_cell, springer_points
-from hesspave.paving import enumerate_cells
+from hesspave.paving import CellDescriptor, enumerate_cells
 from hesspave.verify import _check_symbolic, run_verification
 
 MODULES = (hesspave.exactla, hesspave.oracle, hesspave.paving, hesspave.verify)
@@ -160,3 +162,28 @@ def test_generic_flag_computes_inv_once(monkeypatch):
     calls = count_calls(monkeypatch, "springer_inversions")
     generic_flag(Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2]))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("parts, h", [
+    ((2, 2), HessenbergFunction.springer(4)),
+    ((2, 2, 1), HessenbergFunction([0, 0, 1, 2, 3])),
+])
+def test_each_cell_view_is_built_at_most_once(monkeypatch, parts, h):
+    # a descriptor builds w, hess_inv, tableau and springer_inv on first
+    # read and caches them, however many checks read them
+    built = Counter()
+    cells = []
+    for name in ("w", "hess_inv", "tableau", "springer_inv"):
+        view = CellDescriptor.__dict__[name]
+
+        def counting(cell, build=view.func, name=name):
+            built[name, id(cell)] += 1
+            cells.append(cell)  # keeps ids unique for the whole run
+            return build(cell)
+
+        # the view's own caching stays in place; only its builder is counted
+        monkeypatch.setattr(view, "func", counting)
+    report = run_verification(Composition(parts), h, q=2)
+    assert report.passed
+    assert {name for name, _ in built} == {"w", "hess_inv", "tableau", "springer_inv"}
+    assert max(built.values()) == 1
