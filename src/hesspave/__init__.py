@@ -76,7 +76,6 @@ __version__ = "0.1.0"
 
 _FQ_NAMES = frozenset({
     "CountReport",
-    "cell_point_count",
     "conjugation_invariance",
     "dw_equals_cell",
     "run_verification",
@@ -91,7 +90,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .oracle import (
         CountReport,
-        cell_point_count,
         conjugation_invariance,
         dw_equals_cell,
         springer_points,

@@ -108,8 +108,6 @@ def _search_inputs(args) -> int | None:
         problems.append("--budget-bits must be >= 1")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         problems.append("--seed must be >= 0")
-    if args.workers < 1:
-        problems.append("--workers must be >= 1")
     q = args.q
     if q is not None:
         try:
@@ -227,9 +225,7 @@ def cmd_verify(args, lam: Composition, h: HessenbergFunction) -> int:
     from .verify import run_verification
 
     q = _search_inputs(args)
-    report = run_verification(
-        lam, h, q=q, budget_bits=args.budget_bits, seed=args.seed, workers=args.workers
-    )
+    report = run_verification(lam, h, q=q, budget_bits=args.budget_bits, seed=args.seed)
     payload = _header(args, lam, h)
     if args.seed is not None:
         payload["seed"] = args.seed
@@ -310,9 +306,7 @@ def cmd_count(args, lam: Composition, h: HessenbergFunction) -> int:
     q = _search_inputs(args)
     if q is None:
         raise InputError("--q is required for count")
-    report = variety_point_count(
-        lam, h, q, budget_bits=args.budget_bits, workers=args.workers
-    )
+    report = variety_point_count(lam, h, q, budget_bits=args.budget_bits)
     payload = _header(args, lam, h)
     payload.update(report.to_json())
 
@@ -381,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile": cmd_profile,
     }
     for name, func in commands.items():
-        # no prefix matching: `cells --w` must not read as `--workers`
+        # no prefix matching: `--w` must not read as the hidden slot below
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--lambda", dest="lam", required=True,
                        help="comma-separated row lengths, e.g. 2,2,2")
@@ -392,13 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("count", "verify"):
             p.add_argument("--q", type=int, default=None, help="prime field size")
             p.add_argument("--budget-bits", type=int, default=24)
-            p.add_argument("--workers", type=int, default=1)
         if name == "verify":
             p.add_argument("--seed", type=int, default=None)
         if name in ("generic-flag", "profile"):
             p.add_argument("--w", default=None,
                            help="comma-separated one-line notation")
-        if name in ("cells", "poincare"):
+        if name in ("cells", "poincare", "count", "verify"):
             # Accepted and never read: the benchmark appends `--workers 1` to
             # every op and keys its output digests by that argv
             # (perfbench/workloads.py, perfbench/digests.json).

@@ -42,9 +42,6 @@ class Composition:
         """Row indices (1-based, top to bottom) of the boxes in column `col`."""
         return [i + 1 for i, p in enumerate(self.parts) if p >= col]
 
-    def as_partition(self) -> tuple[int, ...]:
-        return tuple(sorted(self.parts, reverse=True))
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 

@@ -193,19 +193,6 @@ class Poly:
             }
         )
 
-    def monomial_list(self) -> list[dict]:
-        """Serialization: sorted list of {coeff, vars} records."""
-        out = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            out.append(
-                {
-                    "coeff": str(c),
-                    "vars": [[a, b, e] for (a, b), e in mono],
-                }
-            )
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -18,16 +18,14 @@ elimination in the order w(1), w(2), ...; the last nonzero coefficient is
 m_j, the lowest nonzero row of column j of g^{-1} X g.  With b the
 pointwise max of the requested h's, a branch is cut as soon as some X g_j
 does not reduce to 0 against g_1..g_{b(j)}, and each surviving point keeps
-its m-vector, so every h is answered at once by m <= h.  Fixing a prefix of
-w restricts the same search to one cell (or, with one value, to the cells
-of one w(1)); the exact Springer-fiber points that the generic-flag and
-factorization checks walk come from it.
+its m-vector, so every h is answered at once by m <= h.  Fixing w restricts
+the same search to one cell; the exact Springer-fiber points that the
+generic-flag and factorization checks walk come from it.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -231,20 +229,6 @@ def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> n
     return _leaves(w, x, q, bound)[_M].T
 
 
-def cell_point_count(
-    w: Permutation,
-    lam: Composition,
-    h: HessenbergFunction,
-    q: int,
-    budget_bits: int = 24,
-) -> int:
-    """|{u in U^w(F_q) : uwE_ in Hess(X_lambda, h)}| by exhaustive search."""
-    FieldSpec(q)
-    _check_budget(w.length() * log2(q), budget_bits)
-    x = _np_matrix(nilpotent_matrix(lam))
-    return len(_m_vectors(w, x, q, h.values))
-
-
 def _np_matrix(m: ExactMatrix) -> np.ndarray:
     return np.array([[int(x) for x in row] for row in m.rows], dtype=np.int64)
 
@@ -254,14 +238,12 @@ def flag_point_counts(
     hs: list[HessenbergFunction],
     q: int,
     budget_bits: int = 24,
-    workers: int = 1,
 ) -> list[dict[tuple[int, ...], int]]:
     """For each h, the points of every Schubert cell C_w in Hess(x, h)(F_q).
 
     One pruned search over every w answers every h, and each batch of its
-    points is tallied by w's rank and dropped; with workers > 1 the search
-    is split by w(1) over a thread pool.  The work budget is checked against
-    the size of the whole flag variety.  The entries of x are read as
+    points is tallied by w's rank and dropped.  The work budget is checked
+    against the size of the whole flag variety.  The entries of x are read as
     integers mod q.
     """
     FieldSpec(q)
@@ -276,20 +258,12 @@ def flag_point_counts(
     # the lexicographic rank of w from its Lehmer code
     place = np.array([factorial(n - 1 - j) for j in range(n)])
 
-    def count(prefix: tuple[int, ...]) -> np.ndarray:
-        counts = np.zeros((len(hs), factorial(n)), dtype=np.int64)
-        for nodes in _search(xq, q, bound, prefix):
-            rank = place @ nodes[_LEHMER]
-            ok = np.all(nodes[_M] <= hv[:, :, None], axis=1)
-            for hi in range(len(hs)):
-                counts[hi] += np.bincount(rank[ok[hi]], minlength=counts.shape[1])
-        return counts
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(count, [(v,) for v in range(1, n + 1)]))
-    else:
-        counts = count(())
+    counts = np.zeros((len(hs), factorial(n)), dtype=np.int64)
+    for nodes in _search(xq, q, bound):
+        rank = place @ nodes[_LEHMER]
+        ok = np.all(nodes[_M] <= hv[:, :, None], axis=1)
+        for hi in range(len(hs)):
+            counts[hi] += np.bincount(rank[ok[hi]], minlength=counts.shape[1])
     # itertools lists the permutations in rank order
     perms = list(itertools.permutations(range(1, n + 1)))
     return [dict(zip(perms, row)) for row in counts.tolist()]
@@ -300,10 +274,9 @@ def variety_point_counts(
     hs: list[HessenbergFunction],
     q: int,
     budget_bits: int = 24,
-    workers: int = 1,
 ) -> list[CountReport]:
     """CountReports of Hess(X_lambda, h) for several h at once."""
-    counts = flag_point_counts(nilpotent_matrix(lam), hs, q, budget_bits, workers)
+    counts = flag_point_counts(nilpotent_matrix(lam), hs, q, budget_bits)
     return [
         CountReport.from_counts(q, per_cell, enumerate_cells(lam, h))
         for per_cell, h in zip(counts, hs)
@@ -315,10 +288,9 @@ def variety_point_count(
     h: HessenbergFunction,
     q: int,
     budget_bits: int = 24,
-    workers: int = 1,
 ) -> CountReport:
     """Brute-force count of |Hess(X_lambda, h)(F_q)| versus the paving."""
-    return variety_point_counts(lam, [h], q, budget_bits, workers)[0]
+    return variety_point_counts(lam, [h], q, budget_bits)[0]
 
 
 def springer_points(

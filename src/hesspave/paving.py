@@ -204,8 +204,8 @@ def iter_fillings(
     and positions already known.
 
     Many prefixes reach one state (rem, bounds), so each state's children
-    are expanded once and kept, as `poincare` keeps its counts; the walk
-    itself is one explicit stack of child iterators.
+    are expanded once and kept, the states that `poincare` visits level by
+    level; the walk itself is one explicit stack of child iterators.
 
     Yields (rows, word, pos, dim): the filling R(w), the one-line word of w,
     the map value -> (row, column) and the dimension.  The rows, word and pos
@@ -315,10 +315,12 @@ class PoincareData:
 
 
 def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
-    """Cell-dimension histogram by the n -> n-1 deletion recursion, memoized.
+    """Cell-dimension histogram by the n -> n-1 deletion step, level by level.
 
-    Each state of `_placements` is counted once, however many partial
-    fillings reach it.
+    Level m maps each state of `_placements` that some placement of n..m+1
+    reaches to the dimension histogram of the partial fillings that reach
+    it, so each state is expanded once, however many fillings pass through
+    it, and no recursion bounds n.
     """
     n = lam.n
     if n != h.n:
@@ -327,28 +329,21 @@ def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
         return PoincareData(())
     hv = h.values
     nrows = lam.num_rows
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
-
-    def count(m: int, rem: tuple[int, ...], bounds: tuple[int, ...]) -> list[int]:
-        if m == 0:
-            return [1]
-        key = (rem, bounds)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total: list[int] = []
-        for _, child_rem, child_bounds, gain in _placements(m, rem, bounds, hv, nrows):
-            sub = count(m - 1, child_rem, child_bounds)
-            if not sub:
-                continue
-            if len(total) < gain + len(sub):
-                total.extend([0] * (gain + len(sub) - len(total)))
-            for d, v in enumerate(sub, start=gain):
-                total[d] += v
-        memo[key] = total
-        return total
-
-    return PoincareData(tuple(count(n, lam.parts, (n,) * nrows)))
+    level: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {
+        (lam.parts, (n,) * nrows): [1]
+    }
+    for m in range(n, 0, -1):
+        below: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+        for (rem, bounds), hist in level.items():
+            for _, child_rem, child_bounds, gain in _placements(m, rem, bounds, hv, nrows):
+                total = below.setdefault((child_rem, child_bounds), [])
+                if len(total) < gain + len(hist):
+                    total.extend([0] * (gain + len(hist) - len(total)))
+                for d, v in enumerate(hist, start=gain):
+                    total[d] += v
+        level = below
+    # every complete filling ends in the one state with all rows empty
+    return PoincareData(tuple(level.get(((0,) * nrows, (0,) * nrows), ())))
 
 
 def r0_tableau(lam: Composition, h: HessenbergFunction) -> Tableau | None:

@@ -160,7 +160,6 @@ def run_verification(
     q: int | None = None,
     budget_bits: int = 24,
     seed: int | None = None,
-    workers: int = 1,
 ) -> VerifyReport:
     """Run every invariant suite that applies to (lambda, h) and optional q.
 
@@ -184,7 +183,7 @@ def run_verification(
             flags = [generic_flag(c.w, lam) for c in springer_cells]
             checks.append(_check_symbolic(lam, springer_cells, flags))
         if q is not None:
-            counts = flag_point_counts(nilpotent_matrix(lam), [h], q, budget_bits, workers)
+            counts = flag_point_counts(nilpotent_matrix(lam), [h], q, budget_bits)
             report = CountReport.from_counts(q, counts[0], cells)
             witness = f"total={report.total}, predicted={report.predicted}"
             checks.append(CheckResult("point-count-identity", report.match,

@@ -371,10 +371,10 @@ class TestInputErrors:
 
     def test_every_violated_search_flag_listed(self, capsys):
         code, _, err = run(capsys, "verify", "--lambda", "2", "--q", "4", "--budget-bits",
-                           "0", "--seed", "-1", "--workers", "0")
+                           "0", "--seed", "-1")
         assert code == 2
         assert err == ("input error: --budget-bits must be >= 1; --seed must be >= 0; "
-                       "--workers must be >= 1; --q: q must be a prime <= 13, got 4\n")
+                       "--q: q must be a prime <= 13, got 4\n")
 
     @pytest.mark.parametrize("command", ["count", "verify"])
     @pytest.mark.parametrize("q", ["0", "1", "4", "17"])
@@ -384,22 +384,26 @@ class TestInputErrors:
         assert out == ""
         assert err == f"input error: --q: q must be a prime <= 13, got {q}\n"
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_bad_workers_flag(self, capsys, workers):
-        code, _, err = run(capsys, "count", "--lambda", "2,1", "--q", "2", "--workers", workers)
-        assert code == 2
-        assert err == "input error: --workers must be >= 1\n"
-
 
 class TestResourceLimits:
     """Running out of stack or memory is one stderr line and exit 3."""
 
-    def test_recursion_limit_exits_3(self, capsys):
-        # poincare's memoized recursion is n deep
-        code, out, err = run(capsys, "poincare", "--lambda", "1000")
+    def test_recursion_limit_exits_3(self, capsys, monkeypatch):
+        def too_deep(lam, h):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "poincare", too_deep)
+        code, out, err = run(capsys, "poincare", "--lambda", "2,1")
         assert code == 3
         assert out == ""
         assert err == "resource limit: recursion too deep for this input\n"
+
+    def test_poincare_depth_is_not_bounded_by_the_stack(self, capsys):
+        # one row of 1000 boxes is one cell; poincare walks its levels in a loop
+        code, out, err = run(capsys, "poincare", "--lambda", "1000")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["coefficients"] == [1]
 
     def test_out_of_memory_exits_3(self, capsys):
         code, out, err = run(capsys, "cells", "--lambda", "99999999999999")
@@ -412,36 +416,28 @@ class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_workers_flag_reaches_count(self, capsys, monkeypatch):
-        from hesspave import oracle
-
-        seen = []
-
-        def fake_count(lam, h, q, budget_bits, workers):
-            seen.append(workers)
-            raise cli.BudgetExceededError("stop")
-
-        monkeypatch.setattr(oracle, "variety_point_count", fake_count)
+    def test_workers_slot_is_not_read_by_count(self, capsys):
         argv = ["count", "--lambda", "2,1", "--q", "2"]
-        assert run(capsys, *argv)[0] == 3
-        assert run(capsys, *argv, "--workers", "4")[0] == 3
-        assert seen == [1, 4]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        assert run(capsys, *argv, "--workers", "0") == plain
 
-    def test_flags_per_command(self):
+    def test_flags_per_command(self, capsys):
         # every command reads --lambda, --h, --format and --out; the F_q
         # search flags belong to count and verify, --seed to verify alone;
-        # cells and poincare accept --workers without reading it
+        # the four benchmarked commands accept --workers without reading it
         dests = {"--lambda": "lam", "--h": "h", "--format": "format", "--out": "out",
                  "--q": "q", "--budget-bits": "budget_bits", "--workers": "workers",
                  "--seed": "seed", "--w": "w"}
-        search = {"--q", "--budget-bits", "--workers"}
+        search = {"--q", "--budget-bits"}
+        hidden = {"--workers"}
         extra = {
-            "cells": {"--workers"},
-            "poincare": {"--workers"},
+            "cells": hidden,
+            "poincare": hidden,
             "r0": set(),
-            "verify": search | {"--seed"},
+            "verify": search | hidden | {"--seed"},
             "generic-flag": {"--w"},
-            "count": search,
+            "count": search | hidden,
             "profile": {"--w"},
         }
         parser = build_parser()
@@ -449,6 +445,11 @@ class TestParser:
             accepted = {"--lambda", "--h", "--format", "--out"} | flags
             ns = parser.parse_args([command, "--lambda", "2,1"])
             assert set(vars(ns)) == {"command", "func"} | {dests[f] for f in accepted}
+            if flags & hidden:
+                assert ns.workers is None, command
+                with pytest.raises(SystemExit):
+                    main([command, "--help"])
+                assert "--workers" not in capsys.readouterr().out, command
             for flag in set(dests) - accepted:
                 with pytest.raises(SystemExit) as exc:
                     main([command, "--lambda", "2,1", flag, "1"])
@@ -527,6 +528,14 @@ print(json.dumps(seen))
         for command in ("cells", "poincare", "r0", "profile", "generic-flag"):
             assert loaded[command] == [0, False, False], command
         assert loaded["count"] == [0, True, True]
+
+    def test_fq_layer_loads_no_thread_pool(self):
+        loaded = _fresh_python("""
+import json, sys
+import hesspave.verify
+print(json.dumps("concurrent.futures" in sys.modules))
+""")
+        assert loaded is False
 
     def test_package_names_resolve_on_first_access(self):
         seen = _fresh_python("""

@@ -43,7 +43,6 @@ class TestComposition:
         assert lam.num_cols == 3
         assert lam.column_rows(2) == [1, 2]
         assert lam.column_rows(3) == [2]
-        assert lam.as_partition() == (3, 2, 1, 1)
 
 
 class TestHessenbergFunction:

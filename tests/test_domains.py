@@ -72,13 +72,6 @@ class TestPoly:
         assert repr(Poly.var(1, 2)) == "x12"
         assert repr(Poly.const(1) - Poly.var(1, 2)) == "1 - x12"
 
-    def test_monomial_list(self):
-        p = Poly.var(1, 2) * Poly.var(1, 2) + 2
-        assert p.monomial_list() == [
-            {"coeff": "2", "vars": []},
-            {"coeff": "1", "vars": [[1, 2, 2]]},
-        ]
-
     def test_domain_constants(self):
         assert POLYNOMIALS.zero() == Poly()
         assert POLYNOMIALS.from_int(5) == Poly.const(5)

@@ -34,7 +34,6 @@ from hesspave.oracle import (
     _m_vectors,
     _np_matrix,
     _random_gl,
-    cell_point_count,
     conjugation_invariance,
     dw_equals_cell,
     flag_point_counts,
@@ -191,48 +190,56 @@ class TestBatchArithmetic:
 
 
 class TestCellCounts:
+    """Points of single cells, read off the one search over every w."""
+
     def test_identity_cell_is_one_point(self):
-        assert cell_point_count(
-            Permutation.identity(2), Composition([2]), HessenbergFunction.springer(2), 2
-        ) == 1
+        lam = Composition([2])
+        [counts] = flag_point_counts(nilpotent_matrix(lam), [HessenbergFunction.springer(2)], 2)
+        assert counts[(1, 2)] == 1
 
     def test_non_row_strict_cell_empty(self):
         # the flag (e2+t e1 | ...) never satisfies X(V_1) <= V_0
+        lam = Composition([2])
         for q in (2, 3):
-            assert cell_point_count(
-                Permutation([2, 1]), Composition([2]), HessenbergFunction.springer(2), q
-            ) == 0
+            [counts] = flag_point_counts(
+                nilpotent_matrix(lam), [HessenbergFunction.springer(2)], q
+            )
+            assert counts[(2, 1)] == 0
 
     def test_cell_sizes_match_dimension(self):
         lam = Composition([2, 2])
         h = HessenbergFunction.springer(4)
         dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
+        [counts] = flag_point_counts(nilpotent_matrix(lam), [h], 2)
         for w in all_perms(4):
-            count = cell_point_count(w, lam, h, 2)
             if w.word in dims:
-                assert count == 2 ** dims[w.word]
+                assert counts[w.word] == 2 ** dims[w.word]
             else:
-                assert count == 0
+                assert counts[w.word] == 0
 
     def test_restricted_h_halves_cell(self):
         lam = Composition([2, 2, 2])
         w = Permutation([3, 6, 2, 1, 5, 4])
-        assert cell_point_count(w, lam, HessenbergFunction.springer(6), 2) == 64
-        assert cell_point_count(w, lam, HessenbergFunction([0, 1, 1, 1, 3, 4]), 2) == 32
-        # this h forbids the pair 1|2 in R(w) outright, so the cell is empty
-        assert cell_point_count(w, lam, HessenbergFunction([0, 0, 1, 1, 3, 4]), 2) == 0
+        hs = [
+            HessenbergFunction.springer(6),
+            HessenbergFunction([0, 1, 1, 1, 3, 4]),
+            # this h forbids the pair 1|2 in R(w) outright, so the cell is empty
+            HessenbergFunction([0, 0, 1, 1, 3, 4]),
+        ]
+        counts = flag_point_counts(nilpotent_matrix(lam), hs, 2)
+        assert [per_cell[w.word] for per_cell in counts] == [64, 32, 0]
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):
-            cell_point_count(
-                Permutation.identity(2), Composition([2]), HessenbergFunction.springer(2), 4
+            flag_point_counts(
+                nilpotent_matrix(Composition([2])), [HessenbergFunction.springer(2)], 4
             )
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            cell_point_count(
-                Permutation([4, 3, 2, 1]), Composition([4]),
-                HessenbergFunction.springer(4), 2, budget_bits=2,
+            flag_point_counts(
+                nilpotent_matrix(Composition([4])), [HessenbergFunction.springer(4)], 2,
+                budget_bits=2,
             )
 
 
@@ -268,25 +275,6 @@ class TestVarietyCounts:
         for q in (2, 3, 5):
             report = variety_point_count(lam, h, q)
             assert report.total == poincare(lam, h).evaluate(q)
-
-    def test_workers_agree(self):
-        lam = Composition([2, 1])
-        h = HessenbergFunction.springer(3)
-        a = variety_point_count(lam, h, 3, workers=1)
-        b = variety_point_count(lam, h, 3, workers=2)
-        assert a.per_cell == b.per_cell
-
-    def test_workers_agree_on_a_dense_conjugate(self):
-        # a random conjugate of X_lambda prunes little, so every w(1) carries
-        # work; the searches split by w(1) add up to the one search
-        lam, q = Composition([2, 2, 1]), 3
-        x = conjugate(_random_gl(5, q, np.random.default_rng(5)),
-                      nilpotent_matrix(lam, PrimeFieldDomain(q)))
-        hs = [HessenbergFunction.springer(5), HessenbergFunction([0, 1, 1, 2, 3])]
-        counts = flag_point_counts(x, hs, q, workers=1)
-        assert flag_point_counts(x, hs, q, workers=2) == counts
-        for per_cell, h in zip(counts, hs):
-            assert sum(per_cell.values()) == poincare(lam, h).evaluate(q)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):

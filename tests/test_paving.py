@@ -414,8 +414,8 @@ class TestPrunedWalk:
 
     @pytest.mark.parametrize("parts", [(3, 3, 2, 2), (2, 4, 3), (4, 1, 1, 1, 1)])
     def test_walk_expands_each_poincare_state_once(self, parts, monkeypatch):
-        # without pruning, the walk expands every state that the Poincare
-        # recursion counts, and each of them once
+        # without pruning, the walk expands every state that poincare's
+        # level loop counts, and each of them once
         calls = []
         step = paving._placements
 
@@ -527,7 +527,7 @@ class TestChecksOnBadInput:
 
 
 class TestPoincareRecursion:
-    """The memoized deletion recursion against the cell table."""
+    """The level-by-level deletion step of `poincare` against the cell table."""
 
     def test_matches_enumeration(self):
         shapes = [c for n in range(6) for c in compositions(n)] + list(partitions(6))
@@ -713,7 +713,7 @@ class TestSpringerClosedForm:
     def test_reordering_invariance_sampled_h(self):
         # X_lambda for a composition is conjugate to X of the sorted
         # partition, so Hess(X_lambda, h) and Hess(X_{sort lambda}, h) are
-        # isomorphic for every h, though the recursion runs on other states
+        # isomorphic for every h, though poincare runs on other states
         rng = random.Random(0)
         pairs = nonempty = 0
         for n in range(8, 13):
