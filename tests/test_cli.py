@@ -416,8 +416,9 @@ class TestParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_workers_slot_is_not_read_by_count(self, capsys):
-        argv = ["count", "--lambda", "2,1", "--q", "2"]
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    def test_workers_slot_is_not_read(self, capsys, command):
+        argv = [command, "--lambda", "2,1", "--q", "2"]
         plain = run(capsys, *argv)
         assert plain[0] == 0
         assert run(capsys, *argv, "--workers", "0") == plain

@@ -276,6 +276,17 @@ class TestVarietyCounts:
             report = variety_point_count(lam, h, q)
             assert report.total == poincare(lam, h).evaluate(q)
 
+    def test_dense_conjugate_sums_to_poincare(self):
+        # a random conjugate of X_lambda prunes little, so the search visits
+        # most of each w's flags; per h its cells still add up to P(q)
+        lam, q = Composition([2, 2, 1]), 3
+        x = conjugate(_random_gl(5, q, np.random.default_rng(5)),
+                      nilpotent_matrix(lam, PrimeFieldDomain(q)))
+        hs = [HessenbergFunction.springer(5), HessenbergFunction([0, 1, 1, 2, 3])]
+        counts = flag_point_counts(x, hs, q)
+        for per_cell, h in zip(counts, hs):
+            assert sum(per_cell.values()) == poincare(lam, h).evaluate(q)
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             variety_point_count(

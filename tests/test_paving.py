@@ -546,6 +546,14 @@ class TestPoincareRecursion:
         with pytest.raises(ValueError, match="size mismatch"):
             poincare(Composition([2, 1]), HessenbergFunction.springer(4))
 
+    def test_deep_subregular_is_a_chain_of_lines(self):
+        # the Springer fiber of a subregular nilpotent is a chain of n - 1
+        # projective lines, P = 1 + (n - 1)t, in either order of the parts;
+        # n = 1000 levels run with no recursion
+        h = HessenbergFunction.springer(1000)
+        for parts in [(999, 1), (1, 999)]:
+            assert poincare(Composition(parts), h).coeffs == (1, 999), parts
+
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_property_small(self, data):
