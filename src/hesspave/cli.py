@@ -37,6 +37,7 @@ from .paving import (
     inversion_profile,
     poincare,
     r0_tableau,
+    springer_inversions,
     zero_dim_cells,
 )
 
@@ -255,7 +256,7 @@ def cmd_generic_flag(args, lam: Composition, h: HessenbergFunction) -> int:
     w = _parse_w(args, lam.n)
     if not is_row_strict(tableau_of(w, lam)):
         raise InputError(f"R(w) is not row-strict for w={w}")
-    flag = generic_flag(w, lam)
+    flag = generic_flag(w, lam, springer_inversions(w, lam))
     zero_keys = hess_zero_coordinates(w, lam, h)
     columns = [
         [entry.subs_zero(zero_keys) for entry in col] for col in flag.columns

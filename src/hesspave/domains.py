@@ -98,7 +98,12 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 
 class Poly:
-    """Sparse multivariate polynomial over Q in variables x[a,b]."""
+    """Sparse multivariate polynomial over Q in variables x[a,b].
+
+    A Poly and its `terms` dict are never mutated after construction: the
+    arithmetic below returns an operand itself when the other side is 0 (or,
+    for a product, the constant 1), so results may share operands.
+    """
 
     __slots__ = ("terms",)
 
@@ -106,6 +111,13 @@ class Poly:
         self.terms: dict[Monomial, Fraction | int] = {
             m: c for m, c in (terms or {}).items() if c != 0
         }
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Fraction | int]) -> "Poly":
+        """Wrap a dict that already holds no zero coefficient, without a copy."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -122,35 +134,54 @@ class Poly:
             return Poly.const(other)
         return NotImplemented  # type: ignore[return-value]
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, term by term."""
+        if not other.terms:
+            return self
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = terms.get(m, 0) + sign * c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        return Poly._of(terms)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        terms = dict(self.terms)
-        for m, c in o.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Poly(terms)
+        return o if not self.terms else self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self + (-o)
+        if o is NotImplemented:
+            return o
+        return -o if not self.terms else self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else o + (-self)
+        return o if o is NotImplemented else o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        a, b = self.terms, o.terms
+        if not a or not b:
+            return Poly()
+        if len(b) == 1 and b.get(()) == 1:
+            return self
+        if len(a) == 1 and a.get(()) == 1:
+            return o
         terms: dict[Monomial, Fraction | int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 m = _mono_mul(m1, m2)
                 terms[m] = terms.get(m, 0) + c1 * c2
         return Poly(terms)

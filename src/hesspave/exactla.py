@@ -9,7 +9,8 @@ immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Iterator, Mapping, Sequence
 
 from .combinatorics import (
     Composition,
@@ -48,7 +49,9 @@ class ExactMatrix:
         return cls(domain, tuple(tuple(r) for r in rows))
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, domain: Domain, n: int) -> "ExactMatrix":
+        """The n x n identity, built once per (domain, n) and shared."""
         one, zero = domain.one(), domain.zero()
         return cls(domain, tuple(
             tuple(one if i == j else zero for j in range(n)) for i in range(n)
@@ -258,12 +261,6 @@ class UnipotentPattern:
         return sorted(self.free_positions)
 
 
-def _left_steps(base: Tableau, value: int, m: int) -> int | None:
-    """Value m boxes to the left of `value` in the base filling, or None."""
-    r, c = base.position(value)
-    return base.entry(r, c - m) if c - m >= 1 else None
-
-
 def bk_entries(
     w: Permutation,
     lam: Composition,
@@ -289,18 +286,18 @@ def bk_entries(
             f"{k} keys {sorted(expected)}"
         )
     base = base_filling(lam)
+    a = w(k)
+    ra, ca = base.position(a)
     entries = []
     for l in level:
-        x = coords[(w(k), w(l))]
-        m = 0
-        while True:
-            src = _left_steps(base, w(l), m)
-            if src is None:
-                break
-            tgt = _left_steps(base, w(k), m)
-            if tgt is not None:
-                entries.append((tgt, src, x))
-            m += 1
+        b = w(l)
+        x = coords[(a, b)]
+        rb, cb = base.position(b)
+        # X^m e_v is e of the box m columns left of v in the base filling
+        entries += [
+            (base.rows[ra - 1][ca - 1 - m], base.rows[rb - 1][cb - 1 - m], x)
+            for m in range(min(ca, cb))
+        ]
     return entries
 
 
@@ -349,32 +346,52 @@ class Flag:
         return ExactMatrix(self.domain, tuple(zip(*self.columns)))
 
 
+def _generic_products(
+    w: Permutation, lam: Composition, spr: InversionSet | None
+) -> Iterator[ExactMatrix]:
+    """The running products I, g_2, g_3 g_2, ..., g_n ... g_2 over the
+    polynomials, each g_k applied as row operations.
+
+    `spr` is inv_lambda(w) when the caller holds it (a cell's Springer set,
+    whose R(w) is row-strict); None computes it after checking R(w).
+    """
+    if spr is None:
+        if not is_row_strict(tableau_of(w, lam)):
+            raise ValueError("R(w) is not row-strict")
+        spr = springer_inversions(w, lam)
+    prod = ExactMatrix.identity(POLYNOMIALS, w.n)
+    yield prod
+    for k in range(2, w.n + 1):
+        prod = prod.add_row_multiples(
+            bk_entries(w, lam, spr, k, generic_coordinates(w, spr, k)))
+        yield prod
+
+
+def _flag_of(w: Permutation, prod: ExactMatrix) -> Flag:
+    """The flag with columns prod e_{w(1)}, ..., prod e_{w(n)}."""
+    cols = tuple(zip(*prod.rows))
+    return Flag(POLYNOMIALS, tuple(cols[v - 1] for v in w.word))
+
+
 def generic_flag_stages(w: Permutation, lam: Composition) -> list[Flag]:
     """The flags D_w^1, ..., D_w^n = generic points of g_k...g_2 wE_.
 
-    Stage k has columns g_k g_{k-1} ... g_2 e_{w(j)}; each g_k is applied
-    as row operations.
+    Stage k has columns g_k g_{k-1} ... g_2 e_{w(j)}.
     """
-    if not is_row_strict(tableau_of(w, lam)):
-        raise ValueError("R(w) is not row-strict")
-    n = w.n
-    spr = springer_inversions(w, lam)
-    prod = ExactMatrix.identity(POLYNOMIALS, n)
-    stages = []
-    stages.append(Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1))))
-    for k in range(2, n + 1):
-        prod = prod.add_row_multiples(
-            bk_entries(w, lam, spr, k, generic_coordinates(w, spr, k)))
-        stages.append(Flag(POLYNOMIALS, tuple(prod.column(w(j)) for j in range(1, n + 1))))
-    return stages
+    return [_flag_of(w, prod) for prod in _generic_products(w, lam, None)]
 
 
-def generic_flag(w: Permutation, lam: Composition) -> Flag:
+def generic_flag(
+    w: Permutation, lam: Composition, spr: InversionSet | None = None
+) -> Flag:
     """The generic point of D_w = B_n(w)...B_2(w) wE_, over the polynomial ring.
 
-    Parametrizes D_w as affine space of dimension |inv_lambda(w)|.
+    Parametrizes D_w as affine space of dimension |inv_lambda(w)|.  `spr` is
+    inv_lambda(w) when the caller already holds it; without it R(w) is
+    checked to be row-strict and inv_lambda(w) is computed here.
     """
-    return generic_flag_stages(w, lam)[-1]
+    *_, prod = _generic_products(w, lam, spr)
+    return _flag_of(w, prod)
 
 
 def _last_nonzero(v: Sequence) -> int | None:
@@ -455,8 +472,8 @@ def difference_residual(
     residual = list(flag.columns[l - 1])
     for idx, val in enumerate(x.apply(flag.columns[r - 1])):
         residual[idx] = residual[idx] - val
-    for k, ll in spr.sorted_pairs():
-        if ll == l:
+    for k in range(l + 1, w.n + 1):
+        if (k, l) in spr:
             coeff = Poly.var(w(k), w(l))
             for idx, val in enumerate(flag.columns[k - 1]):
                 residual[idx] = residual[idx] - coeff * val

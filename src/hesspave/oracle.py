@@ -143,26 +143,30 @@ def _child_table(f: int, q: int, t: int | None) -> tuple[np.ndarray, ...]:
 def _search(
     x: np.ndarray, q: int, bound: Sequence[int], prefix: Sequence[int] = ()
 ) -> Iterator[np.ndarray]:
-    """Every flag g = uW, over every w that starts with `prefix`, whose
-    m-vector is <= bound pointwise, as batches of last-level nodes (see _M).
+    """Every flag g = uW whose m-vector is <= bound pointwise, as batches
+    of last-level nodes (see _M): over every w when `prefix` is empty, or
+    over the one w whose whole one-line word `prefix` is.
 
     bound(j) < j is required: column j is tested only against the columns
     before it.  Level j places column j of every node in shared batches.
     Every node of a level has the same children (_child_table), so a batch
     is a slice of parents times a slice of that table, at most _CHUNK
     children, and each parent's columns broadcast over its children.  The
-    frontier is expanded depth first.  For a fixed w (prefix = w.word) the
-    points come out in order of their columns' free entries, column 1
-    slowest.
+    frontier is expanded depth first.  For a fixed w the points come out in
+    order of their columns' free entries, column 1 slowest.  A prefix of any
+    other length raises ValueError.
     """
     n = len(bound)
     if any(b >= j for j, b in enumerate(bound, start=1)):
         raise ValueError(f"bound must satisfy bound(j) < j, got {tuple(bound)}")
+    if len(prefix) not in (0, n):
+        raise ValueError(
+            f"prefix must be empty or a whole word of length {n}, got {tuple(prefix)}")
     # entries of X g_j are below n q^2 < 2^24, so float32 holds them exactly
     xq = (x % q).astype(np.float32)
     tables = [
         _child_table(n - j, q, sum(v not in prefix[:j] for v in range(1, prefix[j]))
-                     if j < len(prefix) else None)
+                     if prefix else None)
         for j in range(n)
     ]
 

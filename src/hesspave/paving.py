@@ -38,9 +38,17 @@ class InversionSet:
             raise ValueError("inversion pairs must have the larger index first")
         object.__setattr__(self, "pairs", pairs)
 
+    @cached_property
+    def _levels(self) -> dict[int, tuple[int, ...]]:
+        levels: dict[int, list[int]] = {}
+        for k, l in sorted(self.pairs):
+            levels.setdefault(k, []).append(l)
+        return {k: tuple(ls) for k, ls in levels.items()}
+
     def level(self, k: int) -> tuple[int, ...]:
-        """The l's with (k,l) present, sorted (the set inv^k)."""
-        return tuple(sorted(l for kk, l in self.pairs if kk == k))
+        """The l's with (k,l) present, sorted (the set inv^k); every level
+        is computed on the first call and kept."""
+        return self._levels.get(k, ())
 
     def __len__(self) -> int:
         return len(self.pairs)

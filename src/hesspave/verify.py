@@ -180,7 +180,7 @@ def run_verification(
         if lam.n <= 5:
             springer = HessenbergFunction.springer(lam.n)
             springer_cells = cells if h.is_springer() else enumerate_cells(lam, springer)
-            flags = [generic_flag(c.w, lam) for c in springer_cells]
+            flags = [generic_flag(c.w, lam, c.springer_inv) for c in springer_cells]
             checks.append(_check_symbolic(lam, springer_cells, flags))
         if q is not None:
             counts = flag_point_counts(nilpotent_matrix(lam), [h], q, budget_bits)

@@ -11,6 +11,9 @@ from hesspave.cli import build_parser, main
 DATA = Path(__file__).with_name("data")
 # sha256 of the reference output of each argv, for outputs too large to keep
 DIGESTS_N8_9 = json.loads((DATA / "cells_n8_9_sha256.json").read_text())
+# verify --q 2 --seed 0 on every partition of n <= 5 with the Springer h, and
+# one non-Springer h per n >= 2: the whole symbolic sweep
+DIGESTS_VERIFY = json.loads((DATA / "verify_n4_5_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -196,6 +199,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", *args)
         assert code == expected_code
         assert out == (DATA / f"{stem}.json").read_text()
+
+    @pytest.mark.parametrize("argv, digest", DIGESTS_VERIFY.items())
+    def test_output_unchanged_up_to_n_5(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGenericFlag:
@@ -563,14 +572,33 @@ print(json.dumps({
 
 
 def test_console_script_installed():
+    import importlib
+    import os
     import shutil
     import subprocess
+    import sys
+    import tomllib
 
     exe = shutil.which("hesspave")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    env = None
+    if exe is not None:
+        cmd = [exe]
+    else:
+        # not installed: the [project.scripts] entry must still resolve to
+        # cli.main, and running it the way the script would must work
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["hesspave"]
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
+        import hesspave
+
+        src = str(Path(hesspave.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+        cmd = [sys.executable, "-c", script]
     proc = subprocess.run(
-        [exe, "poincare", "--lambda", "1,1"], capture_output=True, text=True
+        cmd + ["poincare", "--lambda", "1,1"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficients"] == [1, 1]

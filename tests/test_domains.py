@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hesspave.domains import (
     GF,
@@ -78,3 +79,57 @@ class TestPoly:
         assert not POLYNOMIALS.is_field()
         with pytest.raises(NotImplementedError):
             POLYNOMIALS.div(Poly.const(1), Poly.const(2))
+
+
+def _reference(op, a: dict, b: dict) -> dict:
+    """a op b over plain {monomial: coefficient} dicts, with no shortcut."""
+    out: dict = {}
+    if op == "*":
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                exps: dict = {}
+                for var, e in m1 + m2:
+                    exps[var] = exps.get(var, 0) + e
+                m = tuple(sorted(exps.items()))
+                out[m] = out.get(m, 0) + c1 * c2
+    else:
+        sign = 1 if op == "+" else -1
+        for m, c in a.items():
+            out[m] = out.get(m, 0) + c
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+_coefficients = st.one_of(
+    st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+)
+_monomials = st.lists(
+    st.tuples(st.sampled_from([(1, 2), (1, 3), (2, 3)]), st.integers(1, 2)),
+    max_size=2, unique_by=lambda ve: ve[0],
+).map(lambda ves: tuple(sorted(ves)))
+_polys = st.one_of(
+    st.just({}), st.just({(): 1}), st.just({(): Fraction(1)}),
+    _coefficients.map(lambda c: {(): c}),
+    st.sampled_from([(1, 2), (2, 3)]).map(lambda v: {((v, 1),): 1}),
+    st.dictionaries(_monomials, _coefficients, max_size=4),
+)
+
+
+class TestPolyFastPaths:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(_polys, _polys, st.sampled_from(["+", "-", "*"]))
+    def test_matches_dict_reference_and_leaves_operands(self, ta, tb, op):
+        a, b = Poly(ta), Poly(tb)
+        before = (dict(a.terms), dict(b.terms))
+        expected = _reference(op, a.terms, b.terms)
+        result = {"+": a.__add__, "-": a.__sub__, "*": a.__mul__}[op](b)
+        assert result.terms == expected
+        assert all(c != 0 for c in result.terms.values())
+        assert (a.terms, b.terms) == before
+        # the reflected forms with a plain number on the left
+        for k in (0, 1, -1, Fraction(1, 2)):
+            assert (k + b).terms == _reference("+", Poly.const(k).terms, b.terms)
+            assert (k - b).terms == _reference("-", Poly.const(k).terms, b.terms)
+            assert (k * b).terms == _reference("*", Poly.const(k).terms, b.terms)
+        assert b.terms == before[1]

@@ -34,7 +34,7 @@ from hesspave.exactla import (
     project_cell,
     verify_flag_membership,
 )
-from hesspave.paving import springer_inversions
+from hesspave.paving import enumerate_cells, springer_inversions
 
 GF2 = PrimeFieldDomain(2)
 GF3 = PrimeFieldDomain(3)
@@ -328,6 +328,20 @@ class TestGenericFlag:
                 if is_row_strict(tableau_of(w, lam)):
                     assert generic_flag_stages(w, lam) == dense_generic_flag_stages(w, lam)
                     checked += 1
+        assert checked == cells
+
+    @pytest.mark.parametrize("n, cells", [(1, 1), (2, 3), (3, 10), (4, 47), (5, 246)])
+    def test_final_flag_with_caller_springer_set(self, n, cells):
+        # the final-only flag from a cell's inv_lambda(w) equals the flag
+        # that computes inv_lambda(w) itself, and the last stage
+        checked = 0
+        for parts in partitions(n):
+            lam = Composition(parts)
+            for c in enumerate_cells(lam, HessenbergFunction.springer(n)):
+                flag = generic_flag(c.w, lam, c.springer_inv)
+                assert flag == generic_flag(c.w, lam)
+                assert flag == generic_flag_stages(c.w, lam)[-1]
+                checked += 1
         assert checked == cells
 
     def test_requires_row_strict(self):

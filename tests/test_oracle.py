@@ -29,7 +29,10 @@ from hesspave.exactla import (
     verify_flag_membership,
 )
 from hesspave.oracle import (
+    _M,
+    _ROWS,
     BudgetExceededError,
+    _search,
     _image_keys,
     _m_vectors,
     _np_matrix,
@@ -169,6 +172,24 @@ class TestBatchArithmetic:
         x = _np_matrix(nilpotent_matrix(Composition([2])))
         with pytest.raises(ValueError, match="bound"):
             _m_vectors(Permutation.identity(2), x, 2, (0, 2))
+
+    def test_search_takes_no_prefix_or_a_whole_word(self):
+        x = _np_matrix(nilpotent_matrix(Composition([2, 1])))
+        bound = HessenbergFunction.springer(3).values
+
+        def nodes(prefix=()):
+            empty = np.zeros((3 + 3, 3, 0), dtype=np.int8)  # (n + 3, n, 0) for n = 3
+            return np.concatenate([empty, *_search(x, 2, bound, prefix)], axis=2)
+
+        every = nodes()
+        for w in all_perms(3):
+            one = nodes(w.word)
+            assert (one[_ROWS, :, :] == np.array(w.word)[:, None] - 1).all()
+            mine = (every[_ROWS] == np.array(w.word)[:, None] - 1).all(axis=0)
+            assert sorted_rows(every[_M][:, mine].T) == sorted_rows(one[_M].T)
+        for partial in [(1,), (2, 1), (3, 1, 2, 4)]:
+            with pytest.raises(ValueError, match="prefix"):
+                _search(x, 2, bound, partial)
 
     @pytest.mark.parametrize("parts", [(2, 2), (3, 1), (2, 1, 1)])
     def test_springer_points_match_exact_membership(self, parts):

@@ -117,6 +117,13 @@ class TestInversionSets:
                     rows = [t.position(l)[0] for l in spr.level(k)]
                     assert len(rows) == len(set(rows))
 
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.sets(st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda p: p[0] > p[1])))
+    def test_level_matches_a_fresh_sort(self, pairs):
+        spr = InversionSet(pairs)
+        for k in range(0, 9):
+            assert spr.level(k) == tuple(sorted(l for kk, l in pairs if kk == k))
+
     def test_larger_first_enforced(self):
         with pytest.raises(ValueError):
             InversionSet([(1, 2)])
