@@ -367,9 +367,6 @@ class PolynomialDomain(Domain):
     def from_fraction(self, q: Fraction):
         return Poly.const(q)
 
-    def var(self, a: int, b: int) -> Poly:
-        return Poly.var(a, b)
-
 
 RATIONALS = RationalDomain()
 POLYNOMIALS = PolynomialDomain()

@@ -18,9 +18,9 @@ elimination in the order w(1), w(2), ...; the last nonzero coefficient is
 m_j, the lowest nonzero row of column j of g^{-1} X g.  With b the
 pointwise max of the requested h's, a branch is cut as soon as some X g_j
 does not reduce to 0 against g_1..g_{b(j)}, and each surviving point keeps
-its m-vector, so every h is answered at once by m <= h.  Fixing w restricts
-the same search to one cell; the exact Springer-fiber points that the
-generic-flag and factorization checks walk come from it.
+its m-vector, so every h is answered at once by m <= h.  The exact
+Springer-fiber points that the generic-flag and factorization checks walk
+come from one such search, grouped by w.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .exactla import (
     conjugate,
     nilpotent_matrix,
 )
-from .paving import CellDescriptor, enumerate_cells, springer_inversions
+from .paving import CellDescriptor, InversionSet, enumerate_cells
 
 
 @dataclass
@@ -93,7 +93,14 @@ class CountReport:
         }
 
 
-def _check_budget(bits: float, budget_bits: int) -> None:
+def _check_budget(n: int, q: int, budget_bits: int) -> None:
+    """Check q, and the budget against log2 |Fl_n(F_q)|, which bounds the
+    points of every search."""
+    FieldSpec(q)
+    total_points = 1
+    for i in range(1, n + 1):
+        total_points *= (q**i - 1) // (q - 1)
+    bits = log2(total_points)
     if bits > budget_bits:
         raise BudgetExceededError(
             f"enumeration needs {bits:.1f} bits of work, budget is {budget_bits}"
@@ -116,7 +123,7 @@ _M, _ROWS, _LEHMER = -3, -2, -1
 
 
 @lru_cache(maxsize=256)
-def _child_table(f: int, q: int, t: int | None) -> tuple[np.ndarray, ...]:
+def _child_table(f: int, q: int) -> tuple[np.ndarray, ...]:
     """The children of a node with f unused rows, the same for every node.
 
     Returns, read-only: their values at the node's unused rows in
@@ -124,10 +131,10 @@ def _child_table(f: int, q: int, t: int | None) -> tuple[np.ndarray, ...]:
     the new column, as (T,); and the (f, f) array whose column s moves
     unused row s in front of the others.  Unused row s takes the 1 and the
     s unused rows above it take base-q digits, the first slowest; s runs
-    over 0..f-1 in order, or is only t when t is given.
+    over 0..f-1 in order.
     """
     vals, ts = [], []
-    for s in range(f) if t is None else [t]:
+    for s in range(f):
         block = np.zeros((f, q**s), dtype=np.int8)
         block[:s] = np.arange(q**s) // q ** np.arange(s - 1, -1, -1)[:, None] % q
         block[s] = 1
@@ -140,12 +147,9 @@ def _child_table(f: int, q: int, t: int | None) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _search(
-    x: np.ndarray, q: int, bound: Sequence[int], prefix: Sequence[int] = ()
-) -> Iterator[np.ndarray]:
-    """Every flag g = uW whose m-vector is <= bound pointwise, as batches
-    of last-level nodes (see _M): over every w when `prefix` is empty, or
-    over the one w whose whole one-line word `prefix` is.
+def _search(x: np.ndarray, q: int, bound: Sequence[int]) -> Iterator[np.ndarray]:
+    """Every flag g = uW, over every w, whose m-vector is <= bound
+    pointwise, as batches of last-level nodes (see _M).
 
     bound(j) < j is required: column j is tested only against the columns
     before it.  Level j places column j of every node in shared batches.
@@ -153,22 +157,14 @@ def _search(
     is a slice of parents times a slice of that table, at most _CHUNK
     children, and each parent's columns broadcast over its children.  The
     frontier is expanded depth first.  For a fixed w the points come out in
-    order of their columns' free entries, column 1 slowest.  A prefix of any
-    other length raises ValueError.
+    order of their columns' free entries, column 1 slowest.
     """
     n = len(bound)
     if any(b >= j for j, b in enumerate(bound, start=1)):
         raise ValueError(f"bound must satisfy bound(j) < j, got {tuple(bound)}")
-    if len(prefix) not in (0, n):
-        raise ValueError(
-            f"prefix must be empty or a whole word of length {n}, got {tuple(prefix)}")
     # entries of X g_j are below n q^2 < 2^24, so float32 holds them exactly
     xq = (x % q).astype(np.float32)
-    tables = [
-        _child_table(n - j, q, sum(v not in prefix[:j] for v in range(1, prefix[j]))
-                     if prefix else None)
-        for j in range(n)
-    ]
+    tables = [_child_table(n - j, q) for j in range(n)]
 
     def children(nodes: np.ndarray, j: int, lo: int, hi: int) -> np.ndarray:
         """The children lo..hi-1 of the table of level j, of every node in
@@ -215,11 +211,11 @@ def _search(
     return expand(root, 0)
 
 
-def _leaves(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> np.ndarray:
-    """The search's points of C_w as one (n + 3, n, N) batch of nodes."""
-    n = w.n
+def _nodes(x: np.ndarray, q: int, bound: Sequence[int]) -> np.ndarray:
+    """Every point of the search as one (n + 3, n, N) batch of nodes."""
+    n = len(bound)
     return np.concatenate([np.zeros((n + 3, n, 0), dtype=np.int8),
-                           *_search(x, q, bound, w.word)], axis=2)
+                           *_search(x, q, bound)], axis=2)
 
 
 def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> np.ndarray:
@@ -228,9 +224,12 @@ def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> n
     (0 for a zero column).
 
     Membership of uwE_ in Hess(X, h) is exactly m <= h.values pointwise, so
-    with bound >= h the rows answer h.
+    with bound >= h the rows answer h.  A per-cell reference for the tests:
+    the points of the search over every w whose rows are w's.
     """
-    return _leaves(w, x, q, bound)[_M].T
+    nodes = _nodes(x, q, bound)
+    mine = (nodes[_ROWS] == np.array(w.word)[:, None] - 1).all(axis=0)
+    return nodes[_M][:, mine].T
 
 
 def _np_matrix(m: ExactMatrix) -> np.ndarray:
@@ -250,12 +249,11 @@ def flag_point_counts(
     against the size of the whole flag variety.  The entries of x are read as
     integers mod q.
     """
-    FieldSpec(q)
     n = x.n
-    total_points = 1
-    for i in range(1, n + 1):
-        total_points *= (q**i - 1) // (q - 1)
-    _check_budget(log2(total_points), budget_bits)
+    for h in hs:
+        if h.n != n:
+            raise ValueError(f"size mismatch: n(X)={n}, n(h)={h.n}")
+    _check_budget(n, q, budget_bits)
     xq = _np_matrix(x)
     hv = np.array([h.values for h in hs])
     bound = hv.max(axis=0)
@@ -298,22 +296,27 @@ def variety_point_count(
 
 
 def springer_points(
-    w: Permutation, lam: Composition, q: int, budget_bits: int = 24
-) -> np.ndarray:
-    """All u in U^w(F_q) with uwE_ in the Springer fiber of X_lambda, as an
-    (N, n, n) array of residues.
+    lam: Composition, q: int, budget_bits: int = 24
+) -> dict[tuple[int, ...], np.ndarray]:
+    """For each w whose cell C_w meets the Springer fiber of X_lambda, all u
+    in U^w(F_q) with uwE_ in the fiber, as an (N, n, n) array of residues.
 
-    One search serves both structure checks, `dw_equals_cell` and
-    `zeros_structure_check`, which take its points from their caller.
+    One search over every w serves both structure checks of every cell,
+    `dw_equals_cell` and `zeros_structure_check`, which take a cell's points
+    from their caller.
     """
-    FieldSpec(q)
-    _check_budget(w.length() * log2(q), budget_bits)
-    n = w.n
-    x = _np_matrix(nilpotent_matrix(lam))
-    nodes = _leaves(w, x, q, HessenbergFunction.springer(n).values)
-    # nodes[j] is column j of g, which is u e_{w(j)}
-    ut = nodes[[j - 1 for j in w.inverse().word]]
-    return ut.transpose(2, 1, 0).astype(np.int64)
+    n = lam.n
+    _check_budget(n, q, budget_bits)
+    nodes = _nodes(_np_matrix(nilpotent_matrix(lam)), q, HessenbergFunction.springer(n).values)
+    # at the last level nodes[_ROWS] holds w(1..n) - 1, and nodes[j] is
+    # column j of g = uW, so column c of u is column w^{-1}(c) of g
+    rows = nodes[_ROWS]
+    ut = np.take_along_axis(nodes[:n], np.argsort(rows, axis=0)[:, None], axis=0)
+    points = ut.transpose(2, 1, 0).astype(np.int64)
+    words, which = np.unique(rows.T, axis=0, return_inverse=True)
+    which = which.reshape(-1)  # numpy 2.0.0 returns it as a column
+    return {tuple(int(v) + 1 for v in word): points[which == i]
+            for i, word in enumerate(words)}
 
 
 def _evaluate(polys: list, coords: list[tuple[int, int]], q: int) -> np.ndarray:
@@ -366,23 +369,17 @@ def _image_keys(
 
 
 def dw_equals_cell(
-    w: Permutation,
-    lam: Composition,
-    q: int,
-    flag: Flag,
-    points: np.ndarray,
-    budget_bits: int = 24,
+    w: Permutation, spr: InversionSet, q: int, flag: Flag, points: np.ndarray
 ) -> bool:
     """Set equality of the generic-flag image and the brute-force cell.
 
-    `flag` is generic_flag(w, lambda) and `points` is springer_points(w,
-    lambda, q).  Keys the flag at every coordinate tuple over F_q (see
-    _image_keys) and compares with the points; also asserts the
-    parametrization is injective (q^{d_w} distinct flags).
+    `spr` is inv_lambda(w), `flag` is generic_flag(w, lambda) and `points`
+    is springer_points(lambda, q)[w.word].  Keys the flag at every
+    coordinate tuple over F_q (see _image_keys) and compares with the
+    points; also asserts the parametrization is injective (q^{d_w} distinct
+    flags).
     """
     FieldSpec(q)
-    spr = springer_inversions(w, lam)
-    _check_budget(len(spr) * log2(q), budget_bits)
     coords = [(w(k), w(l)) for k, l in spr.sorted_pairs()]
     dw_keys = _image_keys(w, coords, q, flag)
     if dw_keys is None or len(dw_keys) != q ** len(spr):
@@ -433,7 +430,7 @@ def conjugation_invariance(
     h: HessenbergFunction,
     q: int,
     baseline: int,
-    trials: int = 10,
+    trials: int,
     seed: int = 0,
     budget_bits: int = 24,
 ) -> bool:

@@ -166,9 +166,9 @@ def run_verification(
     The cell table of (lambda, h) is built once and shared by every check;
     the Springer-fiber checks (n <= 5) share the Springer table, which is
     the same list when h is Springer, and one generic flag per Springer
-    cell, which the symbolic and F_q image checks both use.  At n <= 4 each
-    Springer cell's F_q points are searched once and handed to both the
-    image and the zero-structure check.
+    cell, which the symbolic and F_q image checks both use.  At n <= 4 one
+    search finds the F_q points of every Springer cell, and each cell's
+    points are handed to both the image and the zero-structure check.
     """
     checks: list[CheckResult] = []
     try:
@@ -189,9 +189,12 @@ def run_verification(
             checks.append(CheckResult("point-count-identity", report.match,
                                       None if report.match else witness))
             if lam.n <= 4:
+                fiber = springer_points(lam, q, budget_bits)
                 for c, flag in zip(springer_cells, flags):
-                    points = springer_points(c.w, lam, q, budget_bits)
-                    if not dw_equals_cell(c.w, lam, q, flag, points, budget_bits):
+                    points = fiber.get(c.word)
+                    if points is None or not dw_equals_cell(
+                        c.w, c.springer_inv, q, flag, points
+                    ):
                         checks.append(CheckResult("generic-flag-image", False, f"w={c.w}"))
                         break
                     if not zeros_structure_check(c.w, lam, q, points):

@@ -203,11 +203,12 @@ def test_criterion_3_generic_flag_image():
         for n in range(2, 5):
             for parts in partitions(n):
                 lam = Composition(parts)
+                fiber = springer_points(lam, 2)
                 for w in all_perms(n):
                     if is_row_strict(tableau_of(w, lam)):
                         flag = generic_flag(w, lam)
-                        points = springer_points(w, lam, 2)
-                        assert dw_equals_cell(w, lam, 2, flag, points), (parts, w.word)
+                        spr = springer_inversions(w, lam)
+                        assert dw_equals_cell(w, spr, 2, flag, fiber[w.word]), (parts, w.word)
 
 
 def test_criterion_4_symbolic_identities():

@@ -12,8 +12,14 @@ DATA = Path(__file__).with_name("data")
 # sha256 of the reference output of each argv, for outputs too large to keep
 DIGESTS_N8_9 = json.loads((DATA / "cells_n8_9_sha256.json").read_text())
 # verify --q 2 --seed 0 on every partition of n <= 5 with the Springer h, and
-# one non-Springer h per n >= 2: the whole symbolic sweep
+# one non-Springer h per n >= 2: the whole symbolic sweep; and the same at
+# --q 3 for n <= 4, where the F_q image and zero-structure checks run
 DIGESTS_VERIFY = json.loads((DATA / "verify_n4_5_sha256.json").read_text())
+# the benchmark's own digests of the stdout of each op it checks, read only:
+# output drift fails here before the benchmark reports it
+DIGESTS_BENCH = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "digests.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -205,6 +211,13 @@ class TestVerify:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("key, digest", DIGESTS_BENCH.items())
+def test_benchmark_digests(capsys, key, digest):
+    code, out, _ = run(capsys, *key.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGenericFlag:

@@ -29,10 +29,7 @@ from hesspave.exactla import (
     verify_flag_membership,
 )
 from hesspave.oracle import (
-    _M,
-    _ROWS,
     BudgetExceededError,
-    _search,
     _image_keys,
     _m_vectors,
     _np_matrix,
@@ -173,41 +170,32 @@ class TestBatchArithmetic:
         with pytest.raises(ValueError, match="bound"):
             _m_vectors(Permutation.identity(2), x, 2, (0, 2))
 
-    def test_search_takes_no_prefix_or_a_whole_word(self):
-        x = _np_matrix(nilpotent_matrix(Composition([2, 1])))
-        bound = HessenbergFunction.springer(3).values
-
-        def nodes(prefix=()):
-            empty = np.zeros((3 + 3, 3, 0), dtype=np.int8)  # (n + 3, n, 0) for n = 3
-            return np.concatenate([empty, *_search(x, 2, bound, prefix)], axis=2)
-
-        every = nodes()
-        for w in all_perms(3):
-            one = nodes(w.word)
-            assert (one[_ROWS, :, :] == np.array(w.word)[:, None] - 1).all()
-            mine = (every[_ROWS] == np.array(w.word)[:, None] - 1).all(axis=0)
-            assert sorted_rows(every[_M][:, mine].T) == sorted_rows(one[_M].T)
-        for partial in [(1,), (2, 1), (3, 1, 2, 4)]:
-            with pytest.raises(ValueError, match="prefix"):
-                _search(x, 2, bound, partial)
-
-    @pytest.mark.parametrize("parts", [(2, 2), (3, 1), (2, 1, 1)])
-    def test_springer_points_match_exact_membership(self, parts):
-        # reference: the exact flag-membership filter over every u in U^w
-        dom = PrimeFieldDomain(2)
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("parts", [(2, 2), (3, 1), (2, 1, 1), (1, 1, 1)])
+    def test_springer_points_match_exact_membership(self, parts, q):
+        # reference: the exact flag-membership filter over every u in U^w,
+        # for every w; the one search keeps exactly the Springer cells
+        dom = PrimeFieldDomain(q)
         lam = Composition(parts)
+        n = lam.n
         x = nilpotent_matrix(lam, dom)
-        h = HessenbergFunction.springer(4)
-        for w in all_perms(4):
+        h = HessenbergFunction.springer(n)
+        expected = {}
+        for w in all_perms(n):
             wmat = ExactMatrix.permutation(dom, w)
-            expected = [
+            us = [
                 u for u in exact_u_points(w, dom)
                 if verify_flag_membership(Flag.from_matrix(u @ wmat), x, h)
             ]
-            # the two lists agree as multisets; neither consumer reads the order
-            assert sorted_points(springer_points(w, lam, 2)) == (
-                sorted_points(residues(expected, 4))
-            )
+            if us:
+                expected[w.word] = sorted_points(residues(us, n))
+        fiber = springer_points(lam, q)
+        cells = enumerate_cells(lam, h)
+        assert sorted(fiber) == sorted(expected) == [c.word for c in cells]
+        for c in cells:
+            assert fiber[c.word].shape == (q**c.dim, n, n)
+        # the lists agree as multisets; neither consumer reads the order
+        assert {w: sorted_points(points) for w, points in fiber.items()} == expected
 
 
 class TestCellCounts:
@@ -262,6 +250,14 @@ class TestCellCounts:
                 nilpotent_matrix(Composition([4])), [HessenbergFunction.springer(4)], 2,
                 budget_bits=2,
             )
+
+    @pytest.mark.parametrize("parts, n_h", [((2, 2), 3), ((2, 1), 4)])
+    def test_size_mismatch(self, parts, n_h):
+        # one h of the wrong size among several is refused before any search
+        x = nilpotent_matrix(Composition(parts))
+        hs = [HessenbergFunction.springer(x.n), HessenbergFunction.springer(n_h)]
+        with pytest.raises(ValueError, match=rf"size mismatch: n\(X\)={x.n}, n\(h\)={n_h}"):
+            flag_point_counts(x, hs, 2)
 
 
 class TestVarietyCounts:
@@ -394,10 +390,11 @@ class TestGenericFlagImage:
     def test_row_strict_cells(self):
         for parts in [(2, 2), (3, 1), (2, 1, 1)]:
             lam = Composition(parts)
+            fiber = springer_points(lam, 2)
             for w in all_perms(4):
                 if is_row_strict(tableau_of(w, lam)):
-                    points = springer_points(w, lam, 2)
-                    assert dw_equals_cell(w, lam, 2, generic_flag(w, lam), points)
+                    spr = springer_inversions(w, lam)
+                    assert dw_equals_cell(w, spr, 2, generic_flag(w, lam), fiber[w.word])
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -415,50 +412,56 @@ class TestGenericFlagImage:
 
     def test_q3_spot_check(self):
         w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
-        assert dw_equals_cell(w, lam, 3, generic_flag(w, lam), springer_points(w, lam, 3))
+        points = springer_points(lam, 3)[w.word]
+        assert dw_equals_cell(w, springer_inversions(w, lam), 3, generic_flag(w, lam), points)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_zeroed_coordinate_fails(self, q):
         # a flag with one coordinate set to 0 covers only q^(d-1) points
         w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
         flag = generic_flag(w, lam)
-        points = springer_points(w, lam, q)
+        points = springer_points(lam, q)[w.word]
+        spr = springer_inversions(w, lam)
         keys = sorted(flag_variables(flag))
         assert keys
         for key in keys:
             cut = Flag(flag.domain, tuple(
                 tuple(e.subs_zero({key}) for e in col) for col in flag.columns
             ))
-            assert not dw_equals_cell(w, lam, q, cut, points)
+            assert not dw_equals_cell(w, spr, q, cut, points)
 
     def test_flag_of_other_w_fails(self):
         # another cell's flag either has a coordinate that w does not name
         # (substitution raises) or lands in that other cell
         lam = Composition([2, 2])
         w = Permutation([2, 4, 1, 3])
-        points = springer_points(w, lam, 2)
-        keys = {(w(k), w(l)) for k, l in springer_inversions(w, lam).pairs}
+        points = springer_points(lam, 2)[w.word]
+        spr = springer_inversions(w, lam)
+        keys = {(w(k), w(l)) for k, l in spr.pairs}
         others = [v for v in all_perms(4) if v != w and is_row_strict(tableau_of(v, lam))]
         assert others
         for v in others:
             flag = generic_flag(v, lam)
             if flag_variables(flag) <= keys:
-                assert not dw_equals_cell(w, lam, 2, flag, points)
+                assert not dw_equals_cell(w, spr, 2, flag, points)
             else:
                 with pytest.raises(KeyError):
-                    dw_equals_cell(w, lam, 2, flag, points)
+                    dw_equals_cell(w, spr, 2, flag, points)
 
 
 class TestZeroStructure:
     def test_small_exhaustive(self):
         for parts in [(2, 2), (2, 1, 1)]:
             lam = Composition(parts)
+            fiber = springer_points(lam, 2)
+            # a cell outside the fiber has no points, and the check holds vacuously
+            empty = np.zeros((0, 4, 4), dtype=np.int64)
             for w in all_perms(4):
-                assert zeros_structure_check(w, lam, 2, springer_points(w, lam, 2))
+                assert zeros_structure_check(w, lam, 2, fiber.get(w.word, empty))
 
     def test_paper_cell(self):
         w, lam = Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2])
-        assert zeros_structure_check(w, lam, 2, springer_points(w, lam, 2))
+        assert zeros_structure_check(w, lam, 2, springer_points(lam, 2)[w.word])
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("n", [3, 4])
@@ -479,16 +482,17 @@ class TestZeroStructure:
 
 def test_springer_fiber_checks_reach_n5():
     # image, injectivity and zero structure on every Springer cell of every
-    # partition of 5 at q = 2, one search per cell; on a 2-core Xeon the two
-    # checks take about 0.25 s of CPU, the per-point exact path took 9 s
+    # partition of 5 at q = 2, one search per partition; on a 2-core Xeon the
+    # two checks take about 0.25 s of CPU, the per-point exact path took 9 s
     spent = 0.0
     cells = 0
     for parts in partitions(5):
         lam = Composition(parts)
+        fiber = springer_points(lam, 2)
         for c in enumerate_cells(lam, HessenbergFunction.springer(5)):
-            flag, points = generic_flag(c.w, lam), springer_points(c.w, lam, 2)
+            flag, points = generic_flag(c.w, lam), fiber[c.word]
             start = time.process_time()
-            assert dw_equals_cell(c.w, lam, 2, flag, points), (parts, c.w)
+            assert dw_equals_cell(c.w, c.springer_inv, 2, flag, points), (parts, c.w)
             assert zeros_structure_check(c.w, lam, 2, points), (parts, c.w)
             spent += time.process_time() - start
             cells += 1
@@ -510,5 +514,5 @@ class TestConjugation:
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
             conjugation_invariance(
-                Composition([2, 2, 1]), HessenbergFunction.springer(5), 2, 0
+                Composition([2, 2, 1]), HessenbergFunction.springer(5), 2, 0, trials=1
             )

@@ -9,8 +9,8 @@ import hesspave.verify
 from hesspave.combinatorics import Composition, HessenbergFunction, Permutation, partitions
 from hesspave.exactla import ExactMatrix, generic_flag
 from hesspave.oracle import dw_equals_cell, springer_points
-from hesspave.paving import CellDescriptor, enumerate_cells
-from hesspave.verify import _check_symbolic, run_verification
+from hesspave.paving import CellDescriptor, enumerate_cells, springer_inversions
+from hesspave.verify import CONJUGATION_TRIALS, _check_symbolic, run_verification
 
 MODULES = (hesspave.exactla, hesspave.oracle, hesspave.paving, hesspave.verify)
 
@@ -101,23 +101,40 @@ def test_one_generic_flag_per_springer_cell(monkeypatch):
 def test_image_check_evaluates_the_given_flag(monkeypatch):
     w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
     flag = generic_flag(w, lam)
-    points = springer_points(w, lam, 3)
+    points = springer_points(lam, 3)[w.word]
     generators = count_calls(monkeypatch, "bk_generator", hesspave.exactla)
-    assert dw_equals_cell(w, lam, 3, flag, points)
+    assert dw_equals_cell(w, springer_inversions(w, lam), 3, flag, points)
     assert generators == []
 
 
-def test_one_point_search_per_springer_cell(monkeypatch):
-    # the image and zero-structure checks share each cell's F_q points
+def test_one_point_search_for_every_springer_cell(monkeypatch):
+    # the count, one search for the points of all 24 Springer cells, which
+    # the image and zero-structure checks share, and one per conjugate
     lam, springer = Composition([1, 1, 1, 1]), HessenbergFunction.springer(4)
-    searches = count_calls(monkeypatch, "springer_points", hesspave.oracle)
+    searches = count_calls(monkeypatch, "_search", hesspave.oracle)
     report = run_verification(lam, springer, q=2)
     assert report.passed
     assert {"generic-flag-image", "factor-zero-structure"} <= set(names(report))
-    assert sorted(args[0].word for args in searches) == [
-        c.w.word for c in enumerate_cells(lam, springer)
-    ]
-    assert len(searches) == 24
+    assert len(searches) == 2 + CONJUGATION_TRIALS
+
+
+def test_cell_without_points_fails_the_image_check(monkeypatch):
+    # a Springer cell that the search left without points is a failed image
+    # check with its witness, not a crash
+    lam, springer = Composition([2, 2]), HessenbergFunction.springer(4)
+    missing = enumerate_cells(lam, springer)[2]
+    search = hesspave.verify.springer_points
+
+    def without_one(*args):
+        fiber = search(*args)
+        del fiber[missing.word]
+        return fiber
+
+    monkeypatch.setattr(hesspave.verify, "springer_points", without_one)
+    report = run_verification(lam, springer, q=2)
+    assert not report.passed
+    failure = report.first_failure()
+    assert (failure.name, failure.witness) == ("generic-flag-image", f"w={missing.w}")
 
 
 @pytest.mark.parametrize("parts", list(partitions(6)) + [(2, 2, 2, 1)],
