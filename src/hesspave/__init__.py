@@ -29,14 +29,12 @@ from .combinatorics import (
     tableau_of,
 )
 from .domains import (
-    GF,
     POLYNOMIALS,
     RATIONALS,
     BudgetExceededError,
     FieldSpec,
     Poly,
     PolynomialDomain,
-    PrimeFieldDomain,
     RationalDomain,
 )
 from .exactla import (

@@ -1,4 +1,4 @@
-"""Pluggable exact scalar domains: rationals, prime fields, polynomials.
+"""Pluggable exact scalar domains: rationals and polynomials.
 
 Elements support +, -, * via Python operators; each domain knows how to make
 0, 1, embed integers, and (for fields) divide.  Polynomial scalars are sparse
@@ -19,71 +19,6 @@ from typing import Mapping
 
 Pair = tuple[int, int]
 Monomial = tuple[tuple[Pair, int], ...]  # sorted ((a,b), exponent) pairs
-
-
-class GF:
-    """Element of a prime field F_p, p < 2^31."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def _coerce(self, other) -> "GF":
-        if isinstance(other, GF):
-            if other.p != self.p:
-                raise ValueError(f"mixed characteristics {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return GF(other, self.p)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else GF(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else GF(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else GF(o.v - self.v, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else GF(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GF(-self.v, self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return GF(self.v * pow(o.v, -1, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return isinstance(other, GF) and self.p == other.p and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __int__(self):
-        return self.v
-
-    def __repr__(self):
-        return f"{self.v}"
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -289,17 +224,6 @@ class RationalDomain(Domain):
         return Fraction(a) / Fraction(b)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class BudgetExceededError(Exception):
     """Raised when an enumeration would exceed the work budget."""
 
@@ -313,40 +237,6 @@ class FieldSpec:
     def __post_init__(self):
         if self.q not in (2, 3, 5, 7, 11, 13):
             raise ValueError(f"q must be a prime <= 13, got {self.q}")
-
-
-@dataclass(frozen=True)
-class PrimeFieldDomain(Domain):
-    p: int = 2
-
-    def __post_init__(self):
-        if not _is_prime(self.p) or self.p >= 2**31:
-            raise ValueError(f"p must be a prime < 2^31, got {self.p}")
-
-    @property
-    def kind(self) -> str:  # type: ignore[override]
-        return f"PrimeField({self.p})"
-
-    def zero(self):
-        return GF(0, self.p)
-
-    def one(self):
-        return GF(1, self.p)
-
-    def from_int(self, k: int):
-        return GF(k, self.p)
-
-    def from_fraction(self, q: Fraction):
-        return GF(q.numerator, self.p) / GF(q.denominator, self.p)
-
-    def is_field(self) -> bool:
-        return True
-
-    def div(self, a, b):
-        return a / b
-
-    def elements(self):
-        return [GF(v, self.p) for v in range(self.p)]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Exact matrices, the nilpotent matrix X_lambda, B_k(w) generators, generic
 flags with symbolic coordinates, and Bruhat/unipotent factorizations.
 
-All arithmetic is exact over a pluggable scalar domain (rationals, a prime
-field, or multivariate polynomials).  Matrices, vectors, and flags are
+All arithmetic is exact over a pluggable scalar domain (rationals or
+multivariate polynomials).  Matrices, vectors, and flags are
 immutable values.
 """
 
@@ -141,9 +141,6 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.domain, tuple(zip(*self.rows)))
-
-    def is_zero(self) -> bool:
-        return not any(any(x for x in r) for r in self.rows)
 
     def is_upper_unitriangular(self) -> bool:
         one = self.domain.one()
@@ -589,8 +586,3 @@ def project_cell(flag: Flag) -> Flag:
         dom, [row[: flag.n - 1] for row in full.rows[: flag.n - 1]]
     )
     return Flag.from_matrix(block)
-
-
-def conjugate(g: ExactMatrix, x: ExactMatrix) -> ExactMatrix:
-    """g^{-1} X g over a field domain."""
-    return g.inverse() @ x @ g

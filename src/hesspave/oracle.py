@@ -40,14 +40,8 @@ from .combinatorics import (
     Permutation,
     base_filling,
 )
-from .domains import BudgetExceededError, FieldSpec, PrimeFieldDomain
-from .exactla import (
-    ExactMatrix,
-    Flag,
-    UnipotentPattern,
-    conjugate,
-    nilpotent_matrix,
-)
+from .domains import BudgetExceededError, FieldSpec
+from .exactla import Flag, UnipotentPattern, nilpotent_matrix
 from .paving import CellDescriptor, InversionSet, enumerate_cells
 
 
@@ -232,12 +226,13 @@ def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> n
     return nodes[_M][:, mine].T
 
 
-def _np_matrix(m: ExactMatrix) -> np.ndarray:
-    return np.array([[int(x) for x in row] for row in m.rows], dtype=np.int64)
+def nilpotent_residues(lam: Composition) -> np.ndarray:
+    """X_lambda as an (n, n) int64 array, the form the F_q search reads."""
+    return np.array(nilpotent_matrix(lam).rows, dtype=np.int64)
 
 
 def flag_point_counts(
-    x: ExactMatrix,
+    x: np.ndarray,
     hs: list[HessenbergFunction],
     q: int,
     budget_bits: int = 24,
@@ -246,22 +241,26 @@ def flag_point_counts(
 
     One pruned search over every w answers every h, and each batch of its
     points is tallied by w's rank and dropped.  The work budget is checked
-    against the size of the whole flag variety.  The entries of x are read as
-    integers mod q.
+    against the size of the whole flag variety.  x is an (n, n) integer
+    array, whose entries are read mod q.
     """
-    n = x.n
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or not np.issubdtype(x.dtype, np.integer):
+        raise ValueError(
+            f"x must be a square 2-D integer array, got shape {x.shape} of {x.dtype}"
+        )
+    n = len(x)
     for h in hs:
         if h.n != n:
             raise ValueError(f"size mismatch: n(X)={n}, n(h)={h.n}")
     _check_budget(n, q, budget_bits)
-    xq = _np_matrix(x)
     hv = np.array([h.values for h in hs])
     bound = hv.max(axis=0)
     # the lexicographic rank of w from its Lehmer code
     place = np.array([factorial(n - 1 - j) for j in range(n)])
 
     counts = np.zeros((len(hs), factorial(n)), dtype=np.int64)
-    for nodes in _search(xq, q, bound):
+    for nodes in _search(x, q, bound):
         rank = place @ nodes[_LEHMER]
         ok = np.all(nodes[_M] <= hv[:, :, None], axis=1)
         for hi in range(len(hs)):
@@ -278,7 +277,7 @@ def variety_point_counts(
     budget_bits: int = 24,
 ) -> list[CountReport]:
     """CountReports of Hess(X_lambda, h) for several h at once."""
-    counts = flag_point_counts(nilpotent_matrix(lam), hs, q, budget_bits)
+    counts = flag_point_counts(nilpotent_residues(lam), hs, q, budget_bits)
     return [
         CountReport.from_counts(q, per_cell, enumerate_cells(lam, h))
         for per_cell, h in zip(counts, hs)
@@ -307,7 +306,7 @@ def springer_points(
     """
     n = lam.n
     _check_budget(n, q, budget_bits)
-    nodes = _nodes(_np_matrix(nilpotent_matrix(lam)), q, HessenbergFunction.springer(n).values)
+    nodes = _nodes(nilpotent_residues(lam), q, HessenbergFunction.springer(n).values)
     # at the last level nodes[_ROWS] holds w(1..n) - 1, and nodes[j] is
     # column j of g = uW, so column c of u is column w^{-1}(c) of g
     rows = nodes[_ROWS]
@@ -322,14 +321,14 @@ def springer_points(
 def _evaluate(polys: list, coords: list[tuple[int, int]], q: int) -> np.ndarray:
     """Each polynomial at every tuple over F_q of the variables `coords`, the
     first slowest, as a (q^len(coords), len(polys)) array of residues."""
-    dom = PrimeFieldDomain(q)
     d = len(coords)
     grid = np.arange(q**d)[:, None] // q ** np.arange(d - 1, -1, -1) % q
     value_of = {var: grid[:, i] for i, var in enumerate(coords)}
     out = np.zeros((q**d, len(polys)), dtype=np.int64)
     for p, poly in enumerate(polys):
         for mono, coeff in poly.terms.items():
-            term = np.full(q**d, dom.from_fraction(Fraction(coeff)).v, dtype=np.int64)
+            c = Fraction(coeff)
+            term = np.full(q**d, c.numerator * pow(c.denominator, -1, q) % q, dtype=np.int64)
             for var, e in mono:
                 term = term * value_of[var] ** e % q
             out[:, p] += term
@@ -412,17 +411,32 @@ def zeros_structure_check(
     return not r[:, watched].any()
 
 
-def _random_gl(n: int, q: int, rng: np.random.Generator) -> ExactMatrix:
-    """A uniformly random element of GL_n(F_q), by rejection sampling."""
-    dom = PrimeFieldDomain(q)
+def _inverse_mod(a: np.ndarray, q: int) -> np.ndarray | None:
+    """a^{-1} mod q by Gauss-Jordan elimination on residues, or None when a
+    is singular mod q."""
+    n = len(a)
+    aug = np.concatenate([a % q, np.eye(n, dtype=np.int64)], axis=1)
+    for col in range(n):
+        below = np.flatnonzero(aug[col:, col])
+        if not len(below):
+            return None
+        piv = col + below[0]
+        aug[[col, piv]] = aug[[piv, col]]
+        aug[col] = aug[col] * pow(int(aug[col, col]), -1, q) % q
+        factors = aug[:, col].copy()
+        factors[col] = 0
+        aug = (aug - np.outer(factors, aug[col])) % q
+    return aug[:, n:]
+
+
+def _random_gl(n: int, q: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A uniformly random g in GL_n(F_q), by rejection sampling, and g^{-1}
+    mod q, as int64 arrays."""
     while True:
-        draw = rng.integers(0, q, size=(n, n), dtype=np.int64).tolist()
-        g = ExactMatrix.from_rows(dom, [[dom.from_int(v) for v in row] for row in draw])
-        try:
-            g.inverse()
-        except ValueError:
-            continue
-        return g
+        g = rng.integers(0, q, size=(n, n), dtype=np.int64)
+        inv = _inverse_mod(g, q)
+        if inv is not None:
+            return g, inv
 
 
 def conjugation_invariance(
@@ -439,10 +453,10 @@ def conjugation_invariance(
     if lam.n > 4:
         raise ValueError("full-variety conjugation check is limited to n <= 4")
     FieldSpec(q)
-    x = nilpotent_matrix(lam, PrimeFieldDomain(q))
+    x = nilpotent_residues(lam)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        xc = conjugate(_random_gl(lam.n, q, rng), x)
-        if sum(flag_point_counts(xc, [h], q, budget_bits)[0].values()) != baseline:
+        g, inv = _random_gl(lam.n, q, rng)
+        if sum(flag_point_counts(inv @ x @ g % q, [h], q, budget_bits)[0].values()) != baseline:
             return False
     return True

@@ -33,6 +33,7 @@ from .oracle import (
     conjugation_invariance,
     dw_equals_cell,
     flag_point_counts,
+    nilpotent_residues,
     springer_points,
     zeros_structure_check,
 )
@@ -183,7 +184,7 @@ def run_verification(
             flags = [generic_flag(c.w, lam, c.springer_inv) for c in springer_cells]
             checks.append(_check_symbolic(lam, springer_cells, flags))
         if q is not None:
-            counts = flag_point_counts(nilpotent_matrix(lam), [h], q, budget_bits)
+            counts = flag_point_counts(nilpotent_residues(lam), [h], q, budget_bits)
             report = CountReport.from_counts(q, counts[0], cells)
             witness = f"total={report.total}, predicted={report.predicted}"
             checks.append(CheckResult("point-count-identity", report.match,

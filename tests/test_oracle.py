@@ -1,11 +1,16 @@
+import hashlib
 import itertools
+import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hesspave.oracle
+from fq_reference import PrimeFieldDomain, conjugate, random_gl, residue_array
 from hesspave.combinatorics import (
     Composition,
     HessenbergFunction,
@@ -16,33 +21,41 @@ from hesspave.combinatorics import (
     partitions,
     tableau_of,
 )
-from hesspave.domains import PrimeFieldDomain
 from hesspave.exactla import (
     ExactMatrix,
     Flag,
     UnipotentPattern,
     bruhat_canonical_form,
-    conjugate,
     factor_unipotent,
     generic_flag,
     nilpotent_matrix,
     verify_flag_membership,
 )
 from hesspave.oracle import (
+    _M,
+    _ROWS,
     BudgetExceededError,
     _image_keys,
     _m_vectors,
-    _np_matrix,
     _random_gl,
+    _search,
     conjugation_invariance,
     dw_equals_cell,
     flag_point_counts,
+    nilpotent_residues,
     springer_points,
     variety_point_count,
     variety_point_counts,
     zeros_structure_check,
 )
 from hesspave.paving import enumerate_cells, poincare, springer_inversions
+from hesspave.verify import CONJUGATION_TRIALS
+
+# sha256 of the accepted g and of g^{-1} X_lambda g mod q that seeds 0-9 draw,
+# CONJUGATION_TRIALS of each, recorded when the draw was made over GF(q)
+DRAW_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "conjugation_draws_sha256.json").read_text()
+)
 
 
 def all_perms(n):
@@ -116,7 +129,7 @@ class TestBatchArithmetic:
         dom = PrimeFieldDomain(q)
         springer = HessenbergFunction.springer(n).values
         xs = [nilpotent_matrix(Composition(p), dom) for p in partitions(n)]
-        xs.append(conjugate(_random_gl(n, q, np.random.default_rng(n * q)), xs[0]))
+        xs.append(conjugate(random_gl(n, q, np.random.default_rng(n * q)), xs[0]))
         for x in xs:
             for w in all_perms(n):
                 wmat = ExactMatrix.permutation(dom, w)
@@ -128,9 +141,9 @@ class TestBatchArithmetic:
                         max((i + 1 for i in range(n) if a.rows[i][j]), default=0)
                         for j in range(n)
                     ])
-                assert reference_m_vectors(w, _np_matrix(x), q).tolist() == expected
+                assert reference_m_vectors(w, residue_array(x), q).tolist() == expected
                 fiber = [m for m in expected if all(np.array(m) <= springer)]
-                assert sorted_rows(_m_vectors(w, _np_matrix(x), q, springer)) == (
+                assert sorted_rows(_m_vectors(w, residue_array(x), q, springer)) == (
                     sorted_rows(fiber)
                 )
 
@@ -141,14 +154,18 @@ class TestBatchArithmetic:
         split = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
         cuts = [0] + [i for i, cut in enumerate(split, start=1) if cut] + [n]
         lam = Composition([b - a for a, b in zip(cuts, cuts[1:])])
-        q = data.draw(st.sampled_from([2, 3, 5]))
+        # X = 0 prunes nothing: at n = 5 and q = 5 each search below would
+        # visit all 22.7 million flags of Fl_5(F_5), so there X = 0 is
+        # searched at q <= 3
+        q = data.draw(st.sampled_from([2, 3] if n == 5 and all(split) else [2, 3, 5]))
         hs = data.draw(st.lists(
             st.sampled_from(list(all_hessenberg_functions(n))), min_size=1, max_size=3
         ))
-        x = nilpotent_matrix(lam, PrimeFieldDomain(q))
+        x = nilpotent_residues(lam)
         if data.draw(st.booleans()):
             rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-            x = conjugate(_random_gl(n, q, rng), x)
+            g, inv = _random_gl(n, q, rng)
+            x = inv @ x @ g % q
         # the reference builds all q^l(w) matrices, so w0 of S_5 is left
         # out at q = 5 (5^10 of them)
         cheap = [w for w in all_perms(n) if q ** w.length() <= 3**10]
@@ -157,16 +174,21 @@ class TestBatchArithmetic:
         for per_cell in counts:
             assert set(per_cell) == {w.word for w in all_perms(n)}
         bound = np.max([h.values for h in hs], axis=0)
+        # one search answers every sampled w, batch by batch: the m-vectors
+        # of its points whose rows are w's
+        found = {w.word: [] for w in ws}
+        for nodes in _search(x, q, bound):
+            for word, m in found.items():
+                m += nodes[_M][:, (nodes[_ROWS].T == np.array(word) - 1).all(axis=1)].T.tolist()
+        assert sorted_rows(_m_vectors(ws[0], x, q, bound)) == sorted_rows(found[ws[0].word])
         for w in ws:
-            ref = reference_m_vectors(w, _np_matrix(x), q)
-            assert sorted_rows(_m_vectors(w, _np_matrix(x), q, bound)) == (
-                sorted_rows(ref[np.all(ref <= bound, axis=1)])
-            )
+            ref = reference_m_vectors(w, x, q)
+            assert sorted_rows(found[w.word]) == sorted_rows(ref[np.all(ref <= bound, axis=1)])
             for per_cell, h in zip(counts, hs):
                 assert per_cell[w.word] == int(np.all(ref <= h.values, axis=1).sum())
 
     def test_bound_must_stay_below_the_diagonal(self):
-        x = _np_matrix(nilpotent_matrix(Composition([2])))
+        x = nilpotent_residues(Composition([2]))
         with pytest.raises(ValueError, match="bound"):
             _m_vectors(Permutation.identity(2), x, 2, (0, 2))
 
@@ -203,7 +225,7 @@ class TestCellCounts:
 
     def test_identity_cell_is_one_point(self):
         lam = Composition([2])
-        [counts] = flag_point_counts(nilpotent_matrix(lam), [HessenbergFunction.springer(2)], 2)
+        [counts] = flag_point_counts(nilpotent_residues(lam), [HessenbergFunction.springer(2)], 2)
         assert counts[(1, 2)] == 1
 
     def test_non_row_strict_cell_empty(self):
@@ -211,7 +233,7 @@ class TestCellCounts:
         lam = Composition([2])
         for q in (2, 3):
             [counts] = flag_point_counts(
-                nilpotent_matrix(lam), [HessenbergFunction.springer(2)], q
+                nilpotent_residues(lam), [HessenbergFunction.springer(2)], q
             )
             assert counts[(2, 1)] == 0
 
@@ -219,7 +241,7 @@ class TestCellCounts:
         lam = Composition([2, 2])
         h = HessenbergFunction.springer(4)
         dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
-        [counts] = flag_point_counts(nilpotent_matrix(lam), [h], 2)
+        [counts] = flag_point_counts(nilpotent_residues(lam), [h], 2)
         for w in all_perms(4):
             if w.word in dims:
                 assert counts[w.word] == 2 ** dims[w.word]
@@ -235,29 +257,40 @@ class TestCellCounts:
             # this h forbids the pair 1|2 in R(w) outright, so the cell is empty
             HessenbergFunction([0, 0, 1, 1, 3, 4]),
         ]
-        counts = flag_point_counts(nilpotent_matrix(lam), hs, 2)
+        counts = flag_point_counts(nilpotent_residues(lam), hs, 2)
         assert [per_cell[w.word] for per_cell in counts] == [64, 32, 0]
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             flag_point_counts(
-                nilpotent_matrix(Composition([2])), [HessenbergFunction.springer(2)], 4
+                nilpotent_residues(Composition([2])), [HessenbergFunction.springer(2)], 4
             )
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             flag_point_counts(
-                nilpotent_matrix(Composition([4])), [HessenbergFunction.springer(4)], 2,
+                nilpotent_residues(Composition([4])), [HessenbergFunction.springer(4)], 2,
                 budget_bits=2,
             )
 
     @pytest.mark.parametrize("parts, n_h", [((2, 2), 3), ((2, 1), 4)])
     def test_size_mismatch(self, parts, n_h):
         # one h of the wrong size among several is refused before any search
-        x = nilpotent_matrix(Composition(parts))
-        hs = [HessenbergFunction.springer(x.n), HessenbergFunction.springer(n_h)]
-        with pytest.raises(ValueError, match=rf"size mismatch: n\(X\)={x.n}, n\(h\)={n_h}"):
+        x = nilpotent_residues(Composition(parts))
+        n = len(x)
+        hs = [HessenbergFunction.springer(n), HessenbergFunction.springer(n_h)]
+        with pytest.raises(ValueError, match=rf"size mismatch: n\(X\)={n}, n\(h\)={n_h}"):
             flag_point_counts(x, hs, 2)
+
+    @pytest.mark.parametrize("x", [
+        # a float array would be read mod q through float32
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros(4, dtype=np.int64),
+    ])
+    def test_x_must_be_a_square_integer_array(self, x):
+        with pytest.raises(ValueError, match="square 2-D integer array"):
+            flag_point_counts(x, [HessenbergFunction.springer(2)], 2)
 
 
 class TestVarietyCounts:
@@ -297,8 +330,8 @@ class TestVarietyCounts:
         # a random conjugate of X_lambda prunes little, so the search visits
         # most of each w's flags; per h its cells still add up to P(q)
         lam, q = Composition([2, 2, 1]), 3
-        x = conjugate(_random_gl(5, q, np.random.default_rng(5)),
-                      nilpotent_matrix(lam, PrimeFieldDomain(q)))
+        g, inv = _random_gl(5, q, np.random.default_rng(5))
+        x = inv @ nilpotent_residues(lam) @ g % q
         hs = [HessenbergFunction.springer(5), HessenbergFunction([0, 1, 1, 2, 3])]
         counts = flag_point_counts(x, hs, q)
         for per_cell, h in zip(counts, hs):
@@ -313,7 +346,7 @@ class TestVarietyCounts:
     def test_2221_springer_reach(self):
         # |Fl_7(F_2)| is 2^26.2 flags, over the default 24-bit budget
         lam, h = Composition([2, 2, 2, 1]), HessenbergFunction.springer(7)
-        [per_cell] = flag_point_counts(nilpotent_matrix(lam), [h], 2, budget_bits=27)
+        [per_cell] = flag_point_counts(nilpotent_residues(lam), [h], 2, budget_bits=27)
         dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
         assert len(per_cell) == 5040
         assert per_cell == {w: 2 ** dims[w] if w in dims else 0 for w in per_cell}
@@ -322,7 +355,7 @@ class TestVarietyCounts:
     def test_332_springer_reach(self):
         # |Fl_8(F_2)| is 2^34.2 flags; the shared search visits few of them
         lam, h = Composition([3, 3, 2]), HessenbergFunction.springer(8)
-        [per_cell] = flag_point_counts(nilpotent_matrix(lam), [h], 2, budget_bits=35)
+        [per_cell] = flag_point_counts(nilpotent_residues(lam), [h], 2, budget_bits=35)
         dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
         assert len(per_cell) == 40320
         assert per_cell == {w: 2 ** dims[w] if w in dims else 0 for w in per_cell}
@@ -330,7 +363,7 @@ class TestVarietyCounts:
     def test_counting_keeps_no_points(self):
         # X = 0 prunes nothing, so all 9,765 flags of Fl_5(F_2) are found;
         # each batch is tallied and dropped, and the frontier stays chunked
-        x, h = nilpotent_matrix(Composition([1] * 5)), HessenbergFunction.springer(5)
+        x, h = nilpotent_residues(Composition([1] * 5)), HessenbergFunction.springer(5)
         tracemalloc.start()
         try:
             [per_cell] = flag_point_counts(x, [h], 2)
@@ -510,6 +543,58 @@ class TestConjugation:
             total = variety_point_count(lam, h, q).total
             assert conjugation_invariance(lam, h, q, total, trials=3, seed=seed)
             assert not conjugation_invariance(lam, h, q, total + 1, trials=1, seed=seed)
+
+    @staticmethod
+    def draws(lam, q, seeds=range(10)):
+        """[g, g^{-1} X_lambda g mod q] for each draw of the seeds' rngs."""
+        x = nilpotent_residues(lam)
+        out = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            for _ in range(CONJUGATION_TRIALS):
+                g, inv = _random_gl(lam.n, q, rng)
+                out.append([g.tolist(), (inv @ x @ g % q).tolist()])
+        return out
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_draws_match_golden(self, q):
+        # the same rng calls accept the same g and give the same conjugate
+        for n in range(1, 6):
+            for parts in partitions(n):
+                lam = Composition(parts)
+                digest = hashlib.sha256(json.dumps(self.draws(lam, q)).encode()).hexdigest()
+                key = f"lambda={','.join(map(str, parts))} q={q}"
+                assert digest == DRAW_DIGESTS[key], key
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_inverse_matches_gf(self, n, q):
+        # the residue inverse is the Gauss-Jordan inverse over GF(q)
+        rng, ref_rng = np.random.default_rng(n * q), np.random.default_rng(n * q)
+        for _ in range(20):
+            g, inv = _random_gl(n, q, rng)
+            ref = random_gl(n, q, ref_rng)
+            assert residue_array(ref).tolist() == g.tolist()
+            assert residue_array(ref.inverse()).tolist() == inv.tolist()
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_singular_draw_is_rejected(self, q):
+        # rank n - 1: a repeated row, and the last column of zeros
+        a = np.array([[1, 2, 0], [1, 2, 0], [0, 1, 0]]) % q
+        assert hesspave.oracle._inverse_mod(a, q) is None
+        assert hesspave.oracle._inverse_mod(np.zeros((1, 1), dtype=np.int64), q) is None
+
+    def test_invariance_counts_the_drawn_conjugates(self, monkeypatch):
+        lam, h, q, seed = Composition([2, 1, 1]), HessenbergFunction.springer(4), 3, 4
+        seen = []
+
+        def record(x, hs, q, budget_bits):
+            seen.append(x.tolist())
+            return [{(): 7}]
+
+        monkeypatch.setattr(hesspave.oracle, "flag_point_counts", record)
+        assert conjugation_invariance(lam, h, q, 7, CONJUGATION_TRIALS, seed)
+        assert seen == [c for _, c in self.draws(lam, q, [seed])]
 
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):

@@ -248,3 +248,27 @@ def test_parameters_are_read():
                 if p not in read and p not in ("self", "cls") and not p.startswith("_")
             ]
     assert found == []
+
+
+def test_one_fq_arithmetic():
+    # F_q arithmetic in the package is numpy residues only: no module
+    # defines, imports or names the GF(p) scalars of tests/fq_reference.py,
+    # and the F_q layer reads no ExactMatrix
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [name for alias in node.names for name in (alias.name, alias.asname)]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            banned = {"GF", "PrimeFieldDomain"}
+            if path.name == "oracle.py" and isinstance(node, ast.ImportFrom):
+                banned.add("ExactMatrix")
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
+    assert found == []
