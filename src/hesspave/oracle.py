@@ -219,11 +219,13 @@ def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> n
 
     Membership of uwE_ in Hess(X, h) is exactly m <= h.values pointwise, so
     with bound >= h the rows answer h.  A per-cell reference for the tests:
-    the points of the search over every w whose rows are w's.
+    the points of the search over every w whose rows are w's, kept batch by
+    batch.
     """
-    nodes = _nodes(x, q, bound)
-    mine = (nodes[_ROWS] == np.array(w.word)[:, None] - 1).all(axis=0)
-    return nodes[_M][:, mine].T
+    rows = np.array(w.word)[:, None] - 1
+    return np.concatenate([np.zeros((0, len(bound)), dtype=np.int8), *(
+        nodes[_M][:, (nodes[_ROWS] == rows).all(axis=0)].T for nodes in _search(x, q, bound)
+    )])
 
 
 def nilpotent_residues(lam: Composition) -> np.ndarray:

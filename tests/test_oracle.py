@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import hesspave.oracle
 from fq_reference import PrimeFieldDomain, conjugate, random_gl, residue_array
@@ -147,17 +147,20 @@ class TestBatchArithmetic:
                     sorted_rows(fiber)
                 )
 
-    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    # a fixed seed, so that editing this test does not redraw its examples
+    # (derandomize seeds them from the source).  Seeds 0-2 draw X = 0 at
+    # n = q = 5, where each of the three searches below visits all 22.7
+    # million flags; seed 3 is the first that does not, and that case is
+    # counted by test_zero_matrix_counts_every_flag_at_q5
+    @seed(3)
+    @settings(max_examples=100, deadline=None, database=None)
     @given(st.data())
     def test_search_matches_brute_force(self, data):
         n = data.draw(st.integers(1, 5))
         split = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
         cuts = [0] + [i for i, cut in enumerate(split, start=1) if cut] + [n]
         lam = Composition([b - a for a, b in zip(cuts, cuts[1:])])
-        # X = 0 prunes nothing: at n = 5 and q = 5 each search below would
-        # visit all 22.7 million flags of Fl_5(F_5), so there X = 0 is
-        # searched at q <= 3
-        q = data.draw(st.sampled_from([2, 3] if n == 5 and all(split) else [2, 3, 5]))
+        q = data.draw(st.sampled_from([2, 3, 5]))
         hs = data.draw(st.lists(
             st.sampled_from(list(all_hessenberg_functions(n))), min_size=1, max_size=3
         ))
@@ -372,6 +375,14 @@ class TestVarietyCounts:
             tracemalloc.stop()
         assert sum(per_cell.values()) == 9765
         assert peak <= 2 * 2**20
+
+    def test_zero_matrix_counts_every_flag_at_q5(self):
+        # X = 0 at the largest n and q that test_search_matches_brute_force
+        # draws: even the smallest h prunes nothing, so all 22,661,496 flags
+        # of Fl_5(F_5) are found and each C_w keeps all 5^l(w) of its points
+        h = HessenbergFunction((0,) * 5)
+        [per_cell] = flag_point_counts(np.zeros((5, 5), dtype=np.int64), [h], 5, budget_bits=40)
+        assert per_cell == {w.word: 5 ** w.length() for w in all_perms(5)}
 
     def test_json_shape(self):
         report = variety_point_count(
