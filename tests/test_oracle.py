@@ -5,9 +5,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import hesspave.oracle
 from fq_reference import PrimeFieldDomain, conjugate, random_gl, residue_array
@@ -152,7 +153,7 @@ class TestBatchArithmetic:
     # n = q = 5, where each of the three searches below visits all 22.7
     # million flags; seed 3 is the first that does not, and that case is
     # counted by test_zero_matrix_counts_every_flag_at_q5
-    @seed(3)
+    @hypothesis.seed(3)
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.data())
     def test_search_matches_brute_force(self, data):
