@@ -13,17 +13,12 @@ from .combinatorics import (
     HessenbergFunction,
     Permutation,
     Tableau,
-    all_hessenberg_functions,
     base_filling,
-    delete_last_box,
     factorize,
     format_tableau,
-    h_leq,
     inversions,
     is_h_strict,
     is_row_strict,
-    parse_tableau,
-    partitions,
     permutation_of_tableau,
     standardize,
     tableau_of,
@@ -43,16 +38,12 @@ from .exactla import (
     UnipotentPattern,
     bk_entries,
     bk_generator,
-    bn_split,
     bruhat_canonical_form,
     difference_residual,
     factor_unipotent,
     generic_flag,
-    generic_flag_stages,
     hess_zero_coordinates,
-    hessenberg_space_contains,
     nilpotent_matrix,
-    project_cell,
     verify_flag_membership,
 )
 from .paving import (
@@ -61,7 +52,6 @@ from .paving import (
     InversionSet,
     PoincareData,
     cell_profile,
-    column_sort_trace,
     enumerate_cells,
     hessenberg_inversions,
     inversion_profile,

@@ -66,6 +66,9 @@ def _parse_lambda(text: str) -> Composition:
         raise InputError(f"--lambda: {e}")
     if lam.n < 1:
         raise InputError("--lambda must have at least one box")
+    # every command sizes Python sequences by n, which must fit a C ssize_t
+    if lam.n > sys.maxsize:
+        raise InputError(f"--lambda has {lam.n} boxes, more than the largest size {sys.maxsize}")
     return lam
 
 

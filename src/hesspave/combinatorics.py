@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -84,31 +84,6 @@ class HessenbergFunction:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 
 
-def h_leq(h1: HessenbergFunction, h2: HessenbergFunction) -> bool:
-    """Pointwise partial order h1(i) <= h2(i)."""
-    if h1.n != h2.n:
-        raise ValueError(f"size mismatch: {h1.n} vs {h2.n}")
-    return all(a <= b for a, b in zip(h1.values, h2.values))
-
-
-def all_hessenberg_functions(n: int) -> Iterator[HessenbergFunction]:
-    """All h with h(i) < i, nondecreasing (there are Catalan(n) of them)."""
-
-    def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        i = len(prefix) + 1
-        if i > n:
-            yield tuple(prefix)
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, i):
-            prefix.append(v)
-            yield from rec(prefix)
-            prefix.pop()
-
-    for vals in rec([]):
-        yield HessenbergFunction(vals)
-
-
 @dataclass(frozen=True)
 class Permutation:
     """Permutation of [n] in one-line notation: word[i-1] = w(i)."""
@@ -120,10 +95,6 @@ class Permutation:
         if sorted(word) != list(range(1, len(word) + 1)):
             raise ValueError(f"not a permutation of 1..{len(word)}: {word}")
         object.__setattr__(self, "word", word)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
 
     @property
     def n(self) -> int:
@@ -141,9 +112,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition (self*other)(i) = self(other(i))."""
         return Permutation(tuple(self.word[j - 1] for j in other.word))
-
-    def length(self) -> int:
-        return len(inversions(self))
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.word) + "]"
@@ -226,11 +194,6 @@ def format_tableau(t: Tableau) -> str:
     return "\n".join(" ".join(str(v) for v in row) for row in t.rows)
 
 
-def parse_tableau(text: str) -> Tableau:
-    rows = [[int(tok) for tok in line.split()] for line in text.strip().splitlines() if line.strip()]
-    return Tableau(rows)
-
-
 @lru_cache(maxsize=None)
 def base_filling(lam: Composition) -> Tableau:
     """The base filling R(e): columns filled left to right, bottom to top.
@@ -295,35 +258,3 @@ def standardize(t: Tableau) -> Tableau:
         for r, v in zip(rows_here, vals):
             grid[r - 1][col - 1] = v
     return Tableau(grid, t.shape)
-
-
-def delete_last_box(t: Tableau) -> tuple[Composition, Tableau]:
-    """Remove the box labeled n; n must sit at the end of its row.
-
-    The resulting shape may be a non-partition composition; a row emptied by
-    the deletion is dropped (positional row identity is after normalization).
-    """
-    n = t.n
-    if n == 0:
-        raise ValueError("cannot delete from an empty tableau")
-    r, c = t.position(n)
-    if c != len(t.rows[r - 1]):
-        raise ValueError(f"entry {n} is not at the end of its row")
-    grid = [list(row) for row in t.rows]
-    grid[r - 1].pop()
-    return Composition([len(row) for row in grid]), Tableau(grid)
-
-
-def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n in decreasing order, largest first lexicographically."""
-
-    def rec(remaining: int, maxpart: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(min(maxpart, remaining), 0, -1):
-            prefix.append(p)
-            yield from rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    yield from rec(n, n, [])

@@ -1,7 +1,7 @@
 """Pluggable exact scalar domains: rationals and polynomials.
 
 Elements support +, -, * via Python operators; each domain knows how to make
-0, 1, embed integers, and (for fields) divide.  Polynomial scalars are sparse
+0 and 1, and (for fields) divide.  Polynomial scalars are sparse
 multivariate polynomials in variables x[a,b] indexed by integer pairs, with
 rational coefficients and a canonical normal form, so equality is exact term
 comparison.
@@ -136,19 +136,6 @@ class Poly:
     def variables(self) -> set[Pair]:
         return {var for m in self.terms for var, _ in m}
 
-    def substitute(self, values: Mapping[Pair, object], domain: "Domain") -> object:
-        """Evaluate with the given variable values in the target domain."""
-        total = domain.zero()
-        for mono, coeff in self.terms.items():
-            term = domain.from_int(1) * coeff if isinstance(coeff, int) else domain.from_fraction(coeff)
-            for var, e in mono:
-                if var not in values:
-                    raise KeyError(f"no value for variable x{var}")
-                for _ in range(e):
-                    term = term * values[var]
-            total = total + term
-        return total
-
     def subs_zero(self, zero_vars: set[Pair]) -> "Poly":
         """Set the listed variables to zero."""
         return Poly(
@@ -188,12 +175,6 @@ class Domain:
     def one(self):
         raise NotImplementedError
 
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    def from_fraction(self, q: Fraction):
-        raise NotImplementedError
-
     def is_field(self) -> bool:
         return False
 
@@ -210,12 +191,6 @@ class RationalDomain(Domain):
 
     def one(self):
         return Fraction(1)
-
-    def from_int(self, k: int):
-        return Fraction(k)
-
-    def from_fraction(self, q: Fraction):
-        return q
 
     def is_field(self) -> bool:
         return True
@@ -250,12 +225,6 @@ class PolynomialDomain(Domain):
 
     def one(self):
         return Poly.const(1)
-
-    def from_int(self, k: int):
-        return Poly.const(k)
-
-    def from_fraction(self, q: Fraction):
-        return Poly.const(q)
 
 
 RATIONALS = RationalDomain()

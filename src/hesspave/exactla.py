@@ -72,10 +72,6 @@ class ExactMatrix:
             for i in range(n)
         ))
 
-    def entry(self, i: int, j: int):
-        """1-based access."""
-        return self.rows[i - 1][j - 1]
-
     def with_entry(self, i: int, j: int, value) -> "ExactMatrix":
         rows = [list(r) for r in self.rows]
         rows[i - 1][j - 1] = value
@@ -186,24 +182,13 @@ def nilpotent_matrix(lam: Composition, domain: Domain = RATIONALS) -> ExactMatri
 
     Nilpotent, with Jordan type the partition of lambda.
     """
-    base = base_filling(lam)
-    m = ExactMatrix.zero(domain, lam.n)
-    one = domain.one()
-    for row in base.rows:
+    n = lam.n
+    zero, one = domain.zero(), domain.one()
+    rows = [[zero] * n for _ in range(n)]
+    for row in base_filling(lam).rows:
         for l, r in zip(row, row[1:]):
-            m = m.with_entry(l, r, one)
-    return m
-
-
-def hessenberg_space_contains(m: ExactMatrix, h: HessenbergFunction) -> bool:
-    """True iff M lies in H(h) = Span{E_ij | i <= h(j)}."""
-    if m.n != h.n:
-        raise ValueError(f"size mismatch: n(M)={m.n}, n(h)={h.n}")
-    return all(
-        not m.rows[i - 1][j - 1]
-        for j in range(1, m.n + 1)
-        for i in range(h(j) + 1, m.n + 1)
-    )
+            rows[l - 1][r - 1] = one
+    return ExactMatrix.from_rows(domain, rows)
 
 
 @dataclass(frozen=True)
@@ -231,18 +216,6 @@ class UnipotentPattern:
             if winv(a) > winv(b)
         )
         return cls(w.n, free)
-
-    @classmethod
-    def row(cls, i: int, n: int) -> "UnipotentPattern":
-        """U_i: the i-th row of U."""
-        return cls(n, frozenset((i, j) for j in range(i + 1, n + 1)))
-
-    @classmethod
-    def top_left_block(cls, n: int) -> "UnipotentPattern":
-        """U_0: the unipotent group of the top-left (n-1) block."""
-        return cls(n, frozenset(
-            (a, b) for a in range(1, n) for b in range(a + 1, n)
-        ))
 
     def contains(self, m: ExactMatrix) -> bool:
         if m.n != self.n or not m.is_upper_unitriangular():
@@ -304,12 +277,11 @@ def bk_generator(
     spr: InversionSet,
     k: int,
     coords: Mapping[tuple[int, int], object],
-    domain: Domain = POLYNOMIALS,
 ) -> ExactMatrix:
     """The element of B_k(w) with the given coordinates, as a matrix over
-    `domain`; see bk_entries."""
+    the polynomials; see bk_entries."""
     entries = bk_entries(w, lam, spr, k, coords)
-    return ExactMatrix.identity(domain, w.n).add_row_multiples(entries)
+    return ExactMatrix.identity(POLYNOMIALS, w.n).add_row_multiples(entries)
 
 
 def generic_coordinates(
@@ -329,18 +301,6 @@ class Flag:
     @property
     def n(self) -> int:
         return len(self.columns)
-
-    @classmethod
-    def standard(cls, domain: Domain, n: int) -> "Flag":
-        ident = ExactMatrix.identity(domain, n)
-        return cls(domain, tuple(ident.column(j) for j in range(1, n + 1)))
-
-    @classmethod
-    def from_matrix(cls, m: ExactMatrix) -> "Flag":
-        return cls(m.domain, tuple(m.column(j) for j in range(1, m.n + 1)))
-
-    def matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.domain, tuple(zip(*self.columns)))
 
 
 def _generic_products(
@@ -368,14 +328,6 @@ def _flag_of(w: Permutation, prod: ExactMatrix) -> Flag:
     """The flag with columns prod e_{w(1)}, ..., prod e_{w(n)}."""
     cols = tuple(zip(*prod.rows))
     return Flag(POLYNOMIALS, tuple(cols[v - 1] for v in w.word))
-
-
-def generic_flag_stages(w: Permutation, lam: Composition) -> list[Flag]:
-    """The flags D_w^1, ..., D_w^n = generic points of g_k...g_2 wE_.
-
-    Stage k has columns g_k g_{k-1} ... g_2 e_{w(j)}.
-    """
-    return [_flag_of(w, prod) for prod in _generic_products(w, lam, None)]
 
 
 def generic_flag(
@@ -541,48 +493,3 @@ def factor_unipotent(
     if not UnipotentPattern.schubert(y).contains(u0):
         raise ValueError("factorization failed: u_0 not in U^y")
     return u_i, u0
-
-
-def bn_split(
-    g_n: ExactMatrix, w: Permutation, lam: Composition
-) -> tuple[ExactMatrix, ExactMatrix]:
-    """Split g_n in B_n(w) as u_i b_n with u_i in U_i and b_n in v U_0 v^{-1}.
-
-    u_i carries the i-th row of g_n (i = w(n)); the product recovers g_n.
-    """
-    dom = g_n.domain
-    n = w.n
-    i = w(n)
-    spr = springer_inversions(w, lam)
-    level = spr.level(n)
-    coords = {(i, w(l)): g_n.entry(i, w(l)) for l in level}
-    if bk_generator(w, lam, spr, n, coords, dom) != g_n:
-        raise ValueError("input is not an element of B_n(w)")
-    u_i = ExactMatrix.identity(dom, n)
-    for l in level:
-        u_i = u_i.with_entry(i, w(l), coords[(i, w(l))])
-    b_n = u_i.inverse() @ g_n
-    v, _ = factorize(w)
-    vmat = ExactMatrix.permutation(dom, v)
-    conj = vmat.transpose() @ b_n @ vmat
-    if not UnipotentPattern.top_left_block(n).contains(conj):
-        raise ValueError("split failed: b_n not in v U_0 v^{-1}")
-    return u_i, b_n
-
-
-def project_cell(flag: Flag) -> Flag:
-    """The inductive projection C_w -> C_y: uwE = u_i v u_0 y E maps to u_0 y E'.
-
-    Returns a flag in C^{n-1}; the flag matrix must be invertible over a
-    field domain.
-    """
-    m = flag.matrix()
-    w, u = bruhat_canonical_form(m)
-    _, u0 = factor_unipotent(u, w)
-    _, y = factorize(w)
-    dom = flag.domain
-    full = u0 @ ExactMatrix.permutation(dom, y)
-    block = ExactMatrix.from_rows(
-        dom, [row[: flag.n - 1] for row in full.rows[: flag.n - 1]]
-    )
-    return Flag.from_matrix(block)

@@ -349,7 +349,7 @@ def _image_keys(
     only zero entries below it, so no step divides.  Evaluation Z[x] -> F_q
     is a ring homomorphism, so the evaluated free entries are the keys that
     canonicalizing each evaluated flag gives.  A variable outside `coords`
-    raises KeyError, as in Poly.substitute.
+    raises KeyError.
     """
     unknown = set().union(*(e.variables() for col in flag.columns for e in col)) - set(coords)
     if unknown:

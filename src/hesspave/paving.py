@@ -317,10 +317,6 @@ class PoincareData:
     def total_cells(self) -> int:
         return sum(self.coeffs)
 
-    def evaluate(self, q: int) -> int:
-        """Point count over F_q predicted by the paving."""
-        return sum(c * q**k for k, c in enumerate(self.coeffs))
-
 
 def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
     """Cell-dimension histogram by the n -> n-1 deletion step, level by level.
@@ -435,100 +431,6 @@ def cell_profile(cell: CellDescriptor) -> InversionProfile:
     """
     t = cell.tableau
     return _grid_profile(cell.hess_inv.pairs, t.index, t.shape.num_cols)
-
-
-@dataclass(frozen=True)
-class SortStep:
-    """One state of the column bubble-sort: a grid snapshot plus its profile.
-
-    Swapping rows of unequal length can move boxes (blanks count as
-    +infinity), so the snapshot is a padded grid with None holes; `tableau`
-    gives a Tableau whenever the rows are contiguous.
-    """
-
-    grid: tuple[tuple[int | None, ...], ...]
-    profile: InversionProfile
-
-    @property
-    def tableau(self) -> Tableau | None:
-        rows = []
-        for row in self.grid:
-            vals = [v for v in row if v is not None]
-            if any(v is not None for v in row[len(vals):]):
-                return None
-            rows.append(vals)
-        try:
-            return Tableau(rows)
-        except ValueError:
-            return None
-
-
-def column_sort_trace(
-    t: Tableau, i: int, j: int, h: HessenbergFunction
-) -> list[SortStep]:
-    """Trace of the three-column sorting process for columns i, j, j+1.
-
-    For i == j only columns i and i+1 take part.  Each swap exchanges two
-    vertically adjacent entries of the column being sorted together with the
-    same-row entries of the other participating columns; every intermediate
-    state stays h-strict in the touched columns and d(i,j) never decreases.
-    The first step is the starting tableau, then one step per swap.
-    """
-    if not is_h_strict(t, h):
-        raise ValueError("tableau is not h-strict")
-    m = t.shape.num_cols
-    if not (1 <= i <= j < m or (i == j and 1 <= i <= m)):
-        raise ValueError(f"invalid column indices i={i}, j={j} for {m} columns")
-
-    width = m
-    grid: list[list[int | None]] = [
-        list(row) + [None] * (width - len(row)) for row in t.rows
-    ]
-
-    def profile_of(g: list[list[int | None]]) -> InversionProfile:
-        pos = {
-            v: (ri, ci)
-            for ri, row in enumerate(g, start=1)
-            for ci, v in enumerate(row, start=1)
-            if v is not None
-        }
-        return _grid_profile(_inversion_pairs(g, pos, h.values, h.n), pos, width)
-
-    steps = [SortStep(tuple(tuple(r) for r in grid), profile_of(grid))]
-
-    def sort_column(col: int, companions: tuple[int, ...]) -> None:
-        # bubble sort `col` top-to-bottom; blanks are +infinity
-        def val(r: int) -> float:
-            v = grid[r][col - 1]
-            return float("inf") if v is None else v
-
-        swapped = True
-        while swapped:
-            swapped = False
-            for r in range(len(grid) - 1):
-                if val(r) > val(r + 1):
-                    for c in (col,) + companions:
-                        grid[r][c - 1], grid[r + 1][c - 1] = (
-                            grid[r + 1][c - 1],
-                            grid[r][c - 1],
-                        )
-                    steps.append(
-                        SortStep(tuple(tuple(x) for x in grid), profile_of(grid))
-                    )
-                    swapped = True
-
-    if i == j:
-        extra = (i + 1,) if i + 1 <= width else ()
-        sort_column(i, extra)
-        if i + 1 <= width:
-            sort_column(i + 1, ())
-    else:
-        cols = tuple(c for c in (j, j + 1) if c <= width)
-        sort_column(i, cols)
-        sort_column(j, (j + 1,) if j + 1 <= width else ())
-        if j + 1 <= width:
-            sort_column(j + 1, ())
-    return steps
 
 
 def maximal_cells_are_standard(

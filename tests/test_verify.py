@@ -6,11 +6,12 @@ import hesspave.exactla
 import hesspave.oracle
 import hesspave.paving
 import hesspave.verify
-from hesspave.combinatorics import Composition, HessenbergFunction, Permutation, partitions
+from hesspave.combinatorics import Composition, HessenbergFunction, Permutation
 from hesspave.exactla import ExactMatrix, generic_flag
 from hesspave.oracle import dw_equals_cell, springer_points
 from hesspave.paving import CellDescriptor, enumerate_cells, springer_inversions
 from hesspave.verify import CONJUGATION_TRIALS, _check_symbolic, run_verification
+from proof_reference import partitions
 
 MODULES = (hesspave.exactla, hesspave.oracle, hesspave.paving, hesspave.verify)
 
