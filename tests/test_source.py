@@ -178,7 +178,7 @@ def test_public_methods_are_used():
     # a public, non-dunder method must be named somewhere in the package;
     # uses in the tests and references from its own body do not count.  It
     # matches by name, so a method that shares its name with a used one
-    # (UnipotentPattern.row, Permutation.identity) passes unseen
+    # passes unseen
     defined = {}
     used = set()
 
