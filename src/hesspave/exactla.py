@@ -9,7 +9,7 @@ immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .combinatorics import (
@@ -120,13 +120,19 @@ class ExactMatrix:
             for r1, r2 in zip(self.rows, other.rows)
         ))
 
+    @cached_property
+    def _row_support(self) -> tuple[tuple[tuple[int, object], ...], ...]:
+        """Each row's nonzero entries as (0-based column, value) pairs."""
+        return tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in self.rows)
+
     def apply(self, v: Vector) -> Vector:
         zero = self.domain.zero()
         out = []
-        for r in self.rows:
+        for support in self._row_support:
             acc = zero
-            for a, x in zip(r, v):
-                if a and x:
+            for j, a in support:
+                x = v[j]
+                if x:
                     acc = acc + a * x
             out.append(acc)
         return tuple(out)
@@ -304,18 +310,12 @@ class Flag:
 
 
 def _generic_products(
-    w: Permutation, lam: Composition, spr: InversionSet | None
+    w: Permutation, lam: Composition, spr: InversionSet
 ) -> Iterator[ExactMatrix]:
     """The running products I, g_2, g_3 g_2, ..., g_n ... g_2 over the
-    polynomials, each g_k applied as row operations.
-
-    `spr` is inv_lambda(w) when the caller holds it (a cell's Springer set,
-    whose R(w) is row-strict); None computes it after checking R(w).
+    polynomials, each g_k applied as row operations; `spr` is
+    inv_lambda(w) for a w whose R(w) is row-strict.
     """
-    if spr is None:
-        if not is_row_strict(tableau_of(w, lam)):
-            raise ValueError("R(w) is not row-strict")
-        spr = springer_inversions(w, lam)
     prod = ExactMatrix.identity(POLYNOMIALS, w.n)
     yield prod
     for k in range(2, w.n + 1):
@@ -330,14 +330,12 @@ def _flag_of(w: Permutation, prod: ExactMatrix) -> Flag:
     return Flag(POLYNOMIALS, tuple(cols[v - 1] for v in w.word))
 
 
-def generic_flag(
-    w: Permutation, lam: Composition, spr: InversionSet | None = None
-) -> Flag:
+def generic_flag(w: Permutation, lam: Composition, spr: InversionSet) -> Flag:
     """The generic point of D_w = B_n(w)...B_2(w) wE_, over the polynomial ring.
 
     Parametrizes D_w as affine space of dimension |inv_lambda(w)|.  `spr` is
-    inv_lambda(w) when the caller already holds it; without it R(w) is
-    checked to be row-strict and inv_lambda(w) is computed here.
+    inv_lambda(w) for a w whose R(w) is row-strict, as the caller (a cell's
+    Springer set, or the `generic-flag` command after its own check) holds it.
     """
     *_, prod = _generic_products(w, lam, spr)
     return _flag_of(w, prod)

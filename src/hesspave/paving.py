@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import starmap
+from math import factorial, prod
 from operator import attrgetter, le
 from typing import Iterable, Iterator, Sequence
 
@@ -325,6 +326,26 @@ def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
     reaches to the dimension histogram of the partial fillings that reach
     it, so each state is expanded once, however many fillings pass through
     it, and no recursion bounds n.
+
+    A child state is keyed by its (rem_i, b_i) pairs sorted, so states
+    that differ only in the order of their rows share one entry.  That the
+    histogram a state contributes does not depend on the order of its rows
+    is measured, not proven: for the root state it is the theorem that
+    X_lambda for a composition is conjugate to X of the sorted partition,
+    but `_placements` breaks ties between rows of equal length by row
+    order.  This loop equals the one keyed by ordered states on every
+    composition with n <= 8 under every h (215,529 pairs, the `exhaustive`
+    test in tests/test_paving.py).
+
+    A histogram is one int with the coefficient of t^d in bits
+    [d*width, (d+1)*width).  Sorting a state permutes its rows, and its
+    children are those of the unsorted state with the rows permuted alike,
+    so the digits of a key sum to the number of partial fillings (the rows
+    that n..m+1 went to, row i taking at most lambda_i of them) whose
+    ordered state sorts to that key.  Each partial filling extends to a
+    different complete one, so no digit exceeds n!/prod(lambda_i!) <
+    2^width, and adding packed histograms never carries from one digit
+    into the next.
     """
     n = lam.n
     if n != h.n:
@@ -333,21 +354,26 @@ def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
         return PoincareData(())
     hv = h.values
     nrows = lam.num_rows
-    level: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {
-        (lam.parts, (n,) * nrows): [1]
+    width = (factorial(n) // prod(map(factorial, lam.parts))).bit_length()
+    level: dict[tuple[tuple[int, int], ...], int] = {
+        tuple(zip(lam.parts, (n,) * nrows)): 1
     }
     for m in range(n, 0, -1):
-        below: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
-        for (rem, bounds), hist in level.items():
+        below: dict[tuple[tuple[int, int], ...], int] = {}
+        for state, hist in level.items():
+            rem, bounds = zip(*state)
             for _, child_rem, child_bounds, gain in _placements(m, rem, bounds, hv, nrows):
-                total = below.setdefault((child_rem, child_bounds), [])
-                if len(total) < gain + len(hist):
-                    total.extend([0] * (gain + len(hist) - len(total)))
-                for d, v in enumerate(hist, start=gain):
-                    total[d] += v
+                key = tuple(sorted(zip(child_rem, child_bounds)))
+                below[key] = below.get(key, 0) + (hist << gain * width)
         level = below
     # every complete filling ends in the one state with all rows empty
-    return PoincareData(tuple(level.get(((0,) * nrows, (0,) * nrows), ())))
+    packed = level.get(((0, 0),) * nrows, 0)
+    digit = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & digit)
+        packed >>= width
+    return PoincareData(tuple(coeffs))
 
 
 def r0_tableau(lam: Composition, h: HessenbergFunction) -> Tableau | None:

@@ -4,7 +4,7 @@ The inductive steps of the paving argument (the U_i b_n split of g_n, the
 projection C_w -> C_y through w = v*y, the deletion of the box labeled n
 and the column bubble-sort behind the profile inequality), the sweeps over
 partitions and Hessenberg functions, and the evaluators the tests compare
-the package against.  No command runs any of them, so they live here and
+the package against, among them the Poincare level loop on ordered states.  No command runs any of them, so they live here and
 not in the package.  (The module is not named `reference`, which is
 perfbench's reference loop.)
 """
@@ -23,7 +23,10 @@ from hesspave.combinatorics import (
     factorize,
     inversions,
     is_h_strict,
+    is_row_strict,
+    tableau_of,
 )
+from hesspave import paving
 from hesspave.domains import Domain, Poly
 from hesspave.exactla import (
     ExactMatrix,
@@ -115,6 +118,40 @@ def delete_last_box(t: Tableau) -> tuple[Composition, Tableau]:
 # -- evaluators -----------------------------------------------------------
 
 
+def ordered_poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
+    """The Poincare level loop on ordered states, the oracle for `paving.poincare`.
+
+    States are keyed by the ordered (rem, bounds) tuples, with one list of
+    coefficients each, so it relies on no invariance under reordering the
+    rows of a state.  It calls `paving._placements` through the module, so
+    a test that counts those calls sees each state it expands.
+    """
+    n = lam.n
+    if n != h.n:
+        raise ValueError(f"size mismatch: n(lambda)={lam.n}, n(h)={h.n}")
+    if n == 0:
+        return PoincareData(())
+    hv = h.values
+    nrows = lam.num_rows
+    level: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {
+        (lam.parts, (n,) * nrows): [1]
+    }
+    for m in range(n, 0, -1):
+        below: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+        for (rem, bounds), hist in level.items():
+            for _, child_rem, child_bounds, gain in paving._placements(
+                m, rem, bounds, hv, nrows
+            ):
+                total = below.setdefault((child_rem, child_bounds), [])
+                if len(total) < gain + len(hist):
+                    total.extend([0] * (gain + len(hist) - len(total)))
+                for d, v in enumerate(hist, start=gain):
+                    total[d] += v
+        level = below
+    # every complete filling ends in the one state with all rows empty
+    return PoincareData(tuple(level.get(((0,) * nrows, (0,) * nrows), ())))
+
+
 def evaluate(p: PoincareData, q: int) -> int:
     """Point count over F_q predicted by the paving."""
     return sum(c * q**k for k, c in enumerate(p.coeffs))
@@ -186,9 +223,13 @@ def flag_matrix(flag: Flag) -> ExactMatrix:
 def generic_flag_stages(w: Permutation, lam: Composition) -> list[Flag]:
     """The flags D_w^1, ..., D_w^n = generic points of g_k...g_2 wE_.
 
-    Stage k has columns g_k g_{k-1} ... g_2 e_{w(j)}.
+    Stage k has columns g_k g_{k-1} ... g_2 e_{w(j)}.  R(w) is checked to
+    be row-strict and inv_lambda(w) is computed here.
     """
-    return [_flag_of(w, prod) for prod in _generic_products(w, lam, None)]
+    if not is_row_strict(tableau_of(w, lam)):
+        raise ValueError("R(w) is not row-strict")
+    spr = springer_inversions(w, lam)
+    return [_flag_of(w, prod) for prod in _generic_products(w, lam, spr)]
 
 
 def bn_split(

@@ -209,8 +209,8 @@ def test_criterion_3_generic_flag_image():
                 fiber = springer_points(lam, 2)
                 for w in all_perms(n):
                     if is_row_strict(tableau_of(w, lam)):
-                        flag = generic_flag(w, lam)
                         spr = springer_inversions(w, lam)
+                        flag = generic_flag(w, lam, spr)
                         assert dw_equals_cell(w, spr, 2, flag, fiber[w.word]), (parts, w.word)
 
 
@@ -299,7 +299,7 @@ def _check_symbolic_cell(w, lam, t, base, kernel, xm, springer):
     assert u_i.rows[i - 1] == gn.rows[i - 1]
 
     # difference residual vanishes identically
-    flag = generic_flag(w, lam)
+    flag = generic_flag(w, lam, spr)
     for l in range(1, n + 1):
         if t.right_neighbor(l) is not None:
             assert not any(difference_residual(w, t, spr, xm, l, flag))

@@ -448,7 +448,7 @@ class TestGenericFlagImage:
             for w in all_perms(4):
                 if is_row_strict(tableau_of(w, lam)):
                     spr = springer_inversions(w, lam)
-                    assert dw_equals_cell(w, spr, 2, generic_flag(w, lam), fiber[w.word])
+                    assert dw_equals_cell(w, spr, 2, generic_flag(w, lam, spr), fiber[w.word])
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -458,7 +458,7 @@ class TestGenericFlagImage:
         for parts in partitions(n):
             lam = Composition(parts)
             for c in enumerate_cells(lam, HessenbergFunction.springer(n)):
-                flag = generic_flag(c.w, lam)
+                flag = generic_flag(c.w, lam, c.springer_inv)
                 coords = [(c.w(k), c.w(l)) for k, l in c.springer_inv.sorted_pairs()]
                 ref = reference_image_keys(c.w, lam, q, flag)
                 assert len(set(ref)) == len(ref) == q ** c.dim
@@ -467,13 +467,14 @@ class TestGenericFlagImage:
     def test_q3_spot_check(self):
         w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
         points = springer_points(lam, 3)[w.word]
-        assert dw_equals_cell(w, springer_inversions(w, lam), 3, generic_flag(w, lam), points)
+        spr = springer_inversions(w, lam)
+        assert dw_equals_cell(w, spr, 3, generic_flag(w, lam, spr), points)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_zeroed_coordinate_fails(self, q):
         # a flag with one coordinate set to 0 covers only q^(d-1) points
         w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
-        flag = generic_flag(w, lam)
+        flag = generic_flag(w, lam, springer_inversions(w, lam))
         points = springer_points(lam, q)[w.word]
         spr = springer_inversions(w, lam)
         keys = sorted(flag_variables(flag))
@@ -495,7 +496,7 @@ class TestGenericFlagImage:
         others = [v for v in all_perms(4) if v != w and is_row_strict(tableau_of(v, lam))]
         assert others
         for v in others:
-            flag = generic_flag(v, lam)
+            flag = generic_flag(v, lam, springer_inversions(v, lam))
             if flag_variables(flag) <= keys:
                 assert not dw_equals_cell(w, spr, 2, flag, points)
             else:
@@ -544,7 +545,7 @@ def test_springer_fiber_checks_reach_n5():
         lam = Composition(parts)
         fiber = springer_points(lam, 2)
         for c in enumerate_cells(lam, HessenbergFunction.springer(5)):
-            flag, points = generic_flag(c.w, lam), fiber[c.word]
+            flag, points = generic_flag(c.w, lam, c.springer_inv), fiber[c.word]
             start = time.process_time()
             assert dw_equals_cell(c.w, c.springer_inv, 2, flag, points), (parts, c.w)
             assert zeros_structure_check(c.w, lam, 2, points), (parts, c.w)

@@ -42,6 +42,7 @@ from proof_reference import (
     evaluate,
     h_leq,
     identity_permutation,
+    ordered_poincare,
     partitions,
 )
 
@@ -198,9 +199,12 @@ class TestPoincare:
         assert p.coeffs[6] == 5
 
     def test_mahonian_one_column(self):
-        for n in range(1, 7):
+        # at n = 30 the coefficients reach 102 bits, so a packed digit that
+        # carried into its neighbor would show
+        for n in range(1, 31):
             p = poincare(Composition([1] * n), HessenbergFunction.springer(n))
             assert list(p.coeffs) == mahonian(n)
+        assert max(p.coeffs).bit_length() == 102
 
     def test_histogram_consistent(self):
         lam = Composition([2, 2])
@@ -425,7 +429,7 @@ class TestPrunedWalk:
 
     @pytest.mark.parametrize("parts", [(3, 3, 2, 2), (2, 4, 3), (4, 1, 1, 1, 1)])
     def test_walk_expands_each_poincare_state_once(self, parts, monkeypatch):
-        # without pruning, the walk expands every state that poincare's
+        # without pruning, the walk expands every state that the ordered
         # level loop counts, and each of them once
         calls = []
         step = paving._placements
@@ -437,7 +441,7 @@ class TestPrunedWalk:
         monkeypatch.setattr(paving, "_placements", counted)
         lam = Composition(parts)
         h = HessenbergFunction.springer(lam.n)
-        poincare(lam, h)
+        ordered_poincare(lam, h)
         states = sorted(calls)
         calls.clear()
         fillings = sum(1 for _ in iter_fillings(lam, h))
@@ -682,6 +686,71 @@ def springer_line_count(mu):
     return tuple(total)
 
 
+def count_placements(monkeypatch):
+    """Record the level m of every `_placements` call."""
+    calls = []
+    step = paving._placements
+
+    def counted(*args):
+        calls.append(args[0])
+        return step(*args)
+
+    monkeypatch.setattr(paving, "_placements", counted)
+    return calls
+
+
+class TestSortedStates:
+    """`poincare` keys each state by its (rem_i, b_i) pairs sorted, against
+    the oracle `ordered_poincare`, which keys them in row order."""
+
+    # 2^(n-1) compositions of n times Catalan(n) Hessenberg functions,
+    # summed over n; the sweep to n = 8 takes about 4 minutes
+    @pytest.mark.parametrize("top, pairs", [
+        (6, 5033),
+        pytest.param(8, 215_529, marks=pytest.mark.exhaustive),
+    ])
+    def test_every_composition(self, top, pairs):
+        checked = 0
+        for n in range(1, top + 1):
+            for parts in compositions(n):
+                lam = Composition(parts)
+                for h in all_hessenberg_functions(n):
+                    assert poincare(lam, h) == ordered_poincare(lam, h), (parts, h)
+                    checked += 1
+        assert checked == pairs
+
+    def test_every_partition_of_7_and_its_reverse(self):
+        pairs = 0
+        for parts in partitions(7):
+            for shape in sorted({parts, parts[::-1]}):
+                lam = Composition(shape)
+                for h in all_hessenberg_functions(7):
+                    assert poincare(lam, h) == ordered_poincare(lam, h), (shape, h)
+                    pairs += 1
+        assert pairs == (15 + 13) * 429  # (7) and (1^7) are their own reverse
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_property_to_14(self, data):
+        n = data.draw(st.integers(8, 14))
+        split = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        cuts = [0] + [i for i, cut in enumerate(split, start=1) if cut] + [n]
+        parts = [b - a for a, b in zip(cuts, cuts[1:])]
+        values = []
+        for i in range(1, n + 1):
+            values.append(data.draw(st.integers(values[-1] if values else 0, i - 1)))
+        lam, h = Composition(parts), HessenbergFunction(values)
+        assert poincare(lam, h) == ordered_poincare(lam, h)
+
+    @pytest.mark.parametrize("parts, states", [((3, 3, 2, 2), 30), ((6, 5, 4, 3, 2), 296)])
+    def test_states(self, parts, states, monkeypatch):
+        # states that differ only in the order of their rows share an entry
+        # (143 and 2519 in the ordered loop, `test_memo_states`)
+        calls = count_placements(monkeypatch)
+        poincare(Composition(parts), HessenbergFunction.springer(sum(parts)))
+        assert len(calls) == states
+
+
 class TestSpringerClosedForm:
     def test_line_recursion_every_partition_to_12(self):
         assert springer_line_count((1, 1)) == (1, 1)
@@ -698,6 +767,12 @@ class TestSpringerClosedForm:
                                        (6, 5, 4, 3, 2)])
     def test_line_recursion_at_n_20(self, parts):
         p = poincare(Composition(parts), HessenbergFunction.springer(20))
+        assert p.coeffs == springer_line_count(parts)
+
+    @pytest.mark.parametrize("parts", [(3,) * 8, (2,) * 20, (4,) * 10])
+    def test_line_recursion_past_n_20(self, parts):
+        # many equal rows: their states differ only in row order
+        p = poincare(Composition(parts), HessenbergFunction.springer(sum(parts)))
         assert p.coeffs == springer_line_count(parts)
 
     def test_kostka_foulkes_examples(self):
@@ -725,14 +800,16 @@ class TestSpringerClosedForm:
         assert p.total_cells == factorial(n) // prod(factorial(v) for v in parts)
         assert p.coeffs[0] == 1
         assert len(p.coeffs) - 1 == sum(i * v for i, v in enumerate(parts))
-        # X_lambda for a composition is conjugate to X of the sorted partition
+        # X_lambda for a composition is conjugate to X of the sorted
+        # partition; the ordered loop does not sort the rows of its states
         shuffled = Composition(parts[1:] + parts[:1])
-        assert poincare(shuffled, HessenbergFunction.springer(n)) == p
+        assert ordered_poincare(shuffled, HessenbergFunction.springer(n)) == p
 
     def test_reordering_invariance_sampled_h(self):
         # X_lambda for a composition is conjugate to X of the sorted
         # partition, so Hess(X_lambda, h) and Hess(X_{sort lambda}, h) are
-        # isomorphic for every h, though poincare runs on other states
+        # isomorphic for every h; one side is the ordered loop, which does
+        # not sort the rows of its states
         rng = random.Random(0)
         pairs = nonempty = 0
         for n in range(8, 13):
@@ -747,7 +824,8 @@ class TestSpringerClosedForm:
                     values.append(max(i - 1 - rng.randint(0, drop), values[-1]))
                 h = HessenbergFunction(values)
                 p = poincare(Composition(parts), h)
-                assert p == poincare(Composition(sorted(parts, reverse=True)), h), (parts, h)
+                sorted_lam = Composition(sorted(parts, reverse=True))
+                assert p == ordered_poincare(sorted_lam, h), (parts, h)
                 pairs += 1
                 nonempty += p.total_cells > 0
         assert pairs == 150
@@ -755,17 +833,11 @@ class TestSpringerClosedForm:
 
     @pytest.mark.parametrize("parts, states", [((3, 3, 2, 2), 143), ((6, 5, 4, 3, 2), 2519)])
     def test_memo_states(self, parts, states, monkeypatch):
-        # each _placements call expands one memo state; the m-1 clamp on the
-        # child bounds is what lets equivalent states share an entry
-        calls = []
-        step = paving._placements
-
-        def counted(*args):
-            calls.append(args[0])
-            return step(*args)
-
-        monkeypatch.setattr(paving, "_placements", counted)
-        poincare(Composition(parts), HessenbergFunction.springer(sum(parts)))
+        # each _placements call of the ordered loop expands one memo state;
+        # the m-1 clamp on the child bounds is what lets equivalent states
+        # share an entry
+        calls = count_placements(monkeypatch)
+        ordered_poincare(Composition(parts), HessenbergFunction.springer(sum(parts)))
         assert len(calls) == states
 
 

@@ -101,7 +101,7 @@ def test_one_generic_flag_per_springer_cell(monkeypatch):
 
 def test_image_check_evaluates_the_given_flag(monkeypatch):
     w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
-    flag = generic_flag(w, lam)
+    flag = generic_flag(w, lam, springer_inversions(w, lam))
     points = springer_points(lam, 3)[w.word]
     generators = count_calls(monkeypatch, "bk_generator", hesspave.exactla)
     assert dw_equals_cell(w, springer_inversions(w, lam), 3, flag, points)
@@ -143,7 +143,7 @@ def test_cell_without_points_fails_the_image_check(monkeypatch):
 def test_symbolic_suite_every_springer_cell(parts):
     lam = Composition(parts)
     cells = enumerate_cells(lam, HessenbergFunction.springer(lam.n))
-    result = _check_symbolic(lam, cells, [generic_flag(c.w, lam) for c in cells])
+    result = _check_symbolic(lam, cells, [generic_flag(c.w, lam, c.springer_inv) for c in cells])
     assert result.ok, result.witness
 
 
@@ -159,7 +159,7 @@ def test_flags_and_symbolic_suite_form_no_dense_product(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
-    flags = [generic_flag(c.w, lam) for c in cells]
+    flags = [generic_flag(c.w, lam, c.springer_inv) for c in cells]
     result = _check_symbolic(lam, cells, flags)
     assert result.ok, result.witness
     assert products == []
@@ -169,17 +169,19 @@ def test_symbolic_check_reads_inv_from_the_cells(monkeypatch):
     # inv_lambda(w) comes from each cell descriptor; the check recomputes none
     lam = Composition([2, 2, 1])
     cells = enumerate_cells(lam, HessenbergFunction.springer(5))
-    flags = [generic_flag(c.w, lam) for c in cells]
+    flags = [generic_flag(c.w, lam, c.springer_inv) for c in cells]
     calls = count_calls(monkeypatch, "springer_inversions")
     result = _check_symbolic(lam, cells, flags)
     assert result.ok, result.witness
     assert calls == []
 
 
-def test_generic_flag_computes_inv_once(monkeypatch):
+def test_generic_flag_reads_inv_from_its_caller(monkeypatch):
+    w, lam = Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2])
+    spr = springer_inversions(w, lam)
     calls = count_calls(monkeypatch, "springer_inversions")
-    generic_flag(Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2]))
-    assert len(calls) == 1
+    generic_flag(w, lam, spr)
+    assert calls == []
 
 
 @pytest.mark.parametrize("parts, h", [
