@@ -64,17 +64,55 @@ class InversionSet:
         return sorted(self.pairs)
 
 
+class _PairRow(dict):
+    """Row l of the pair table: row[k] is the shared tuple (k, l), made on
+    the first read."""
+
+    __slots__ = ("l",)
+
+    def __init__(self, l: int):
+        self.l = l
+
+    def __missing__(self, k: int) -> tuple[int, int]:
+        pair = self[k] = (k, self.l)
+        return pair
+
+
 @lru_cache(maxsize=None)
-def _pair_table(n: int) -> list[tuple[tuple[int, int], ...] | None]:
-    """Rows of shared pair tuples for size n: table[l][k] == (k, l), 0 <= k <= n.
+def _pair_table(n: int) -> list[_PairRow]:
+    """Rows of shared pair tuples for size n: table[l][k] == (k, l).
 
     Every inversion set of a size-n filling shares these tuples, so a cell
     table of many cells does not allocate (and garbage-collect) one tuple
-    per pair.  Row l starts as None and `_inversion_pairs` fills it the first
-    time it finds a pair (k, l), so a shape whose cells have few pairs never
-    pays for the (n+1)^2 tuples of a full table.
+    per pair.  A row holds only the pairs that `_pairs_below` has found, so
+    a shape whose cells have few pairs never pays for the (n+1)^2 tuples of
+    a full table.
     """
-    return [None] * (n + 1)
+    return [_PairRow(l) for l in range(n + 1)]
+
+
+def _pairs_below(
+    l: int,
+    rl: int,
+    cl: int,
+    bound: int,
+    pos: dict[int, tuple[int, int]],
+    with_l: _PairRow,
+) -> list[tuple[int, int]]:
+    """The Hessenberg inversions (k, l) of one entry l, in increasing k.
+
+    l sits at the 1-based (rl, cl), `bound` is h(r) for the entry r directly
+    right of l (n when l ends its row), and `pos` maps each k in
+    (l, bound] to its box.  The pairs are the k whose box lies in a column
+    left of cl, or in column cl below row rl, taken from `with_l`, row l of
+    `_pair_table`.
+    """
+    pairs = []
+    for k in range(l + 1, bound + 1):
+        rk, ck = pos[k]
+        if ck < cl or (ck == cl and rk > rl):
+            pairs.append(with_l[k])
+    return pairs
 
 
 def _inversion_pairs(
@@ -83,10 +121,12 @@ def _inversion_pairs(
     h_values: Sequence[int],
     n: int,
 ) -> list[tuple[int, int]]:
-    """The Hessenberg inversions (k, l) of a filling of 1..n.
+    """The Hessenberg inversions (k, l) of a filling of 1..n, by increasing l.
 
     `pos` maps each value to its 1-based (row, column).  A row may be padded
     with None holes; a hole to the right of l counts as the end of its row.
+    This is `_pairs_below` run once for each l over the finished filling;
+    the filling walk runs the same step at the node that places l.
     """
     table = _pair_table(n)
     pairs = []
@@ -95,13 +135,7 @@ def _inversion_pairs(
         row = rows[rl - 1]
         r = row[cl] if cl < len(row) else None
         bound = n if r is None else h_values[r - 1]
-        with_l = table[l]
-        for k in range(l + 1, bound + 1):
-            rk, ck = pos[k]
-            if ck < cl or (ck == cl and rk > rl):
-                if with_l is None:
-                    with_l = table[l] = tuple((kk, l) for kk in range(n + 1))
-                pairs.append(with_l[k])
+        pairs += _pairs_below(l, rl, cl, bound, pos, table[l])
     return pairs
 
 
@@ -139,6 +173,16 @@ class CellDescriptor:
     pairs: tuple[tuple[int, int], ...]
     dim: int
     h: HessenbergFunction
+
+    def __init__(self, word, rows, pairs, dim, h):
+        # one table holds a descriptor per cell: writing the fields straight
+        # into __dict__ costs half of the frozen dataclass __init__
+        fields = self.__dict__
+        fields["word"] = word
+        fields["rows"] = rows
+        fields["pairs"] = pairs
+        fields["dim"] = dim
+        fields["h"] = h
 
     @cached_property
     def w(self) -> Permutation:
@@ -202,8 +246,16 @@ def _placements(
 
 def iter_fillings(
     lam: Composition, h: HessenbergFunction, max_dim: int | None = None
-) -> Iterator[tuple[list[list[int]], list[int], dict[int, tuple[int, int]], int]]:
-    """Depth-first enumeration of RS_h(lambda) with the inversion count.
+) -> Iterator[
+    tuple[
+        tuple[tuple[int, ...], ...],
+        list[int],
+        dict[int, tuple[int, int]],
+        int,
+        list[tuple[int, int]],
+    ]
+]:
+    """Depth-first enumeration of RS_h(lambda) with its Hessenberg inversions.
 
     Walks the states of `_placements` from n down to 1, writing each value
     into the box it takes; dim is the sum of the gains.  A branch is pruned
@@ -212,13 +264,23 @@ def iter_fillings(
     box's 1-based (row, column), so a filling arrives with its permutation
     and positions already known.
 
+    The node that places l also lists the pairs (k, l) by `_pairs_below`:
+    every k > l and the right neighbor of l's box are placed by then.  The
+    pairs go onto one stack that is cut back on backtrack, so each prefix
+    finds its pairs once, however many fillings extend it.  The gains count
+    each pair when its larger entry is placed and `_pairs_below` when its
+    smaller one is, so the two counts check each other on every filling.
+
     Many prefixes reach one state (rem, bounds), so each state's children
     are expanded once and kept, the states that `poincare` visits level by
     level; the walk itself is one explicit stack of child iterators.
 
-    Yields (rows, word, pos, dim): the filling R(w), the one-line word of w,
-    the map value -> (row, column) and the dimension.  The rows, word and pos
-    containers are reused; copy them if kept.
+    Yields (rows, word, pos, dim, pairs): the filling R(w) as a tuple of row
+    tuples, the one-line word of w, the map value -> (row, column), the
+    dimension and the pairs of inv_{lambda,h}(w), by decreasing l.  A row is
+    frozen once, when its first box is filled, and every filling below that
+    node shares the tuple.  The word, pos and pairs containers are reused;
+    copy them if kept.
     """
     n = lam.n
     if n != h.n:
@@ -232,9 +294,12 @@ def iter_fillings(
     boxes = [[(i + 1, c) for c in range(1, p + 1)] for i, p in enumerate(lam.parts)]
     word = [0] * n
     pos: dict[int, tuple[int, int]] = {}
+    finished: list[tuple[int, ...]] = [()] * nrows
+    pairs: list[tuple[int, int]] = []
+    table = _pair_table(n)
     # no filling has more than n^2 inversions, so this limit prunes nothing
     limit = n * n if max_dim is None else max_dim
-    # (rem, bounds) -> [(grid row, column, w(m), box, child state, gain)]
+    # (rem, bounds) -> [(row index, column, w(m), box, child state, gain)]
     memo: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple]] = {}
 
     def expand(m: int, state: tuple[tuple[int, ...], tuple[int, ...]]) -> list[tuple]:
@@ -242,34 +307,42 @@ def iter_fillings(
         kids = []
         for i, child_rem, child_bounds, gain in _placements(m, *state, hv, nrows):
             c = rem[i] - 1
-            kids.append((grid[i], c, labels[i][c], boxes[i][c], (child_rem, child_bounds), gain))
+            kids.append((i, c, labels[i][c], boxes[i][c], (child_rem, child_bounds), gain))
         memo[state] = kids
         return kids
 
-    m, dim = n, 0
+    # base: how many pairs the placements of n..m+1 hold on the stack
+    m, dim, base = n, 0, 0
     it = iter(expand(n, (lam.parts, (n,) * nrows)))
-    stack: list[tuple[Iterator[tuple], int]] = []
+    stack: list[tuple[Iterator[tuple], int, int]] = []
     while True:
-        for row, c, label, box, child, gain in it:
+        for i, c, label, box, child, gain in it:
             d = dim + gain
             if d > limit:
                 continue
+            row = grid[i]
             row[c] = m
             word[m - 1] = label
             pos[m] = box
+            del pairs[base:]
+            bound = hv[row[c + 1] - 1] if c + 1 < len(row) else n
+            if bound > m:
+                pairs += _pairs_below(m, box[0], box[1], bound, pos, table[m])
+            if c == 0:
+                finished[i] = tuple(row)
             if m == 1:
-                yield grid, word, pos, d
+                yield tuple(finished), word, pos, d, pairs
                 continue
             kids = memo.get(child)
             if kids is None:
                 kids = expand(m - 1, child)
-            stack.append((it, dim))
-            it, dim, m = iter(kids), d, m - 1
+            stack.append((it, dim, base))
+            it, dim, m, base = iter(kids), d, m - 1, len(pairs)
             break
         else:
             if not stack:
                 return
-            it, dim = stack.pop()
+            it, dim, base = stack.pop()
             m += 1
 
 
@@ -278,21 +351,18 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescrip
 
     An empty list signals that the variety is empty.  Each descriptor holds
     what the walk produced: the frozen rows, the word of w and the pairs of
-    inv_{lambda,h}(w) from the pair kernel `_inversion_pairs`.  Every cell is
-    checked as it is built: each pair must have the larger index first
-    (ValueError), the walk counts each cell's inversions on its own and a
-    kernel list whose size disagrees with that count raises RuntimeError,
-    and the word must take each of 1..n once, so no box took two values
-    (ValueError).  `Permutation`, `InversionSet` and `Tableau` are left to
-    the descriptor's first read.
+    inv_{lambda,h}(w) that the walk's `_pairs_below` steps listed, sorted.
+    Every cell is checked as it is built: each pair must have the larger
+    index first (ValueError); the walk's gains from `_placements` count
+    each cell's inversions on their own, and a pair list whose size
+    disagrees with that count raises RuntimeError; and the word must take
+    each of 1..n once, so no box took two values (ValueError).
+    `Permutation`, `InversionSet` and `Tableau` are left to the
+    descriptor's first read.
     """
-    hv = h.values
-    n = lam.n
-    values = set(range(1, n + 1))
+    values = set(range(1, lam.n + 1))
     cells = []
-    for grid, word, pos, dim in iter_fillings(lam, h):
-        rows = tuple(map(tuple, grid))
-        pairs = _inversion_pairs(rows, pos, hv, n)
+    for rows, word, _, dim, pairs in iter_fillings(lam, h):
         if any(starmap(le, pairs)):
             raise ValueError("inversion pairs must have the larger index first")
         if len(pairs) != dim:
@@ -301,9 +371,8 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescrip
             )
         word = tuple(word)
         if set(word) != values:
-            raise ValueError(f"not a permutation of 1..{n}: {word}")
-        pairs.sort()
-        cells.append(CellDescriptor(word, rows, tuple(pairs), dim, h))
+            raise ValueError(f"not a permutation of 1..{lam.n}: {word}")
+        cells.append(CellDescriptor(word, rows, tuple(sorted(pairs)), dim, h))
     cells.sort(key=attrgetter("word"))
     return cells
 
@@ -407,7 +476,7 @@ def zero_dim_cells(lam: Composition, h: HessenbergFunction) -> list[Tableau]:
     """All tableaux of cells of dimension zero (pruned enumeration)."""
     return [
         Tableau(rows, lam)
-        for rows, _, _, _ in iter_fillings(lam, h, max_dim=0)
+        for rows, _, _, _, _ in iter_fillings(lam, h, max_dim=0)
     ]
 
 

@@ -11,6 +11,8 @@ from hesspave.cli import build_parser, main
 DATA = Path(__file__).with_name("data")
 # sha256 of the reference output of each argv, for outputs too large to keep
 DIGESTS_N8_9 = json.loads((DATA / "cells_n8_9_sha256.json").read_text())
+# the same for cells --format json at n = 10
+DIGESTS_N10 = json.loads((DATA / "cells_n10_sha256.json").read_text())
 # verify --q 2 --seed 0 on every partition of n <= 5 with the Springer h, and
 # one non-Springer h per n >= 2: the whole symbolic sweep; and the same at
 # --q 3 for n <= 4, where the F_q image and zero-structure checks run
@@ -111,6 +113,12 @@ class TestCells:
 
     @pytest.mark.parametrize("argv, digest", DIGESTS_N8_9.items())
     def test_output_unchanged_at_n_8_and_9(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", DIGESTS_N10.items())
+    def test_output_unchanged_at_n_10(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from math import factorial, prod
 
@@ -23,6 +24,7 @@ from hesspave.combinatorics import (
 )
 from hesspave import paving
 from hesspave.paving import (
+    CellDescriptor,
     InversionSet,
     cell_profile,
     enumerate_cells,
@@ -329,6 +331,25 @@ class TestCellDescriptors:
         # springer_inv (h is not Springer), and one Permutation
         assert sorted(built) == ["InversionSet", "InversionSet", "Permutation", "Tableau"]
 
+    def test_descriptor_is_a_frozen_value(self):
+        # the hand-written __init__ keeps what the dataclass gave: equality,
+        # hash and repr over the five fields, and no assignment
+        lam, h = Composition([2, 2, 1]), HessenbergFunction([0, 1, 1, 2, 3])
+        cells = enumerate_cells(lam, h)
+        assert cells
+        for c in cells:
+            twin = CellDescriptor(c.word, c.rows, c.pairs, c.dim, c.h)
+            assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+            assert repr(c).startswith(f"CellDescriptor(word={c.word!r}, rows={c.rows!r}, ")
+        assert cells[0] != cells[1]
+        assert len(set(cells)) == len(cells)
+        c = cells[-1]
+        for name in ("word", "rows", "pairs", "dim", "h"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(c, name, None)
+        with pytest.raises(FrozenInstanceError):
+            del c.dim
+
     def test_one_row_of_many_boxes_allocates_no_pair_table(self):
         # the pair table's rows are built on demand: a single row has no
         # inversions, so none is built (a full table at n = 3000 is 9M tuples)
@@ -362,7 +383,7 @@ class TestPrunedWalk:
                 lam = Composition(parts)
                 for h in hs:
                     cases += 1
-                    for rows, word, pos, _ in iter_fillings(lam, h):
+                    for rows, word, pos, _, _ in iter_fillings(lam, h):
                         fillings += 1
                         t = Tableau(rows, lam)
                         assert tuple(word) == permutation_of_tableau(t).word
@@ -379,10 +400,10 @@ class TestPrunedWalk:
             if lam.n > 5:
                 continue
             cases += 1
-            full = [([list(r) for r in rows], d) for rows, _, _, d in iter_fillings(lam, h)]
+            full = [([list(r) for r in rows], d) for rows, _, _, d, _ in iter_fillings(lam, h)]
             for max_dim in (0, 1, 2):
                 pruned = [([list(r) for r in rows], d)
-                          for rows, _, _, d in iter_fillings(lam, h, max_dim)]
+                          for rows, _, _, d, _ in iter_fillings(lam, h, max_dim)]
                 expect = [(rows, d) for rows, d in full if d <= max_dim]
                 assert pruned == expect, (lam.parts, h.values, max_dim)
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42
@@ -405,7 +426,7 @@ class TestPrunedWalk:
         merged = {}
         for n in range(1, 7):
             lam, h = Composition([1] * n), HessenbergFunction.springer(n)
-            columns = [[row[0] for row in rows] for rows, _, _, _ in iter_fillings(lam, h)]
+            columns = [[row[0] for row in rows] for rows, _, _, _, _ in iter_fillings(lam, h)]
             assert len(columns) == factorial(n)
             for max_dim in (0, 1, 2):
                 prefixes, expect = set(), set()
@@ -492,12 +513,67 @@ class TestWalkAgainstReference:
                     for max_dim in (None, 0, 1, 2):
                         cases += 1
                         got = [([list(r) for r in rows], list(word), dict(pos), dim)
-                               for rows, word, pos, dim in iter_fillings(lam, h, max_dim)]
+                               for rows, word, pos, dim, _ in iter_fillings(lam, h, max_dim)]
                         assert got == list(reference_walk(lam, h, max_dim)), \
                             (parts, h.values, max_dim)
                         fillings += len(got)
         assert cases == 4 * (1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 32)
         assert fillings > 20_000
+
+
+def walk_pairs_match(lam, h):
+    """Check the pairs of every filling of the walk against the pair kernel
+    on the finished rows and against `hessenberg_inversions`; return the
+    number of fillings."""
+    fillings = 0
+    for rows, word, pos, dim, pairs in iter_fillings(lam, h):
+        got = sorted(pairs)
+        assert len(got) == dim
+        assert got == sorted(paving._inversion_pairs(rows, pos, h.values, lam.n))
+        assert got == hessenberg_inversions(Permutation(word), lam, h).sorted_pairs()
+        fillings += 1
+    return fillings
+
+
+class TestWalkPairs:
+    """The pairs that the walk lists node by node, one `_pairs_below` step
+    per placed value, against the kernel run on each finished filling."""
+
+    # the sweep to n = 7 takes about 8 minutes, the one to n = 8 hours
+    @pytest.mark.parametrize("top, cases, total", [
+        (6, 5033, 332_018),
+        pytest.param(7, 32_489, 9_819_505, marks=pytest.mark.exhaustive),
+        pytest.param(8, 215_529, 343_242_216, marks=pytest.mark.exhaustive),
+    ])
+    def test_every_composition(self, top, cases, total):
+        checked = fillings = 0
+        for n in range(1, top + 1):
+            for parts in compositions(n):
+                lam = Composition(parts)
+                for h in all_hessenberg_functions(n):
+                    fillings += walk_pairs_match(lam, h)
+                    checked += 1
+        assert checked == cases
+        assert fillings == total
+
+    def test_every_partition_of_7_springer(self):
+        fillings = sum(walk_pairs_match(Composition(parts), HessenbergFunction.springer(7))
+                       for parts in partitions(7))
+        # the Springer fiber of lambda has n!/prod(lambda_i!) cells
+        assert fillings == sum(factorial(7) // prod(map(factorial, parts))
+                               for parts in partitions(7))
+
+    def test_count_check_does_not_rest_on_the_pair_step(self, monkeypatch):
+        # a step that also takes a larger entry above l in l's column lists
+        # pairs the gains of `_placements` never counted
+        def wrong(l, rl, cl, bound, pos, with_l):
+            return [with_l[k] for k in range(l + 1, bound + 1) if pos[k][1] <= cl]
+
+        lam, h = Composition([3, 2, 2, 1]), HessenbergFunction.springer(8)
+        enumerate_cells(lam, h)
+        monkeypatch.setattr(paving, "_pairs_below", wrong)
+        with pytest.raises(RuntimeError, match="walk counted"):
+            enumerate_cells(lam, h)
 
 
 class TestChecksOnBadInput:
@@ -509,31 +585,34 @@ class TestChecksOnBadInput:
         walk = paving.iter_fillings
 
         def tampered(lam, h, max_dim=None):
-            for rows, word, pos, dim in walk(lam, h, max_dim):
-                yield tamper(rows, list(word), pos, dim)
+            for rows, word, pos, dim, pairs in walk(lam, h, max_dim):
+                yield tamper(rows, list(word), pos, dim, pairs)
 
         monkeypatch.setattr(paving, "iter_fillings", tampered)
 
     def test_walk_count_disagreeing_with_kernel_raises(self, monkeypatch):
-        self._tampered(monkeypatch, lambda rows, word, pos, dim: (rows, word, pos, dim + 1))
+        self._tampered(monkeypatch,
+                       lambda rows, word, pos, dim, pairs: (rows, word, pos, dim + 1, pairs))
         with pytest.raises(RuntimeError, match="walk counted"):
             enumerate_cells(self.lam, self.h)
 
     def test_kernel_counts_pair_by_pair(self, monkeypatch):
-        # drop the kernel's last pair: the count check sees it at once
-        kernel = paving._inversion_pairs
-        monkeypatch.setattr(paving, "_inversion_pairs", lambda *a: kernel(*a)[:-1])
+        # drop the last pair of each step of the walk: the count check sees
+        # it at once
+        kernel = paving._pairs_below
+        monkeypatch.setattr(paving, "_pairs_below", lambda *a: kernel(*a)[:-1])
         with pytest.raises(RuntimeError, match="walk counted"):
             enumerate_cells(self.lam, self.h)
 
     def test_word_that_is_not_a_permutation_raises(self, monkeypatch):
-        self._tampered(monkeypatch, lambda rows, word, pos, dim: (rows, [1] * len(word), pos, dim))
+        self._tampered(monkeypatch,
+                       lambda rows, word, pos, dim, pairs: (rows, [1] * len(word), pos, dim, pairs))
         with pytest.raises(ValueError, match="not a permutation"):
             enumerate_cells(self.lam, self.h)
 
     def test_pair_with_smaller_index_first_raises(self, monkeypatch):
-        kernel = paving._inversion_pairs
-        monkeypatch.setattr(paving, "_inversion_pairs",
+        kernel = paving._pairs_below
+        monkeypatch.setattr(paving, "_pairs_below",
                             lambda *a: [(l, k) for k, l in kernel(*a)])
         with pytest.raises(ValueError, match="larger index first"):
             enumerate_cells(self.lam, self.h)
