@@ -185,9 +185,6 @@ class Tableau:
         row = self.rows[r - 1]
         return row[c] if c < len(row) else None
 
-    def __str__(self) -> str:
-        return format_tableau(self)
-
 
 def format_tableau(t: Tableau) -> str:
     """Text format: one row per line, entries space-separated, top row first."""

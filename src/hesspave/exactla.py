@@ -108,12 +108,6 @@ class ExactMatrix:
             )
         return ExactMatrix(self.domain, tuple(rows))
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(self.domain, tuple(
-            tuple(a + b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        ))
-
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return ExactMatrix(self.domain, tuple(
             tuple(a - b for a, b in zip(r1, r2))
@@ -178,9 +172,6 @@ class ExactMatrix:
                     c = aug[r][col]
                     aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
         return ExactMatrix.from_rows(dom, [row[n:] for row in aug])
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
 
 
 def nilpotent_matrix(lam: Composition, domain: Domain = RATIONALS) -> ExactMatrix:

@@ -25,11 +25,11 @@ come from one such search, grouped by w.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, log2
+from math import log2
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -70,19 +70,16 @@ class CountReport:
         return cls(q, per_cell, total, predicted, match, expected)
 
     def to_json(self) -> dict:
+        # a word missing from either dict counts 0 there
+        rows = [(w, self.per_cell.get(w, 0), self.expected_per_cell.get(w, 0))
+                for w in sorted(self.per_cell.keys() | self.expected_per_cell.keys())]
         return {
             "q": self.q,
             "total": self.total,
             "predicted": self.predicted,
             "match": self.match,
             "per_cell": [
-                {
-                    "w": list(w),
-                    "count": c,
-                    "expected": self.expected_per_cell.get(w, 0),
-                }
-                for w, c in sorted(self.per_cell.items())
-                if c or self.expected_per_cell.get(w, 0)
+                {"w": list(w), "count": c, "expected": e} for w, c, e in rows if c or e
             ],
         }
 
@@ -108,12 +105,11 @@ def _free_positions(w: Permutation) -> list[tuple[int, int]]:
 # children per numpy batch of the search; bounds its peak bytes
 _CHUNK = 1 << 12
 
-# A batch of N search nodes is an (n + 3, n, N) int8 array: at level j,
+# A batch of N search nodes is an (n + 2, n, N) int8 array: at level j,
 # nodes[k] for k < j is column k of g, nodes[_M] holds the m-values of those
-# columns, nodes[_ROWS] the rows w(1..j) - 1 followed by the unused rows in
-# increasing order, and nodes[_LEHMER] the Lehmer digits of w(1..j) (how
-# many unused rows lie above each w(k)).
-_M, _ROWS, _LEHMER = -3, -2, -1
+# columns, and nodes[_ROWS] the rows w(1..j) - 1 followed by the unused rows
+# in increasing order.
+_M, _ROWS = -2, -1
 
 
 @lru_cache(maxsize=256)
@@ -184,7 +180,6 @@ def _search(x: np.ndarray, q: int, bound: Sequence[int]) -> Iterator[np.ndarray]
         kids[j, kids[_ROWS, j:], np.arange(len(t))] = vals[:, child]
         kids[_M, j] = m[child, parent]
         kids[_ROWS, j:] = np.take_along_axis(kids[_ROWS, j:], rotations[:, t], axis=0)
-        kids[_LEHMER, j] = t
         return kids
 
     def expand(nodes: np.ndarray, j: int) -> Iterator[np.ndarray]:
@@ -200,15 +195,15 @@ def _search(x: np.ndarray, q: int, bound: Sequence[int]) -> Iterator[np.ndarray]
                 else:
                     yield from expand(kids, j + 1)
 
-    root = np.zeros((n + 3, n, 1), dtype=np.int8)
+    root = np.zeros((n + 2, n, 1), dtype=np.int8)
     root[_ROWS, :, 0] = np.arange(n)
     return expand(root, 0)
 
 
 def _nodes(x: np.ndarray, q: int, bound: Sequence[int]) -> np.ndarray:
-    """Every point of the search as one (n + 3, n, N) batch of nodes."""
+    """Every point of the search as one (n + 2, n, N) batch of nodes."""
     n = len(bound)
-    return np.concatenate([np.zeros((n + 3, n, 0), dtype=np.int8),
+    return np.concatenate([np.zeros((n + 2, n, 0), dtype=np.int8),
                            *_search(x, q, bound)], axis=2)
 
 
@@ -242,9 +237,9 @@ def flag_point_counts(
     """For each h, the points of every Schubert cell C_w in Hess(x, h)(F_q).
 
     One pruned search over every w answers every h, and each batch of its
-    points is tallied by w's rank and dropped.  The work budget is checked
-    against the size of the whole flag variety.  x is an (n, n) integer
-    array, whose entries are read mod q.
+    points is tallied by w and dropped, so a cell without points has no
+    entry.  The work budget is checked against the size of the whole flag
+    variety.  x is an (n, n) integer array, whose entries are read mod q.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1] or not np.issubdtype(x.dtype, np.integer):
@@ -258,18 +253,14 @@ def flag_point_counts(
     _check_budget(n, q, budget_bits)
     hv = np.array([h.values for h in hs])
     bound = hv.max(axis=0)
-    # the lexicographic rank of w from its Lehmer code
-    place = np.array([factorial(n - 1 - j) for j in range(n)])
-
-    counts = np.zeros((len(hs), factorial(n)), dtype=np.int64)
+    tallies = [Counter() for _ in hs]
     for nodes in _search(x, q, bound):
-        rank = place @ nodes[_LEHMER]
+        # each point's rows w(1..n) - 1 as one n-byte key
+        keys = np.ascontiguousarray(nodes[_ROWS].T).view(f"V{n}").ravel()
         ok = np.all(nodes[_M] <= hv[:, :, None], axis=1)
-        for hi in range(len(hs)):
-            counts[hi] += np.bincount(rank[ok[hi]], minlength=counts.shape[1])
-    # itertools lists the permutations in rank order
-    perms = list(itertools.permutations(range(1, n + 1)))
-    return [dict(zip(perms, row)) for row in counts.tolist()]
+        for tally, keep in zip(tallies, ok):
+            tally.update(keys[keep].tolist())
+    return [{tuple(r + 1 for r in key): c for key, c in tally.items()} for tally in tallies]
 
 
 def variety_point_counts(

@@ -17,6 +17,9 @@ DIGESTS_N10 = json.loads((DATA / "cells_n10_sha256.json").read_text())
 # one non-Springer h per n >= 2: the whole symbolic sweep; and the same at
 # --q 3 for n <= 4, where the F_q image and zero-structure checks run
 DIGESTS_VERIFY = json.loads((DATA / "verify_n4_5_sha256.json").read_text())
+# count --q 2 on (3,3,3) and (5,5), recorded while each point was still
+# tallied by the rank of w in a table of all n! permutations
+DIGESTS_COUNT = json.loads((DATA / "count_n9_10_sha256.json").read_text())
 # the benchmark's own digests of the stdout of each op it checks, read only:
 # output drift fails here before the benchmark reports it
 DIGESTS_BENCH = json.loads(
@@ -285,6 +288,12 @@ class TestCount:
         code, out, _ = run(capsys, "count", *args)
         assert code == 0
         assert out == (DATA / stem).read_text()
+
+    @pytest.mark.parametrize("argv, digest", DIGESTS_COUNT.items())
+    def test_output_unchanged_at_n_9_and_10(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_readme_example(self, capsys):
         # 26.4 bits of flags, so the default 24-bit budget is not enough

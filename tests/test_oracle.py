@@ -34,6 +34,7 @@ from hesspave.oracle import (
     _M,
     _ROWS,
     BudgetExceededError,
+    CountReport,
     _image_keys,
     _m_vectors,
     _random_gl,
@@ -185,7 +186,9 @@ class TestBatchArithmetic:
         ws = data.draw(st.lists(st.sampled_from(cheap), min_size=1, max_size=6, unique=True))
         counts = flag_point_counts(x, hs, q, budget_bits=40)
         for per_cell in counts:
-            assert set(per_cell) == {w.word for w in all_perms(n)}
+            # only the cells with points have an entry
+            assert set(per_cell) <= {w.word for w in all_perms(n)}
+            assert all(c > 0 for c in per_cell.values())
         bound = np.max([h.values for h in hs], axis=0)
         # one search answers every sampled w, batch by batch: the m-vectors
         # of its points whose rows are w's
@@ -198,7 +201,7 @@ class TestBatchArithmetic:
             ref = reference_m_vectors(w, x, q)
             assert sorted_rows(found[w.word]) == sorted_rows(ref[np.all(ref <= bound, axis=1)])
             for per_cell, h in zip(counts, hs):
-                assert per_cell[w.word] == int(np.all(ref <= h.values, axis=1).sum())
+                assert per_cell.get(w.word, 0) == int(np.all(ref <= h.values, axis=1).sum())
 
     def test_bound_must_stay_below_the_diagonal(self):
         x = nilpotent_residues(Composition([2]))
@@ -248,7 +251,7 @@ class TestCellCounts:
             [counts] = flag_point_counts(
                 nilpotent_residues(lam), [HessenbergFunction.springer(2)], q
             )
-            assert counts[(2, 1)] == 0
+            assert (2, 1) not in counts
 
     def test_cell_sizes_match_dimension(self):
         lam = Composition([2, 2])
@@ -257,9 +260,9 @@ class TestCellCounts:
         [counts] = flag_point_counts(nilpotent_residues(lam), [h], 2)
         for w in all_perms(4):
             if w.word in dims:
-                assert counts[w.word] == 2 ** dims[w.word]
+                assert counts.get(w.word, 0) == 2 ** dims[w.word]
             else:
-                assert counts[w.word] == 0
+                assert counts.get(w.word, 0) == 0
 
     def test_restricted_h_halves_cell(self):
         lam = Composition([2, 2, 2])
@@ -271,7 +274,7 @@ class TestCellCounts:
             HessenbergFunction([0, 0, 1, 1, 3, 4]),
         ]
         counts = flag_point_counts(nilpotent_residues(lam), hs, 2)
-        assert [per_cell[w.word] for per_cell in counts] == [64, 32, 0]
+        assert [per_cell.get(w.word, 0) for per_cell in counts] == [64, 32, 0]
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):
@@ -361,8 +364,7 @@ class TestVarietyCounts:
         lam, h = Composition([2, 2, 2, 1]), HessenbergFunction.springer(7)
         [per_cell] = flag_point_counts(nilpotent_residues(lam), [h], 2, budget_bits=27)
         dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
-        assert len(per_cell) == 5040
-        assert per_cell == {w: 2 ** dims[w] if w in dims else 0 for w in per_cell}
+        assert per_cell == {w: 2**d for w, d in dims.items()}
         assert sum(per_cell.values()) == evaluate(poincare(lam, h), 2) == 51429
 
     def test_332_springer_reach(self):
@@ -370,8 +372,7 @@ class TestVarietyCounts:
         lam, h = Composition([3, 3, 2]), HessenbergFunction.springer(8)
         [per_cell] = flag_point_counts(nilpotent_residues(lam), [h], 2, budget_bits=35)
         dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
-        assert len(per_cell) == 40320
-        assert per_cell == {w: 2 ** dims[w] if w in dims else 0 for w in per_cell}
+        assert per_cell == {w: 2**d for w, d in dims.items()}
 
     def test_counting_keeps_no_points(self):
         # X = 0 prunes nothing, so all 9,765 flags of Fl_5(F_2) are found;
@@ -385,6 +386,46 @@ class TestVarietyCounts:
             tracemalloc.stop()
         assert sum(per_cell.values()) == 9765
         assert peak <= 2 * 2**20
+
+    def test_tally_holds_no_table_of_all_permutations(self):
+        # 10! = 3,628,800 words, so one int64 count per permutation alone
+        # would take 29 MB; the tally holds only the 252 cells with points
+        lam, h = Composition([5, 5]), HessenbergFunction.springer(10)
+        x = nilpotent_residues(lam)
+        tracemalloc.start()
+        try:
+            [per_cell] = flag_point_counts(x, [h], 2, budget_bits=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = enumerate_cells(lam, h)
+        assert len(cells) == 252
+        assert per_cell == {c.word: 2**c.dim for c in cells}
+        assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize("parts, h", [
+        ((2, 2), HessenbergFunction.springer(4)),
+        ((2, 1, 1), HessenbergFunction([0, 1, 1, 2])),
+        ((3, 1), HessenbergFunction([0, 0, 1, 3])),
+    ])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_sparse_counts_report_as_padded(self, parts, h, q):
+        # a word missing from the counts reads as 0, also when the paving
+        # expects points there
+        lam = Composition(parts)
+        cells = enumerate_cells(lam, h)
+        [sparse] = flag_point_counts(nilpotent_residues(lam), [h], q)
+        assert 0 not in sparse.values()
+        emptied = dict(sparse)
+        del emptied[cells[-1].word]
+        for counts in (sparse, emptied):
+            padded = {w.word: counts.get(w.word, 0) for w in all_perms(lam.n)}
+            report = CountReport.from_counts(q, counts, cells)
+            assert report.to_json() == CountReport.from_counts(q, padded, cells).to_json()
+        missing = CountReport.from_counts(q, emptied, cells).to_json()
+        assert missing["match"] is False
+        assert {"w": list(cells[-1].word), "count": 0,
+                "expected": q ** cells[-1].dim} in missing["per_cell"]
 
     def test_zero_matrix_counts_every_flag_at_q5(self):
         # X = 0 at the largest n and q that test_search_matches_brute_force

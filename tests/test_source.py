@@ -175,9 +175,10 @@ def test_public_functions_are_used():
 
 
 def test_public_methods_are_used():
-    # a public, non-dunder method must be named somewhere in the package;
-    # uses in the tests and references from its own body do not count.  It
-    # matches by name, so a method that shares its name with a used one
+    # a public, non-dunder method must be read as an attribute (`x.name`)
+    # somewhere in the package; a bare variable of the same name, uses in
+    # the tests and references from its own body do not count.  It matches
+    # by name, so a method that shares its name with a used attribute
     # passes unseen
     defined = {}
     used = set()
@@ -190,9 +191,8 @@ def test_public_methods_are_used():
                 if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not fn.name.startswith("_")):
                     defined.setdefault(fn.name, f"{path.name}:{fn.lineno}")
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
-            used.add(name)
+        if isinstance(node, ast.Attribute) and node.attr != own:
+            used.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, own, path)
 
