@@ -207,6 +207,11 @@ def _nodes(x: np.ndarray, q: int, bound: Sequence[int]) -> np.ndarray:
                            *_search(x, q, bound)], axis=2)
 
 
+def _row_keys(nodes: np.ndarray) -> np.ndarray:
+    """Each node's rows w(1..n) - 1 as one n-byte key; byte j + 1 is w(j + 1)."""
+    return np.ascontiguousarray(nodes[_ROWS].T).view(f"V{nodes.shape[1]}").ravel()
+
+
 def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> np.ndarray:
     """For every u in U^w(F_q) whose flag uwE_ has m <= bound: the lowest
     nonzero row of each column of (uW)^{-1} X (uW) mod q, as an (N, n) array
@@ -255,8 +260,7 @@ def flag_point_counts(
     bound = hv.max(axis=0)
     tallies = [Counter() for _ in hs]
     for nodes in _search(x, q, bound):
-        # each point's rows w(1..n) - 1 as one n-byte key
-        keys = np.ascontiguousarray(nodes[_ROWS].T).view(f"V{n}").ravel()
+        keys = _row_keys(nodes)
         ok = np.all(nodes[_M] <= hv[:, :, None], axis=1)
         for tally, keep in zip(tallies, ok):
             tally.update(keys[keep].tolist())
@@ -300,15 +304,12 @@ def springer_points(
     n = lam.n
     _check_budget(n, q, budget_bits)
     nodes = _nodes(nilpotent_residues(lam), q, HessenbergFunction.springer(n).values)
-    # at the last level nodes[_ROWS] holds w(1..n) - 1, and nodes[j] is
-    # column j of g = uW, so column c of u is column w^{-1}(c) of g
-    rows = nodes[_ROWS]
-    ut = np.take_along_axis(nodes[:n], np.argsort(rows, axis=0)[:, None], axis=0)
+    # nodes[j] is column j of g = uW, so column c of u is column w^{-1}(c) of g
+    ut = np.take_along_axis(nodes[:n], np.argsort(nodes[_ROWS], axis=0)[:, None], axis=0)
     points = ut.transpose(2, 1, 0).astype(np.int64)
-    words, which = np.unique(rows.T, axis=0, return_inverse=True)
-    which = which.reshape(-1)  # numpy 2.0.0 returns it as a column
-    return {tuple(int(v) + 1 for v in word): points[which == i]
-            for i, word in enumerate(words)}
+    words, which = np.unique(_row_keys(nodes), return_inverse=True)
+    return {tuple(r + 1 for r in word): points[which == i]
+            for i, word in enumerate(words.tolist())}
 
 
 def _evaluate(polys: list, coords: list[tuple[int, int]], q: int) -> np.ndarray:

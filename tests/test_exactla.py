@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fq_reference import GF, PrimeFieldDomain, conjugate
 from hesspave.combinatorics import (
@@ -271,6 +272,20 @@ class TestBkGenerator:
             prod = bk_generator(w, lam, spr, k, c1) @ bk_generator(w, lam, spr, k, c2)
             both = {key: c1[key] + c2[key] for key in c1}
             assert prod == bk_generator(w, lam, spr, k, both)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n), st.integers(1, 3)), max_size=6))))
+    def test_square_law_iff_no_target_is_a_source(self, case):
+        # the lemma verify's group-law check rests on, against the product
+        # form; pairs may repeat and triples may share a variable
+        n, raw = case
+        g = [(tgt, src, Poly.var(1, v)) for tgt, src, v in raw]
+        identity = ExactMatrix.identity(POLYNOMIALS, n)
+        square = identity.add_row_multiples(g).add_row_multiples(g)
+        doubled = identity.add_row_multiples([(tgt, src, x + x) for tgt, src, x in g])
+        disjoint = not {tgt for tgt, _, _ in g} & {src for _, src, _ in g}
+        assert (square == doubled) == disjoint
 
     def test_entries_state_the_generator(self):
         # g_k = I + sum of x E_{tgt,src} over its triples, for every level

@@ -148,21 +148,54 @@ def test_symbolic_suite_every_springer_cell(parts):
 
 
 def test_flags_and_symbolic_suite_form_no_dense_product(monkeypatch):
-    # B_k(w) acts by row operations in generic_flag and the group law
+    # B_k(w) acts by row operations in generic_flag, and the symbolic suite
+    # reads the group law off the generators' triples, forming no matrix
     lam = Composition([2, 2, 1])
     cells = enumerate_cells(lam, HessenbergFunction.springer(5))
-    products = []
-    matmul = ExactMatrix.__matmul__
+    products, row_steps = [], []
+    matmul, add_rows = ExactMatrix.__matmul__, ExactMatrix.add_row_multiples
 
     def counted(self, other):
         products.append(self.n)
         return matmul(self, other)
 
+    def counted_rows(self, entries):
+        row_steps.append(self.n)
+        return add_rows(self, entries)
+
     monkeypatch.setattr(ExactMatrix, "__matmul__", counted)
     flags = [generic_flag(c.w, lam, c.springer_inv) for c in cells]
+    monkeypatch.setattr(ExactMatrix, "add_row_multiples", counted_rows)
+    generators = count_calls(monkeypatch, "bk_generator", hesspave.exactla)
     result = _check_symbolic(lam, cells, flags)
     assert result.ok, result.witness
     assert products == []
+    assert row_steps == []
+    assert generators == []
+
+
+def test_chained_triple_fails_the_group_law(monkeypatch):
+    # mutation: one cell's level k gains a triple whose source is another
+    # triple's target, so N^2 != 0 and g_k(x)^2 != g_k(2x)
+    lam = Composition([2, 2, 1])
+    cells = enumerate_cells(lam, HessenbergFunction.springer(5))
+    flags = [generic_flag(c.w, lam, c.springer_inv) for c in cells]
+    entries = hesspave.verify.bk_entries
+    cell = cells[len(cells) // 2]
+    k = max(k for k in range(2, 6) if cell.springer_inv.level(k))
+
+    def chained(w, lam, spr, level, coords):
+        g = entries(w, lam, spr, level, coords)
+        if (w, level) == (cell.w, k):
+            tgt, src, x = g[0]
+            g = g + [(src, tgt, x)]
+        return g
+
+    monkeypatch.setattr(hesspave.verify, "bk_entries", chained)
+    result = _check_symbolic(lam, cells, flags)
+    assert (result.ok, result.name, result.witness) == (False, "group-law", f"w={cell.w}, k={k}")
+    monkeypatch.undo()
+    assert _check_symbolic(lam, cells, flags).ok
 
 
 def test_symbolic_check_reads_inv_from_the_cells(monkeypatch):
