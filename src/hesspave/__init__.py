@@ -25,12 +25,10 @@ from .combinatorics import (
 )
 from .domains import (
     POLYNOMIALS,
-    RATIONALS,
     BudgetExceededError,
     FieldSpec,
     Poly,
     PolynomialDomain,
-    RationalDomain,
 )
 from .exactla import (
     ExactMatrix,

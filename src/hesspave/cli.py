@@ -34,10 +34,10 @@ from .domains import BudgetExceededError, FieldSpec, Poly
 from .exactla import generic_flag, hess_zero_coordinates
 from .paving import (
     enumerate_cells,
+    hessenberg_inversions,
     inversion_profile,
     poincare,
     r0_tableau,
-    springer_inversions,
     zero_dim_cells,
 )
 
@@ -259,11 +259,8 @@ def cmd_generic_flag(args, lam: Composition, h: HessenbergFunction) -> int:
     w = _parse_w(args, lam.n)
     if not is_row_strict(tableau_of(w, lam)):
         raise InputError(f"R(w) is not row-strict for w={w}")
-    flag = generic_flag(w, lam, springer_inversions(w, lam))
+    columns = generic_flag(w, lam, hessenberg_inversions(w, lam, h)).columns
     zero_keys = hess_zero_coordinates(w, lam, h)
-    columns = [
-        [entry.subs_zero(zero_keys) for entry in col] for col in flag.columns
-    ]
     payload = _header(args, lam, h)
     payload["w"] = list(w.word)
     payload["zeroed"] = sorted([list(k) for k in zero_keys])

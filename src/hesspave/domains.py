@@ -1,4 +1,4 @@
-"""Pluggable exact scalar domains: rationals and polynomials.
+"""Pluggable exact scalar domains: the polynomials.
 
 Elements support +, -, * via Python operators; each domain knows how to make
 0 and 1, and (for fields) divide.  Polynomial scalars are sparse
@@ -128,23 +128,13 @@ class Poly:
         return o is not NotImplemented and self.terms == o.terms
 
     def __hash__(self):
-        return hash(frozenset((m, Fraction(c)) for m, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
 
     def variables(self) -> set[Pair]:
         return {var for m in self.terms for var, _ in m}
-
-    def subs_zero(self, zero_vars: set[Pair]) -> "Poly":
-        """Set the listed variables to zero."""
-        return Poly(
-            {
-                m: c
-                for m, c in self.terms.items()
-                if not any(var in zero_vars for var, _ in m)
-            }
-        )
 
     def __repr__(self):
         if not self.terms:
@@ -182,23 +172,6 @@ class Domain:
         raise NotImplementedError(f"{self.kind} does not support division")
 
 
-@dataclass(frozen=True)
-class RationalDomain(Domain):
-    kind: str = "Rational"
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def is_field(self) -> bool:
-        return True
-
-    def div(self, a, b):
-        return Fraction(a) / Fraction(b)
-
-
 class BudgetExceededError(Exception):
     """Raised when an enumeration would exceed the work budget."""
 
@@ -227,5 +200,4 @@ class PolynomialDomain(Domain):
         return Poly.const(1)
 
 
-RATIONALS = RationalDomain()
 POLYNOMIALS = PolynomialDomain()

@@ -1,9 +1,9 @@
 """Exact matrices, the nilpotent matrix X_lambda, B_k(w) generators, generic
 flags with symbolic coordinates, and Bruhat/unipotent factorizations.
 
-All arithmetic is exact over a pluggable scalar domain (rationals or
-multivariate polynomials).  Matrices, vectors, and flags are
-immutable values.
+All arithmetic is exact over a pluggable scalar domain (the commands use
+multivariate polynomials).  Matrices, vectors, and flags are immutable
+values.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from .combinatorics import (
     is_row_strict,
     tableau_of,
 )
-from .domains import (
-    POLYNOMIALS,
-    RATIONALS,
-    Domain,
-    Poly,
-)
+from .domains import POLYNOMIALS, Domain, Poly
 from .paving import InversionSet, hessenberg_inversions, springer_inversions
 
 Vector = tuple
@@ -174,7 +169,7 @@ class ExactMatrix:
         return ExactMatrix.from_rows(dom, [row[n:] for row in aug])
 
 
-def nilpotent_matrix(lam: Composition, domain: Domain = RATIONALS) -> ExactMatrix:
+def nilpotent_matrix(lam: Composition, domain: Domain) -> ExactMatrix:
     """X_lambda: one at (l, r) for each pair l|r horizontally adjacent in R(e).
 
     Nilpotent, with Jordan type the partition of lambda.
@@ -238,10 +233,10 @@ def bk_entries(
     """The element of B_k(w) with the given coordinates, as the triples
     (tgt, src, x) with g_k = I + sum of x E_{tgt,src}.
 
-    `spr` is inv_lambda(w).  coords must be keyed by exactly the pairs
-    (w(k), w(l)) for (k,l) in inv_lambda^k(w).  The matrix acts by
-    g_k e_{w(j)} = e_{w(j)} + x_{w(k)w(l)} X^m e_{w(k)} whenever
-    e_{w(j)} = X^m e_{w(l)}, and fixes all other basis vectors.
+    `spr` is a subset S of inv_lambda(w), such as inv_{lambda,h}(w).  coords
+    must be keyed by exactly the pairs (w(k), w(l)) for (k,l) in level k of
+    S.  The matrix acts by g_k e_{w(j)} = e_{w(j)} + x_{w(k)w(l)} X^m e_{w(k)}
+    whenever e_{w(j)} = X^m e_{w(l)}, and fixes all other basis vectors.
     """
     if not (2 <= k <= w.n):
         raise ValueError(f"k must be in 2..{w.n}, got {k}")
@@ -284,7 +279,8 @@ def bk_generator(
 def generic_coordinates(
     w: Permutation, spr: InversionSet, k: int
 ) -> dict[tuple[int, int], Poly]:
-    """Fresh polynomial variables x_{w(k)w(l)} for level k of spr = inv_lambda(w)."""
+    """Fresh polynomial variables x_{w(k)w(l)} for level k of spr, a subset
+    S of inv_lambda(w)."""
     return {(w(k), w(l)): Poly.var(w(k), w(l)) for l in spr.level(k)}
 
 
@@ -304,7 +300,7 @@ def _generic_products(
     w: Permutation, lam: Composition, spr: InversionSet
 ) -> Iterator[ExactMatrix]:
     """The running products I, g_2, g_3 g_2, ..., g_n ... g_2 over the
-    polynomials, each g_k applied as row operations; `spr` is
+    polynomials, each g_k applied as row operations; `spr` is a subset S of
     inv_lambda(w) for a w whose R(w) is row-strict.
     """
     prod = ExactMatrix.identity(POLYNOMIALS, w.n)
@@ -325,8 +321,10 @@ def generic_flag(w: Permutation, lam: Composition, spr: InversionSet) -> Flag:
     """The generic point of D_w = B_n(w)...B_2(w) wE_, over the polynomial ring.
 
     Parametrizes D_w as affine space of dimension |inv_lambda(w)|.  `spr` is
-    inv_lambda(w) for a w whose R(w) is row-strict, as the caller (a cell's
-    Springer set, or the `generic-flag` command after its own check) holds it.
+    a subset S of inv_lambda(w) for a w whose R(w) is row-strict; the
+    coordinates outside S are 0.  A cell's Springer set gives D_w itself, and
+    S = inv_{lambda,h}(w), as the `generic-flag` command passes it, gives
+    the cut of D_w to Hess(X_lambda, h).
     """
     *_, prod = _generic_products(w, lam, spr)
     return _flag_of(w, prod)
@@ -345,7 +343,7 @@ def _reduce_against(v: list, basis: list[tuple[int, Vector]]) -> list:
         if v[piv]:
             lead = b[piv]
             c = v[piv]
-            v = [lead * x - c * y for x, y in zip(v, b)]
+            v = [lead * x - c * y if y else lead * x for x, y in zip(v, b)]
     return v
 
 

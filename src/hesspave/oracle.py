@@ -41,7 +41,7 @@ from .combinatorics import (
     base_filling,
 )
 from .domains import BudgetExceededError, FieldSpec
-from .exactla import Flag, UnipotentPattern, nilpotent_matrix
+from .exactla import Flag, UnipotentPattern
 from .paving import CellDescriptor, InversionSet, enumerate_cells
 
 
@@ -229,8 +229,13 @@ def _m_vectors(w: Permutation, x: np.ndarray, q: int, bound: Sequence[int]) -> n
 
 
 def nilpotent_residues(lam: Composition) -> np.ndarray:
-    """X_lambda as an (n, n) int64 array, the form the F_q search reads."""
-    return np.array(nilpotent_matrix(lam).rows, dtype=np.int64)
+    """X_lambda as an (n, n) int64 array, the form the F_q search reads: a 1
+    at (l, r) for each pair l|r horizontally adjacent in R(e)."""
+    x = np.zeros((lam.n, lam.n), dtype=np.int64)
+    for row in base_filling(lam).rows:
+        for l, r in zip(row, row[1:]):
+            x[l - 1, r - 1] = 1
+    return x
 
 
 def flag_point_counts(
@@ -366,8 +371,8 @@ def dw_equals_cell(
 ) -> bool:
     """Set equality of the generic-flag image and the brute-force cell.
 
-    `spr` is inv_lambda(w), `flag` is generic_flag(w, lambda) and `points`
-    is springer_points(lambda, q)[w.word].  Keys the flag at every
+    `spr` is inv_lambda(w), `flag` is generic_flag(w, lambda, spr) and
+    `points` is springer_points(lambda, q)[w.word].  Keys the flag at every
     coordinate tuple over F_q (see _image_keys) and compares with the
     points; also asserts the parametrization is injective (q^{d_w} distinct
     flags).

@@ -11,6 +11,7 @@ perfbench's reference loop.)
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -62,6 +63,11 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
             prefix.pop()
 
     yield from rec(n, n, [])
+
+
+def compositions(n: int) -> list[tuple[int, ...]]:
+    """Every composition of n with positive parts (each partition permuted)."""
+    return sorted({c for p in partitions(n) for c in itertools.permutations(p)})
 
 
 def all_hessenberg_functions(n: int) -> Iterator[HessenbergFunction]:
@@ -155,6 +161,35 @@ def ordered_poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
 def evaluate(p: PoincareData, q: int) -> int:
     """Point count over F_q predicted by the paving."""
     return sum(c * q**k for k, c in enumerate(p.coeffs))
+
+
+@dataclass(frozen=True)
+class RationalDomain(Domain):
+    """The field Q, on Fraction scalars."""
+
+    kind: str = "Rational"
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def is_field(self) -> bool:
+        return True
+
+    def div(self, a, b):
+        return Fraction(a) / Fraction(b)
+
+
+RATIONALS = RationalDomain()
+
+
+def subs_zero(poly: Poly, zeros: set[tuple[int, int]]) -> Poly:
+    """`poly` with the listed variables set to zero."""
+    return Poly({
+        m: c for m, c in poly.terms.items() if not any(var in zeros for var, _ in m)
+    })
 
 
 def substitute(poly: Poly, values: Mapping[tuple[int, int], object], domain: Domain) -> object:

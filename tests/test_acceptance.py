@@ -52,6 +52,7 @@ from proof_reference import (
     generic_flag_stages,
     matrix_entry,
     partitions,
+    subs_zero,
 )
 
 
@@ -86,7 +87,7 @@ def test_criterion_1_paper_examples():
         # base filling and nilpotent matrix for (2,3,1,1)
         lam = Composition([2, 3, 1, 1])
         assert base_filling(lam).rows == ((4, 6), (3, 5, 7), (2,), (1,))
-        xm = nilpotent_matrix(lam)
+        xm = nilpotent_matrix(lam, POLYNOMIALS)
         ones = {(4, 6), (3, 5), (5, 7)}
         for i in range(1, 8):
             for j in range(1, 8):
@@ -165,7 +166,7 @@ def test_criterion_1_paper_examples():
         h = HessenbergFunction([0, 0, 1, 1, 3, 4])
         zeros = hess_zero_coordinates(w, lam, h)
         assert zeros == {(1, 2)}
-        cut3 = tuple(p.subs_zero(zeros) for p in stages[5].columns[2])
+        cut3 = tuple(subs_zero(p, zeros) for p in stages[5].columns[2])
         assert cut3 == vec(6, {2: ONE, 1: x(4, 5)})
 
         # n = 12 profiles and sorting traces

@@ -20,6 +20,10 @@ DIGESTS_VERIFY = json.loads((DATA / "verify_n4_5_sha256.json").read_text())
 # count --q 2 on (3,3,3) and (5,5), recorded while each point was still
 # tallied by the rank of w in a table of all n! permutations
 DIGESTS_COUNT = json.loads((DATA / "count_n9_10_sha256.json").read_text())
+# generic-flag in every format for every row-strict w of (2,2,2) and (3,2,1),
+# under the Springer h and two others, recorded while the command still cut
+# D_w by substituting 0 into the full generic flag
+DIGESTS_GENERIC_FLAG = json.loads((DATA / "generic_flag_sha256.json").read_text())
 # the benchmark's own digests of the stdout of each op it checks, read only:
 # output drift fails here before the benchmark reports it
 DIGESTS_BENCH = json.loads(
@@ -244,6 +248,12 @@ class TestGenericFlag:
         data = json.loads(out)
         assert data["zeroed"] == [[1, 2]]
         assert len(data["columns"]) == 6
+
+    @pytest.mark.parametrize("argv, digest", DIGESTS_GENERIC_FLAG.items())
+    def test_output_unchanged(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_requires_w(self, capsys):
         code, _, err = run(capsys, "generic-flag", "--lambda", "2,2")

@@ -14,11 +14,12 @@ from hesspave.combinatorics import (
     is_row_strict,
     tableau_of,
 )
-from hesspave.domains import POLYNOMIALS, RATIONALS, Poly
+from hesspave.domains import POLYNOMIALS, Poly
 from hesspave.exactla import (
     ExactMatrix,
     Flag,
     UnipotentPattern,
+    _reduce_against,
     bk_entries,
     bk_generator,
     bruhat_canonical_form,
@@ -30,9 +31,12 @@ from hesspave.exactla import (
     nilpotent_matrix,
     verify_flag_membership,
 )
-from hesspave.paving import enumerate_cells, springer_inversions
+from hesspave.paving import enumerate_cells, hessenberg_inversions, springer_inversions
 from proof_reference import (
+    RATIONALS,
+    all_hessenberg_functions,
     bn_split,
+    compositions,
     flag_matrix,
     flag_of_matrix,
     generic_flag_stages,
@@ -44,11 +48,13 @@ from proof_reference import (
     project_cell,
     row_pattern,
     standard_flag,
+    subs_zero,
     top_left_block,
 )
 
 GF2 = PrimeFieldDomain(2)
 GF3 = PrimeFieldDomain(3)
+GF5 = PrimeFieldDomain(5)
 
 
 def all_perms(n):
@@ -132,7 +138,7 @@ class TestExactMatrix:
 
 class TestNilpotent:
     def test_example(self):
-        x = nilpotent_matrix(Composition([2, 3, 1, 1]))
+        x = nilpotent_matrix(Composition([2, 3, 1, 1]), RATIONALS)
         ones = {(4, 6), (3, 5), (5, 7)}
         for i in range(1, 8):
             for j in range(1, 8):
@@ -142,7 +148,7 @@ class TestNilpotent:
         # rank of X^k determines the Jordan type; check against the partition
         for parts in partitions(5):
             lam = Composition(parts)
-            x = nilpotent_matrix(lam)
+            x = nilpotent_matrix(lam, RATIONALS)
             p = sorted(parts, reverse=True)
             power = ExactMatrix.identity(RATIONALS, 5)
             for k in range(1, 6):
@@ -152,7 +158,7 @@ class TestNilpotent:
 
     def test_hessenberg_space(self):
         lam = Composition([2, 2])
-        x = nilpotent_matrix(lam)
+        x = nilpotent_matrix(lam, RATIONALS)
         assert hessenberg_space_contains(x, HessenbergFunction.springer(4))
         # X_{(2,2)} has a 1 in row 2, column 4: needs h(4) >= 2
         assert not hessenberg_space_contains(x, HessenbergFunction([0, 1, 1, 1]))
@@ -389,7 +395,7 @@ class TestGenericFlag:
             flag = generic_flag(w, lam, springer_inversions(w, lam))
             m = flag_matrix(flag)
             zeroed = ExactMatrix.from_rows(
-                POLYNOMIALS, [[e.subs_zero(e.variables()) for e in row] for row in m.rows]
+                POLYNOMIALS, [[subs_zero(e, e.variables()) for e in row] for row in m.rows]
             )
             assert zeroed == ExactMatrix.permutation(POLYNOMIALS, w)
 
@@ -478,6 +484,25 @@ class TestMembership:
                     conjugate(g, x), h
                 )
 
+    def test_reduction_skips_zero_basis_entries_exactly(self):
+        # a basis entry y = 0 contributes lead * x, as lead * x - c * y
+        # does, also for pivots that are not 1
+        rng = random.Random(11)
+        for _ in range(200):
+            v = [GF5.from_int(rng.choice([0, 0, 1, 2, 3, 4])) for _ in range(5)]
+            basis = []
+            for _ in range(rng.randint(1, 3)):
+                b = [GF5.from_int(rng.choice([0, 0, 1, 2, 3, 4])) for _ in range(5)]
+                piv = rng.randrange(5)
+                b[piv] = GF5.from_int(rng.randint(1, 4))
+                basis.append((piv, tuple(b)))
+            expected = v
+            for piv, b in basis:
+                if expected[piv]:
+                    lead, c = b[piv], expected[piv]
+                    expected = [lead * x - c * y for x, y in zip(expected, b)]
+            assert _reduce_against(list(v), basis) == expected
+
 
 class TestZeroCoordinates:
     def test_example(self):
@@ -507,11 +532,45 @@ class TestZeroCoordinates:
         flag = generic_flag(w, lam, springer_inversions(w, lam))
         cut = Flag(
             POLYNOMIALS,
-            tuple(tuple(e.subs_zero(zeros) for e in col) for col in flag.columns),
+            tuple(tuple(subs_zero(e, zeros) for e in col) for col in flag.columns),
         )
         x = nilpotent_matrix(lam, POLYNOMIALS)
         assert not verify_flag_membership(flag, x, h)
         assert verify_flag_membership(cut, x, h)
+
+    # the sweep to n = 6 takes about 3 minutes
+    @pytest.mark.parametrize("top, partitions_to, cases, cut_cases", [
+        (4, 5, 11_454, 2_457),
+        pytest.param(6, 6, 642_000, 198_739, marks=pytest.mark.exhaustive),
+    ])
+    def test_cut_built_from_hessenberg_inversions(self, top, partitions_to, cases, cut_cases):
+        # generic_flag from inv_{lambda,h}(w) is the full generic flag with
+        # the coordinates of hess_zero_coordinates set to 0, entry by entry
+        # and in print, for every h and every row-strict w; and wherever a
+        # coordinate is zeroed, the full flag (the builder handed
+        # inv_lambda(w)) differs from it, so the comparison sees h
+        shapes = [c for n in range(1, top + 1) for c in compositions(n)]
+        shapes += [p for n in range(top + 1, partitions_to + 1) for p in partitions(n)]
+        checked = cut = 0
+        for parts in shapes:
+            lam = Composition(parts)
+            cells = list(enumerate_cells(lam, HessenbergFunction.springer(lam.n)))
+            full = {c.word: generic_flag(c.w, lam, c.springer_inv) for c in cells}
+            for h in all_hessenberg_functions(lam.n):
+                for c in cells:
+                    zeros = hess_zero_coordinates(c.w, lam, h)
+                    expected = tuple(
+                        tuple(subs_zero(e, zeros) for e in col) for col in full[c.word].columns
+                    )
+                    columns = generic_flag(c.w, lam, hessenberg_inversions(c.w, lam, h)).columns
+                    assert columns == expected
+                    assert repr(columns) == repr(expected)
+                    if zeros:
+                        assert full[c.word].columns != expected
+                        cut += 1
+                    checked += 1
+        assert checked == cases
+        assert cut == cut_cases
 
 
 class TestBruhat:

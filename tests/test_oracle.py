@@ -51,7 +51,9 @@ from hesspave.oracle import (
 from hesspave.paving import enumerate_cells, poincare, springer_inversions
 from hesspave.verify import CONJUGATION_TRIALS
 from proof_reference import (
+    RATIONALS,
     all_hessenberg_functions,
+    compositions,
     evaluate,
     flag_matrix,
     flag_of_matrix,
@@ -59,6 +61,7 @@ from proof_reference import (
     length,
     matrix_entry,
     partitions,
+    subs_zero,
     substitute,
 )
 
@@ -130,6 +133,20 @@ def residues(us, n):
 
 def sorted_points(points):
     return sorted(np.asarray(points).tolist())
+
+
+def test_nilpotent_residues_match_exact_matrix():
+    # the int64 array read off the base filling is X_lambda over Q, read as
+    # int64, for every composition with n <= 8
+    shapes = [c for n in range(1, 9) for c in compositions(n)]
+    assert len(shapes) == 255
+    for parts in shapes:
+        lam = Composition(parts)
+        x = nilpotent_residues(lam)
+        expected = np.array(nilpotent_matrix(lam, RATIONALS).rows, dtype=np.int64)
+        assert x.dtype == expected.dtype
+        assert x.shape == expected.shape == (lam.n, lam.n)
+        assert (x == expected).all()
 
 
 class TestBatchArithmetic:
@@ -522,7 +539,7 @@ class TestGenericFlagImage:
         assert keys
         for key in keys:
             cut = Flag(flag.domain, tuple(
-                tuple(e.subs_zero({key}) for e in col) for col in flag.columns
+                tuple(subs_zero(e, {key}) for e in col) for col in flag.columns
             ))
             assert not dw_equals_cell(w, spr, q, cut, points)
 

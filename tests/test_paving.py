@@ -40,6 +40,7 @@ from hesspave.paving import (
 from proof_reference import (
     all_hessenberg_functions,
     column_sort_trace,
+    compositions,
     delete_last_box,
     evaluate,
     h_leq,
@@ -232,11 +233,6 @@ def cell_histogram(lam, h):
         hist.extend([0] * (c.dim + 1 - len(hist)))
         hist[c.dim] += 1
     return tuple(hist)
-
-
-def compositions(n):
-    """Every composition of n with positive parts (each partition permuted)."""
-    return sorted({c for p in partitions(n) for c in itertools.permutations(p)})
 
 
 def reference_inversions(grid, h):

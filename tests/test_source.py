@@ -246,6 +246,19 @@ def test_parameters_are_read():
     assert found == []
 
 
+def _named(node) -> list[str]:
+    """The names a node defines, imports or reads."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [name for alias in node.names for name in (alias.name, alias.asname)]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
 def test_one_fq_arithmetic():
     # F_q arithmetic in the package is numpy residues only: no module
     # defines, imports or names the GF(p) scalars of tests/fq_reference.py,
@@ -253,18 +266,22 @@ def test_one_fq_arithmetic():
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [name for alias in node.names for name in (alias.name, alias.asname)]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            else:
-                continue
             banned = {"GF", "PrimeFieldDomain"}
             if path.name == "oracle.py" and isinstance(node, ast.ImportFrom):
                 banned.add("ExactMatrix")
-            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
+            found += [f"{path.name}:{node.lineno} {name}" for name in _named(node) if name in banned]
+    assert found == []
+
+
+def test_no_rational_field():
+    # the commands compute over the polynomials and over numpy residues; the
+    # field Q that the tests evaluate in lives in tests/proof_reference.py,
+    # so no module defines, imports or names it
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in _named(node)
+        if name in ("RationalDomain", "RATIONALS")
+    ]
     assert found == []
