@@ -9,11 +9,12 @@ to the right of l (no condition when l ends its row).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import starmap
 from math import factorial, prod
-from operator import attrgetter, le
+from operator import attrgetter, itemgetter, le
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
@@ -206,42 +207,49 @@ class CellDescriptor:
 
 
 def _placements(
-    m: int,
-    rem: tuple[int, ...],
-    bounds: tuple[int, ...],
-    hv: Sequence[int],
-    nrows: int,
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
+    m: int, state: tuple[tuple[int, int], ...], hv: Sequence[int]
+) -> list[tuple[list[int], list[tuple[int, int]], int]]:
     """The ways to place m, the largest entry left, at the end of a row.
 
     This is one step of the n -> n-1 deletion recursion, the tableau side of
-    the projection C_w -> C_y.  A state is the remaining row lengths `rem`
-    plus a bound b_i on each row's last entry (h of the placed right
-    neighbor, n for a full row).  Row i may hold m iff m <= b_i, and then m
-    forms a Hessenberg inversion with the last entry of every other row j
-    with b_j >= m whose last box lies in a column right of m's box, or in
-    the same column above it; no other entry can pair with m, since its
-    right neighbor r < m has h(r) < m.  Child bounds are clamped to m-1 so
-    that equivalent states compare equal; an empty row's bound is 0, and
-    h(m) <= m-1 needs no clamp.
+    the projection C_w -> C_y.  A state holds one pair (rem_i, b_i) per
+    row: the remaining length of row i and a bound on its last entry (h of
+    the placed right neighbor, n for a full row).  Row i may hold m iff
+    m <= b_i, and then m forms a Hessenberg inversion with the last entry
+    of every other open row j (b_j >= m) whose last box lies in a column
+    right of m's box, or in the same column above it; no other entry can
+    pair with m, since its right neighbor r < m has h(r) < m.  Child bounds
+    are clamped to m-1 so that equivalent states compare equal; an empty
+    row's bound is 0, and h(m) <= m-1 needs no clamp.
 
-    Yields (i, child_rem, child_bounds, gain) for each row i that may hold
-    m, in row order; gain counts the inversions (m, l).
+    The open rows of one length c make one entry (rows, child, gain),
+    longest c first: `rows` are those rows in row order, `child` the pairs
+    after m goes into rows[0], and `gain` the number of open rows longer
+    than c.  Row rows[r] would pair m with those rows and with rows[:r], so
+    its gain is gain + r; and since every open bound clamps to m-1, its
+    child is `child` with the pairs of rows[0] and rows[r] swapped.  The k
+    placements of a group thus have children with one multiset of pairs
+    and gains gain, ..., gain+k-1: weight t^gain [k]_t.
     """
     cap = m - 1
-    clamped = [b if b < cap else cap for b in bounds]
-    # the rows that may hold m are also the only rows m can pair with
-    open_rows = [(j, rem[j]) for j in range(nrows) if bounds[j] >= m]
-    for i, c in open_rows:
-        child_rem = list(rem)
-        child_rem[i] = c - 1
-        child_bounds = clamped.copy()
-        child_bounds[i] = hv[cap] if c > 1 else 0
-        gain = 0
-        for j, cj in open_rows:
-            if cj > c or (cj == c and j < i):
-                gain += 1
-        yield i, tuple(child_rem), tuple(child_bounds), gain
+    placed = hv[cap]
+    child = list(state)
+    # the rows that may hold m are also the only rows m can pair with, and
+    # the only bounds above m-1
+    groups: dict[int, list[int]] = {}
+    for i, (c, b) in enumerate(state):
+        if b >= m:
+            child[i] = (c, cap)
+            groups.setdefault(c, []).append(i)
+    out = []
+    gain = 0
+    for c in sorted(groups, reverse=True):
+        rows = groups[c]
+        kid = child.copy()
+        kid[rows[0]] = (c - 1, placed) if c > 1 else (0, 0)
+        out.append((rows, kid, gain))
+        gain += len(rows)
+    return out
 
 
 def iter_fillings(
@@ -271,9 +279,10 @@ def iter_fillings(
     each pair when its larger entry is placed and `_pairs_below` when its
     smaller one is, so the two counts check each other on every filling.
 
-    Many prefixes reach one state (rem, bounds), so each state's children
-    are expanded once and kept, the states that `poincare` visits level by
-    level; the walk itself is one explicit stack of child iterators.
+    Many prefixes reach one state, so each state's children are expanded
+    once and kept: each group of `_placements` unfolds into its rows, sorted
+    by row index, with the ordered child state and gain of each.  The walk
+    itself is one explicit stack of child iterators.
 
     Yields (rows, word, pos, dim, pairs): the filling R(w) as a tuple of row
     tuples, the one-line word of w, the map value -> (row, column), the
@@ -299,21 +308,25 @@ def iter_fillings(
     table = _pair_table(n)
     # no filling has more than n^2 inversions, so this limit prunes nothing
     limit = n * n if max_dim is None else max_dim
-    # (rem, bounds) -> [(row index, column, w(m), box, child state, gain)]
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple]] = {}
+    # state -> [(row index, column, w(m), box, child state, gain)]
+    memo: dict[tuple[tuple[int, int], ...], list[tuple]] = {}
 
-    def expand(m: int, state: tuple[tuple[int, ...], tuple[int, ...]]) -> list[tuple]:
-        rem = state[0]
+    def expand(m: int, state: tuple[tuple[int, int], ...]) -> list[tuple]:
         kids = []
-        for i, child_rem, child_bounds, gain in _placements(m, *state, hv, nrows):
-            c = rem[i] - 1
-            kids.append((i, c, labels[i][c], boxes[i][c], (child_rem, child_bounds), gain))
+        for rows, child, gain in _placements(m, state, hv):
+            first = rows[0]
+            for r, i in enumerate(rows):
+                kid = child.copy()
+                kid[first], kid[i] = kid[i], kid[first]
+                c = state[i][0] - 1
+                kids.append((i, c, labels[i][c], boxes[i][c], tuple(kid), gain + r))
+        kids.sort(key=itemgetter(0))
         memo[state] = kids
         return kids
 
     # base: how many pairs the placements of n..m+1 hold on the stack
     m, dim, base = n, 0, 0
-    it = iter(expand(n, (lam.parts, (n,) * nrows)))
+    it = iter(expand(n, tuple(zip(lam.parts, (n,) * nrows))))
     stack: list[tuple[Iterator[tuple], int, int]] = []
     while True:
         for i, c, label, box, child, gain in it:
@@ -394,46 +407,53 @@ def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
     Level m maps each state of `_placements` that some placement of n..m+1
     reaches to the dimension histogram of the partial fillings that reach
     it, so each state is expanded once, however many fillings pass through
-    it, and no recursion bounds n.
+    it, and no recursion bounds n.  An empty variety (no R_0, see
+    `r0_tableau`) returns at once.
 
-    A child state is keyed by its (rem_i, b_i) pairs sorted, so states
-    that differ only in the order of their rows share one entry.  That the
-    histogram a state contributes does not depend on the order of its rows
-    is measured, not proven: for the root state it is the theorem that
-    X_lambda for a composition is conjugate to X of the sorted partition,
-    but `_placements` breaks ties between rows of equal length by row
-    order.  This loop equals the one keyed by ordered states on every
-    composition with n <= 8 under every h (215,529 pairs, the `exhaustive`
-    test in tests/test_paving.py).
+    A state is keyed by its (rem_i, b_i) pairs sorted, and a group of
+    `_placements` adds t^gain [k]_t times its histogram to the key of its
+    child.  Both rest on this: the histogram H_m(S) of the fillings that
+    complete a state S at level m depends only on the multiset of S's
+    pairs.  By induction on m: H_0 = 1, and for m >= 1 the k open rows of
+    one length c give children that all hold one multiset of pairs (the
+    pairs of S clamped to m-1, one open (c, m-1) replaced by (c-1, h(m)),
+    or (0, 0) when c = 1) and gains gain, ..., gain+k-1, where gain counts
+    the open pairs longer than c; so by the induction hypothesis
+    H_m(S) = sum over c of t^gain [k]_t H_{m-1}(child), and k, gain and
+    the child's multiset read only the multiset of S.  At the root this is
+    the theorem that X_lambda for a composition is conjugate to X of the
+    sorted partition.
 
     A histogram is one int with the coefficient of t^d in bits
-    [d*width, (d+1)*width).  Sorting a state permutes its rows, and its
-    children are those of the unsorted state with the rows permuted alike,
-    so the digits of a key sum to the number of partial fillings (the rows
-    that n..m+1 went to, row i taking at most lambda_i of them) whose
-    ordered state sorts to that key.  Each partial filling extends to a
-    different complete one, so no digit exceeds n!/prod(lambda_i!) <
-    2^width, and adding packed histograms never carries from one digit
-    into the next.
+    [d*width, (d+1)*width).  The digits of a key sum to the number of
+    partial fillings (the rows that n..m+1 went to, row i taking at most
+    lambda_i of them) whose ordered state sorts to that key: t^gain [k]_t
+    has k digits of 1, one per row of the group.  Each partial filling
+    extends to a different complete one, so no digit exceeds
+    n!/prod(lambda_i!) < 2^width, and adding packed histograms never
+    carries from one digit into the next.
     """
     n = lam.n
     if n != h.n:
         raise ValueError(f"size mismatch: n(lambda)={lam.n}, n(h)={h.n}")
-    if n == 0:
+    if n == 0 or r0_tableau(lam, h) is None:
         return PoincareData(())
     hv = h.values
     nrows = lam.num_rows
     width = (factorial(n) // prod(map(factorial, lam.parts))).bit_length()
+    # tied[k] = [k]_t = 1 + t + ... + t^(k-1), packed
+    tied = [0]
+    for k in range(nrows):
+        tied.append(tied[-1] | 1 << k * width)
     level: dict[tuple[tuple[int, int], ...], int] = {
         tuple(zip(lam.parts, (n,) * nrows)): 1
     }
     for m in range(n, 0, -1):
         below: dict[tuple[tuple[int, int], ...], int] = {}
         for state, hist in level.items():
-            rem, bounds = zip(*state)
-            for _, child_rem, child_bounds, gain in _placements(m, rem, bounds, hv, nrows):
-                key = tuple(sorted(zip(child_rem, child_bounds)))
-                below[key] = below.get(key, 0) + (hist << gain * width)
+            for rows, child, gain in _placements(m, state, hv):
+                key = tuple(sorted(child))
+                below[key] = below.get(key, 0) + (hist << gain * width) * tied[len(rows)]
         level = below
     # every complete filling ends in the one state with all rows empty
     packed = level.get(((0, 0),) * nrows, 0)
@@ -455,20 +475,19 @@ def r0_tableau(lam: Composition, h: HessenbergFunction) -> Tableau | None:
     """
     if lam.n != h.n:
         raise ValueError(f"size mismatch: n(lambda)={lam.n}, n(h)={h.n}")
+    n, hv = lam.n, h.values
     grid = [[0] * p for p in lam.parts]
-    available = set(range(1, lam.n + 1))
+    available = list(range(1, n + 1))
     for col in range(lam.num_cols, 0, -1):
-        for row in lam.column_rows(col):
-            if col < lam.parts[row - 1]:
-                bound = h(grid[row - 1][col])
-            else:
-                bound = lam.n
-            candidates = [v for v in available if v <= bound]
-            if not candidates:
+        for row in grid:
+            if col > len(row):
+                continue
+            bound = hv[row[col] - 1] if col < len(row) else n
+            # the largest unused value <= bound
+            j = bisect_right(available, bound)
+            if not j:
                 return None
-            v = max(candidates)
-            grid[row - 1][col - 1] = v
-            available.remove(v)
+            row[col - 1] = available.pop(j - 1)
     return Tableau(grid, lam)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from hesspave.combinatorics import (
     Composition,
@@ -27,7 +27,6 @@ from hesspave.combinatorics import (
     is_row_strict,
     tableau_of,
 )
-from hesspave import paving
 from hesspave.domains import Domain, Poly
 from hesspave.exactla import (
     ExactMatrix,
@@ -88,6 +87,20 @@ def all_hessenberg_functions(n: int) -> Iterator[HessenbergFunction]:
         yield HessenbergFunction(vals)
 
 
+def dual_hessenberg(h: HessenbergFunction) -> HessenbergFunction:
+    """h*, with h*(j) = #{i : h(n+1-i) >= n+1-j}.
+
+    Sending a flag to its annihilators, V_i -> V_{n-i}^perp, maps
+    Hess(X, h) onto Hess(X^T, h*): the region {(i, j) : i <= h(j)} of H(h)
+    reflected across the antidiagonal.  X^T has the Jordan type of X, so
+    Hess(X_lambda, h) and Hess(X_lambda, h*) have one Poincare polynomial.
+    """
+    n = h.n
+    return HessenbergFunction(
+        [sum(1 for i in range(1, n + 1) if h(n + 1 - i) >= n + 1 - j) for j in range(1, n + 1)]
+    )
+
+
 def h_leq(h1: HessenbergFunction, h2: HessenbergFunction) -> bool:
     """Pointwise partial order h1(i) <= h2(i)."""
     if h1.n != h2.n:
@@ -124,13 +137,52 @@ def delete_last_box(t: Tableau) -> tuple[Composition, Tableau]:
 # -- evaluators -----------------------------------------------------------
 
 
+def row_placements(
+    m: int,
+    rem: tuple[int, ...],
+    bounds: tuple[int, ...],
+    hv: Sequence[int],
+    nrows: int,
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
+    """The ways to place m, the largest entry left, at the end of a row,
+    one row at a time: the oracle for the grouped `paving._placements`.
+
+    A state is the remaining row lengths `rem` plus a bound b_i on each
+    row's last entry (h of the placed right neighbor, n for a full row).
+    Row i may hold m iff m <= b_i, and then m forms a Hessenberg inversion
+    with the last entry of every other row j with b_j >= m whose last box
+    lies in a column right of m's box, or in the same column above it.
+    Child bounds are clamped to m-1; an empty row's bound is 0.
+
+    Yields (i, child_rem, child_bounds, gain) for each row i that may hold
+    m, in row order; gain counts the inversions (m, l).
+    """
+    cap = m - 1
+    clamped = [b if b < cap else cap for b in bounds]
+    # the rows that may hold m are also the only rows m can pair with
+    open_rows = [(j, rem[j]) for j in range(nrows) if bounds[j] >= m]
+    for i, c in open_rows:
+        child_rem = list(rem)
+        child_rem[i] = c - 1
+        child_bounds = clamped.copy()
+        child_bounds[i] = hv[cap] if c > 1 else 0
+        gain = 0
+        for j, cj in open_rows:
+            if cj > c or (cj == c and j < i):
+                gain += 1
+        yield i, tuple(child_rem), tuple(child_bounds), gain
+
+
 def ordered_poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
     """The Poincare level loop on ordered states, the oracle for `paving.poincare`.
 
     States are keyed by the ordered (rem, bounds) tuples, with one list of
-    coefficients each, so it relies on no invariance under reordering the
-    rows of a state.  It calls `paving._placements` through the module, so
-    a test that counts those calls sees each state it expands.
+    coefficients each, and expanded one row at a time by `row_placements`,
+    so it relies on no invariance under reordering the rows of a state and
+    shares no code with the grouped step.  It never reads R_0, so an empty
+    variety runs every level.  It looks `row_placements` up in this module
+    on each call, so a test that counts those calls sees each state it
+    expands.
     """
     n = lam.n
     if n != h.n:
@@ -145,7 +197,7 @@ def ordered_poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
     for m in range(n, 0, -1):
         below: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
         for (rem, bounds), hist in level.items():
-            for _, child_rem, child_bounds, gain in paving._placements(
+            for _, child_rem, child_bounds, gain in row_placements(
                 m, rem, bounds, hv, nrows
             ):
                 total = below.setdefault((child_rem, child_bounds), [])

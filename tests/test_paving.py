@@ -6,7 +6,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hesspave.combinatorics import (
     Composition,
@@ -37,16 +37,19 @@ from hesspave.paving import (
     springer_inversions,
     zero_dim_cells,
 )
+import proof_reference
 from proof_reference import (
     all_hessenberg_functions,
     column_sort_trace,
     compositions,
     delete_last_box,
+    dual_hessenberg,
     evaluate,
     h_leq,
     identity_permutation,
     ordered_poincare,
     partitions,
+    row_placements,
 )
 
 
@@ -369,6 +372,20 @@ class TestCellDescriptors:
                 assert nonzero(step.profile) == reference_profile(grid, h)
 
 
+def record_calls(monkeypatch, owner=paving, name="_placements"):
+    """Record the arguments of every call of the placement step `owner.name`
+    (the grouped `paving._placements` by default)."""
+    calls = []
+    step = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 class TestPrunedWalk:
     def test_walk_carries_w_and_positions(self):
         # what each placement records is what the tableau functions derive
@@ -411,14 +428,7 @@ class TestPrunedWalk:
         # state whose placed rows are empty (rem 0, bound 0) and whose open
         # rows have rem 1 and bound m; prefixes that reach one state share
         # its expansion, so `_placements` runs exactly once on each state
-        calls = []
-        inner = paving._placements
-
-        def counting(m, rem, bounds, *args):
-            calls.append((m, rem, bounds))
-            return inner(m, rem, bounds, *args)
-
-        monkeypatch.setattr(paving, "_placements", counting)
+        calls = record_calls(monkeypatch)
         merged = {}
         for n in range(1, 7):
             lam, h = Composition([1] * n), HessenbergFunction.springer(n)
@@ -434,12 +444,13 @@ class TestPrunedWalk:
                         if pairs <= max_dim:
                             placed = tuple(row_of[v] for v in range(n, m, -1))
                             prefixes.add(placed)
-                            expect.add((m, tuple(0 if r in placed else 1 for r in range(n)),
-                                        tuple(0 if r in placed else m for r in range(n))))
+                            expect.add((m, tuple((0, 0) if r in placed else (1, m)
+                                                 for r in range(n))))
                 calls.clear()
                 for _ in iter_fillings(lam, h, max_dim):
                     pass
-                assert sorted(calls) == sorted(expect), (n, max_dim)
+                assert sorted((m, state) for m, state, _ in calls) == sorted(expect), \
+                    (n, max_dim)
                 merged[n, max_dim] = (len(prefixes), len(calls))
         # 3 placed in any row, then 2 above it: 6 prefixes, 5 states
         assert merged[3, 1] == (6, 5)
@@ -448,28 +459,21 @@ class TestPrunedWalk:
     def test_walk_expands_each_poincare_state_once(self, parts, monkeypatch):
         # without pruning, the walk expands every state that the ordered
         # level loop counts, and each of them once
-        calls = []
-        step = paving._placements
-
-        def counted(m, rem, bounds, *args):
-            calls.append((m, rem, bounds))
-            return step(m, rem, bounds, *args)
-
-        monkeypatch.setattr(paving, "_placements", counted)
+        per_row = record_calls(monkeypatch, proof_reference, "row_placements")
+        grouped = record_calls(monkeypatch)
         lam = Composition(parts)
         h = HessenbergFunction.springer(lam.n)
         ordered_poincare(lam, h)
-        states = sorted(calls)
-        calls.clear()
+        states = sorted((m, tuple(zip(rem, bounds))) for m, rem, bounds, _, _ in per_row)
         fillings = sum(1 for _ in iter_fillings(lam, h))
-        assert sorted(calls) == states
+        assert sorted((m, state) for m, state, _ in grouped) == states
         assert len(set(states)) == len(states) < fillings
 
 
 def reference_walk(lam, h, max_dim=None):
     """The recursive filling walk that `iter_fillings` replaced: one
-    generator frame per placed value and `_placements` at every node, with
-    no memo.  Yields copies of (rows, word, pos, dim)."""
+    generator frame per placed value and the per-row `row_placements` at
+    every node, with no memo.  Yields copies of (rows, word, pos, dim)."""
     n = lam.n
     hv = h.values
     grid = [[0] * p for p in lam.parts]
@@ -481,7 +485,7 @@ def reference_walk(lam, h, max_dim=None):
         if m == 0:
             yield [list(r) for r in grid], list(word), dict(pos), dim
             return
-        for i, child_rem, child_bounds, gain in paving._placements(
+        for i, child_rem, child_bounds, gain in row_placements(
             m, rem, bounds, hv, lam.num_rows
         ):
             d = dim + gain
@@ -761,17 +765,69 @@ def springer_line_count(mu):
     return tuple(total)
 
 
-def count_placements(monkeypatch):
-    """Record the level m of every `_placements` call."""
-    calls = []
-    step = paving._placements
+def unfold(groups):
+    """The per-row placements that the groups of `_placements` stand for,
+    as `row_placements` yields them: row rows[r] of a group takes gain + r,
+    and its child is the group's child with the pairs of rows[0] and
+    rows[r] swapped."""
+    kids = []
+    for rows, child, gain in groups:
+        for r, i in enumerate(rows):
+            kid = list(child)
+            kid[rows[0]], kid[i] = kid[i], kid[rows[0]]
+            rem, bounds = zip(*kid)
+            kids.append((i, rem, bounds, gain + r))
+    return sorted(kids)
 
-    def counted(*args):
-        calls.append(args[0])
-        return step(*args)
 
-    monkeypatch.setattr(paving, "_placements", counted)
-    return calls
+class TestGroupedStep:
+    """`_placements` groups the open rows of one length; unfolded, its
+    groups are exactly the per-row step `row_placements`."""
+
+    def test_unfolds_to_the_per_row_step_on_every_ordered_state(self, monkeypatch):
+        # every state that the ordered loop reaches, for every composition
+        # with n <= 6 under every h
+        calls = record_calls(monkeypatch, proof_reference, "row_placements")
+        pairs = states = tied = 0
+        for n in range(1, 7):
+            for parts in compositions(n):
+                lam = Composition(parts)
+                for h in all_hessenberg_functions(n):
+                    calls.clear()
+                    ordered_poincare(lam, h)
+                    pairs += 1
+                    for m, rem, bounds, hv, nrows in calls:
+                        groups = paving._placements(m, tuple(zip(rem, bounds)), hv)
+                        per_row = list(row_placements(m, rem, bounds, hv, nrows))
+                        assert unfold(groups) == per_row, (parts, h, m, rem, bounds)
+                        lengths = [rem[rows[0]] for rows, _, _ in groups]
+                        assert lengths == sorted(set(lengths), reverse=True)
+                        assert all(rows == sorted(rows) for rows, _, _ in groups)
+                        states += 1
+                        tied += len(groups) < len(per_row)
+        assert pairs == 5033
+        assert (states, tied) == (140_562, 69_285)
+
+    @pytest.mark.parametrize("parts, entries, children", [
+        ((2,) * 20, 420, 3080),
+        ((3,) * 13, 1365, 5460),
+        ((4, 4, 4), 60, 84),
+    ])
+    def test_fewer_entries_than_rows(self, parts, entries, children, monkeypatch):
+        # over the sorted states that `poincare` expands, the grouped step
+        # makes one entry per length where the per-row step makes one
+        # child per open row
+        step = paving._placements
+        calls = record_calls(monkeypatch)
+        lam = Composition(parts)
+        poincare(lam, HessenbergFunction.springer(lam.n))
+        grouped = per_row = 0
+        for m, state, hv in calls:
+            grouped += len(step(m, state, hv))
+            rem, bounds = zip(*state)
+            per_row += sum(1 for _ in row_placements(m, rem, bounds, hv, lam.num_rows))
+        assert (grouped, per_row) == (entries, children)
+        assert grouped < per_row
 
 
 class TestSortedStates:
@@ -821,22 +877,34 @@ class TestSortedStates:
     def test_states(self, parts, states, monkeypatch):
         # states that differ only in the order of their rows share an entry
         # (143 and 2519 in the ordered loop, `test_memo_states`)
-        calls = count_placements(monkeypatch)
+        calls = record_calls(monkeypatch)
         poincare(Composition(parts), HessenbergFunction.springer(sum(parts)))
         assert len(calls) == states
 
 
 class TestSpringerClosedForm:
-    def test_line_recursion_every_partition_to_12(self):
+    def test_line_recursion_every_partition_to_14(self):
         assert springer_line_count((1, 1)) == (1, 1)
         assert springer_line_count((2, 1)) == (1, 2)
         checked = 0
-        for n in range(1, 13):
+        for n in range(1, 15):
             for parts in partitions(n):
                 p = poincare(Composition(parts), HessenbergFunction.springer(n))
                 assert p.coeffs == springer_line_count(parts), parts
                 checked += 1
-        assert checked == 271
+        assert checked == 507
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_line_recursion_property_15_to_40(self, data):
+        # compositions too: X_lambda is conjugate to X of the sorted
+        # partition, which is what the line recursion reads
+        n = data.draw(st.integers(15, 40))
+        split = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        cuts = [0] + [i for i, cut in enumerate(split, start=1) if cut] + [n]
+        parts = [b - a for a, b in zip(cuts, cuts[1:])]
+        p = poincare(Composition(parts), HessenbergFunction.springer(n))
+        assert p.coeffs == springer_line_count(tuple(sorted(parts, reverse=True))), parts
 
     @pytest.mark.parametrize("parts", [(5, 4, 3, 2, 2, 2, 1, 1), (4, 4, 4, 4, 4),
                                        (6, 5, 4, 3, 2)])
@@ -908,12 +976,61 @@ class TestSpringerClosedForm:
 
     @pytest.mark.parametrize("parts, states", [((3, 3, 2, 2), 143), ((6, 5, 4, 3, 2), 2519)])
     def test_memo_states(self, parts, states, monkeypatch):
-        # each _placements call of the ordered loop expands one memo state;
+        # each row_placements call of the ordered loop expands one memo state;
         # the m-1 clamp on the child bounds is what lets equivalent states
         # share an entry
-        calls = count_placements(monkeypatch)
+        calls = record_calls(monkeypatch, proof_reference, "row_placements")
         ordered_poincare(Composition(parts), HessenbergFunction.springer(sum(parts)))
         assert len(calls) == states
+
+
+class TestDuality:
+    """Hess(X, h) and Hess(X, h*) are isomorphic through V_i -> V_{n-i}^perp
+    and X -> X^T, so `poincare` agrees on h and its dual."""
+
+    def test_dual_hessenberg(self):
+        assert dual_hessenberg(HessenbergFunction([0, 0, 1, 1])).values == (0, 0, 0, 2)
+        assert dual_hessenberg(HessenbergFunction([0, 1, 1, 1])).values == (0, 0, 0, 3)
+        for n in range(1, 8):
+            assert dual_hessenberg(HessenbergFunction.springer(n)).is_springer()
+            for h in all_hessenberg_functions(n):
+                assert dual_hessenberg(dual_hessenberg(h)) == h
+
+    def test_every_partition_to_7(self):
+        pairs = self_dual = empty = 0
+        for n in range(1, 8):
+            hs = list(all_hessenberg_functions(n))
+            for parts in partitions(n):
+                lam = Composition(parts)
+                for h in hs:
+                    dual = dual_hessenberg(h)
+                    p = poincare(lam, h)
+                    assert p == poincare(lam, dual), (parts, h, dual)
+                    assert (r0_tableau(lam, h) is None) == (r0_tableau(lam, dual) is None)
+                    pairs += 1
+                    self_dual += dual == h
+                    empty += p.coeffs == ()
+        assert (pairs, self_dual, empty) == (8271, 859, 3944)
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_property_8_to_40(self, data):
+        # at most 8 rows, which keeps each side under a second at n = 40;
+        # h(i) is i - 1 lowered by up to `drop`, kept weakly increasing, so
+        # that many draws give a nonempty variety
+        n = data.draw(st.integers(8, 40))
+        rows = data.draw(st.integers(1, 8))
+        cuts = sorted(data.draw(st.lists(st.integers(1, n - 1), min_size=rows - 1,
+                                         max_size=rows - 1, unique=True)))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        drop = data.draw(st.integers(1, 3))
+        values = [0]
+        for i in range(2, n + 1):
+            values.append(max(i - 1 - data.draw(st.integers(0, drop)), values[-1]))
+        lam, h = Composition(parts), HessenbergFunction(values)
+        dual = dual_hessenberg(h)
+        assume(dual != h)  # the two sides run different states
+        assert poincare(lam, h) == poincare(lam, dual), (parts, values)
 
 
 class TestR0:
@@ -936,6 +1053,29 @@ class TestR0:
         # single row forces 1|2, which h(2) = 0 forbids
         assert r0_tableau(Composition([2]), HessenbergFunction([0, 0])) is None
         assert enumerate_cells(Composition([2]), HessenbergFunction([0, 0])) == []
+
+    def test_empty_variety_places_nothing(self, monkeypatch):
+        # without R_0 `poincare` returns before its first level
+        calls = record_calls(monkeypatch)
+        lam = Composition([10, 8, 7, 5, 4, 3, 2, 1])
+        h = HessenbergFunction([max(0, i - 6) for i in range(1, 41)])
+        assert r0_tableau(lam, h) is None
+        assert poincare(lam, h).coeffs == ()
+        assert calls == []
+
+    def test_none_exactly_when_the_ordered_loop_is_empty(self):
+        # the ordered loop never reads R_0
+        pairs = empty = 0
+        for n in range(1, 8):
+            hs = list(all_hessenberg_functions(n))
+            for parts in partitions(n):
+                lam = Composition(parts)
+                for h in hs:
+                    none = r0_tableau(lam, h) is None
+                    assert none == (ordered_poincare(lam, h).coeffs == ()), (parts, h)
+                    pairs += 1
+                    empty += none
+        assert (pairs, empty) == (8271, 3944)
 
     def test_unique_zero_cell_exhaustive(self):
         # the zero-dimensional cell is unique and equals R_0 (n <= 6 here;
