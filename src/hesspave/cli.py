@@ -3,6 +3,10 @@
 Subcommands: cells, poincare, r0, verify, generic-flag, count, profile.
 JSON is the canonical output format and is byte-deterministic for a fixed
 configuration (including the seed); CSV and text are convenience views.
+Every JSON view is json.dumps of the payload with sorted keys and no
+spaces, except that `cells` writes its `cells` array from shared text
+fragments, one string per cell; that text equals the json.dumps form of
+one dict per cell, which the tests check byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
 or resource limit exceeded (the F_q budget, the recursion limit or memory).
@@ -33,6 +37,7 @@ from .combinatorics import (
 from .domains import BudgetExceededError, FieldSpec, Poly
 from .exactla import generic_flag, hess_zero_coordinates
 from .paving import (
+    CellDescriptor,
     enumerate_cells,
     hessenberg_inversions,
     inversion_profile,
@@ -133,13 +138,25 @@ def _header(args, lam: Composition, h: HessenbergFunction) -> dict:
 
 
 def _emit(
-    args, payload: dict, csv_rows: Callable[[], list[str]], text: Callable[[], str]
+    args,
+    payload: dict,
+    csv_rows: Callable[[], list[str]],
+    text: Callable[[], str],
+    cells: Callable[[], str] | None = None,
 ) -> None:
-    """Write the view `--format` asks for; the CSV and text views are built lazily."""
+    """Write the view `--format` asks for; the CSV and text views are built lazily.
+
+    `cells`, if given, builds the JSON text of the `cells` array, which goes
+    in as the first key of the payload's canonical JSON: "cells" sorts
+    before every header key.
+    """
     if args.format == "json":
         out = json.dumps(
             payload, sort_keys=True, separators=(",", ":"), check_circular=False
-        ) + "\n"
+        )
+        if cells is not None:
+            out = '{"cells":[' + cells() + "]," + out[1:]
+        out += "\n"
     elif args.format == "csv":
         out = "\n".join(csv_rows()) + "\n"
     else:
@@ -154,13 +171,48 @@ def _emit(
         sys.stdout.write(out)
 
 
+class _Fragments(dict):
+    """JSON arrays of int tuples: table[t] is the text "[t0,t1,...]", made
+    on the first read from `digits`, the decimal string of each value."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, digits: list[str]):
+        self.digits = digits
+
+    def __missing__(self, key: tuple[int, ...]) -> str:
+        text = self[key] = "[" + ",".join(map(self.digits.__getitem__, key)) + "]"
+        return text
+
+
+def _cells_array(cells: list[CellDescriptor], n: int) -> str:
+    """The elements of the `cells` JSON array, as json.dumps with sorted keys
+    writes {"w": word, "tableau": rows, "inversions": pairs, "dim": dim}.
+
+    Each cell is one string spliced from shared fragments: the decimal text
+    of each value 1..n, and the text of each pair and each row tuple, made
+    the first time one is read.  The walk shares its row tuples and the
+    pair tuples of `_pair_table` across cells, and only the pairs that
+    occur are ever encoded.
+    """
+    digits = list(map(str, range(n + 1)))
+    pair = _Fragments(digits).__getitem__
+    row = _Fragments(digits).__getitem__
+    digit = digits.__getitem__
+    return ",".join([
+        '{"dim":%d,"inversions":[%s],"tableau":[%s],"w":[%s]}' % (
+            c.dim,
+            ",".join(map(pair, c.pairs)),
+            ",".join(map(row, c.rows)),
+            ",".join(map(digit, c.word)),
+        )
+        for c in cells
+    ])
+
+
 def cmd_cells(args, lam: Composition, h: HessenbergFunction) -> int:
     cells = enumerate_cells(lam, h)
     payload = _header(args, lam, h)
-    payload["cells"] = [
-        {"w": c.word, "tableau": c.rows, "inversions": c.pairs, "dim": c.dim}
-        for c in cells
-    ]
     payload["count"] = len(cells)
 
     def csv_rows() -> list[str]:
@@ -178,7 +230,7 @@ def cmd_cells(args, lam: Composition, h: HessenbergFunction) -> int:
             lines.append(f"w=[{w}]  dim={c.dim}  inv={list(c.pairs)}")
         return "\n".join(lines)
 
-    _emit(args, payload, csv_rows, text)
+    _emit(args, payload, csv_rows, text, lambda: _cells_array(cells, lam.n))
     return EXIT_OK
 
 

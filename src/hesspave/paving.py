@@ -408,7 +408,7 @@ def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
     reaches to the dimension histogram of the partial fillings that reach
     it, so each state is expanded once, however many fillings pass through
     it, and no recursion bounds n.  An empty variety (no R_0, see
-    `r0_tableau`) returns at once.
+    `r0_tableau`; only its rows are built) returns at once.
 
     A state is keyed by its (rem_i, b_i) pairs sorted, and a group of
     `_placements` adds t^gain [k]_t times its histogram to the key of its
@@ -436,7 +436,7 @@ def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
     n = lam.n
     if n != h.n:
         raise ValueError(f"size mismatch: n(lambda)={lam.n}, n(h)={h.n}")
-    if n == 0 or r0_tableau(lam, h) is None:
+    if n == 0 or _r0_rows(lam, h) is None:
         return PoincareData(())
     hv = h.values
     nrows = lam.num_rows
@@ -475,6 +475,13 @@ def r0_tableau(lam: Composition, h: HessenbergFunction) -> Tableau | None:
     """
     if lam.n != h.n:
         raise ValueError(f"size mismatch: n(lambda)={lam.n}, n(h)={h.n}")
+    grid = _r0_rows(lam, h)
+    return None if grid is None else Tableau(grid, lam)
+
+
+def _r0_rows(lam: Composition, h: HessenbergFunction) -> list[list[int]] | None:
+    """The rows of R_0 as lists, or None if the variety is empty; the greedy
+    fill of `r0_tableau`, without building the `Tableau`."""
     n, hv = lam.n, h.values
     grid = [[0] * p for p in lam.parts]
     available = list(range(1, n + 1))
@@ -488,7 +495,7 @@ def r0_tableau(lam: Composition, h: HessenbergFunction) -> Tableau | None:
             if not j:
                 return None
             row[col - 1] = available.pop(j - 1)
-    return Tableau(grid, lam)
+    return grid
 
 
 def zero_dim_cells(lam: Composition, h: HessenbergFunction) -> list[Tableau]:

@@ -4,18 +4,22 @@ The inductive steps of the paving argument (the U_i b_n split of g_n, the
 projection C_w -> C_y through w = v*y, the deletion of the box labeled n
 and the column bubble-sort behind the profile inequality), the sweeps over
 partitions and Hessenberg functions, and the evaluators the tests compare
-the package against, among them the Poincare level loop on ordered states.  No command runs any of them, so they live here and
-not in the package.  (The module is not named `reference`, which is
-perfbench's reference loop.)
+the package against, among them the Poincare level loop on ordered states,
+the line recursion for |B_mu(F_q)| and the dict-per-cell `cells` JSON.  No
+command runs any of them, so they live here and not in the package.  (The
+module is not named `reference`, which is perfbench's reference loop.)
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
+import hesspave
 from hesspave.combinatorics import (
     Composition,
     HessenbergFunction,
@@ -43,6 +47,7 @@ from hesspave.paving import (
     PoincareData,
     _grid_profile,
     _inversion_pairs,
+    enumerate_cells,
     springer_inversions,
 )
 
@@ -213,6 +218,50 @@ def ordered_poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
 def evaluate(p: PoincareData, q: int) -> int:
     """Point count over F_q predicted by the paving."""
     return sum(c * q**k for k, c in enumerate(p.coeffs))
+
+
+def cells_json(lam: Composition, h: HessenbergFunction, h_arg: str) -> str:
+    """`hesspave cells --format json` for (lambda, h) as one dict per cell
+    encoded by json.dumps: the canonical form the CLI's writer must equal
+    byte for byte.  `h_arg` is the --h text, which the header echoes when it
+    is "springer"."""
+    cells = enumerate_cells(lam, h)
+    payload = {
+        "lambda": list(lam.parts),
+        "h": "springer" if h_arg == "springer" else list(h.values),
+        "command": "cells",
+        "version": hesspave.__version__,
+        "cells": [
+            {"w": c.word, "tableau": c.rows, "inversions": c.pairs, "dim": c.dim}
+            for c in cells
+        ],
+        "count": len(cells),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@lru_cache(maxsize=None)
+def springer_line_count(mu):
+    """|B_mu(F_q)| as coefficients in q, by the line V_1 in ker X_mu.
+
+    Lines whose quotient has Jordan type mu minus a box at the end of a row
+    of length r number q^{#parts > r} [m_r(mu)]_q, which gives
+    |B_mu| = sum_r q^{#parts > r} [m_r(mu)]_q |B_{mu-r}|; no paving enters.
+    """
+    if not mu:
+        return (1,)
+    total = []
+    for r in set(mu):
+        shift = sum(1 for p in mu if p > r)
+        mult = mu.count(r)
+        i = mu.index(r) + mult - 1  # the last row of length r stays sorted
+        rest = springer_line_count(tuple(p for p in mu[:i] + (r - 1,) + mu[i + 1:] if p))
+        size = shift + mult - 1 + len(rest)
+        total.extend([0] * (size - len(total)))
+        for j in range(mult):  # [m]_q = 1 + q + ... + q^{m-1}
+            for d, c in enumerate(rest, start=shift + j):
+                total[d] += c
+    return tuple(total)
 
 
 @dataclass(frozen=True)

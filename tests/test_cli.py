@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import tracemalloc
 from argparse import Namespace
 from pathlib import Path
 
@@ -7,6 +9,16 @@ import pytest
 
 import hesspave.cli as cli
 from hesspave.cli import build_parser, main
+from hesspave.combinatorics import Composition
+from hesspave.paving import PoincareData
+from proof_reference import (
+    all_hessenberg_functions,
+    cells_json,
+    compositions,
+    evaluate,
+    partitions,
+    springer_line_count,
+)
 
 DATA = Path(__file__).with_name("data")
 # sha256 of the reference output of each argv, for outputs too large to keep
@@ -129,6 +141,67 @@ class TestCells:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_json_equals_dict_form_on_every_composition_to_5(self, capsys):
+        # the writer splices fragments; tests/proof_reference.py holds the
+        # dict-per-cell form that json.dumps encodes
+        checked = 0
+        for n in range(1, 6):
+            hs = list(all_hessenberg_functions(n))
+            for parts in compositions(n):
+                lam = ",".join(map(str, parts))
+                for h in hs:
+                    h_arg = ",".join(map(str, h.values))
+                    code, out, _ = run(capsys, "cells", "--lambda", lam, "--h", h_arg)
+                    assert code == 0
+                    assert out == cells_json(Composition(parts), h, h_arg), (parts, h)
+                    checked += 1
+        assert checked == 809
+
+    def test_json_equals_dict_form_on_partitions_of_6(self, capsys):
+        hs = list(all_hessenberg_functions(6))
+        h_args = ["springer"] + [
+            ",".join(map(str, h.values)) for h in random.Random(0).sample(hs, 20)
+        ]
+        for parts in partitions(6):
+            lam = ",".join(map(str, parts))
+            for h_arg in h_args:
+                code, out, _ = run(capsys, "cells", "--lambda", lam, "--h", h_arg)
+                assert code == 0
+                h = cli._parse_h(h_arg, 6)
+                assert out == cells_json(Composition(parts), h, h_arg), (parts, h_arg)
+
+    @pytest.mark.parametrize("lam, h_arg, count", [
+        ("2", "0,0", 0),  # empty: a row needs its left entry <= h of its right
+        ("1", "springer", 1),
+        ("2,1", "0,1,1", 2),
+    ])
+    def test_json_equals_dict_form_at_the_edges(self, capsys, lam, h_arg, count):
+        code, out, _ = run(capsys, "cells", "--lambda", lam, "--h", h_arg)
+        assert code == 0
+        parts = Composition([int(p) for p in lam.split(",")])
+        assert out == cells_json(parts, cli._parse_h(h_arg, parts.n), h_arg)
+        assert json.loads(out)["count"] == count
+        if not count:
+            assert out.startswith('{"cells":[],')
+
+    def test_one_row_of_many_boxes_allocates_no_pair_fragments(self, capsys):
+        # the writer encodes a pair when a cell first reads it: one row has
+        # no inversions, so no pair text is made (a full table at n = 3000
+        # is 4.5M strings)
+        tracemalloc.start()
+        try:
+            code = main(["cells", "--lambda", "3000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out)["cells"] == [{
+            "dim": 0, "inversions": [], "tableau": [list(range(1, 3001))],
+            "w": list(range(1, 3001)),
+        }]
+        assert peak < 20 * 2**20
 
     def test_json_of_a_cyclic_payload_still_raises(self, capsys):
         # payloads are built fresh and acyclic, so the encoder skips its
@@ -304,6 +377,14 @@ class TestCount:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # Springer h: the total is |B_mu(F_2)| by the line recursion, which
+        # no paving enters
+        words = argv.split()
+        assert "--h" not in words
+        parts = tuple(sorted(map(int, words[words.index("--lambda") + 1].split(",")),
+                             reverse=True))
+        total = evaluate(PoincareData(springer_line_count(parts)), 2)
+        assert json.loads(out)["total"] == total
 
     def test_readme_example(self, capsys):
         # 26.4 bits of flags, so the default 24-bit budget is not enough

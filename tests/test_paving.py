@@ -1,8 +1,8 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError
-from functools import lru_cache
 from math import factorial, prod
 
 import pytest
@@ -50,6 +50,7 @@ from proof_reference import (
     ordered_poincare,
     partitions,
     row_placements,
+    springer_line_count,
 )
 
 
@@ -741,30 +742,6 @@ def springer_poincare(lam):
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
-def springer_line_count(mu):
-    """|B_mu(F_q)| as coefficients in q, by the line V_1 in ker X_mu.
-
-    Lines whose quotient has Jordan type mu minus a box at the end of a row
-    of length r number q^{#parts > r} [m_r(mu)]_q, which gives
-    |B_mu| = sum_r q^{#parts > r} [m_r(mu)]_q |B_{mu-r}|; no paving enters.
-    """
-    if not mu:
-        return (1,)
-    total = []
-    for r in set(mu):
-        shift = sum(1 for p in mu if p > r)
-        mult = mu.count(r)
-        i = mu.index(r) + mult - 1  # the last row of length r stays sorted
-        rest = springer_line_count(tuple(p for p in mu[:i] + (r - 1,) + mu[i + 1:] if p))
-        size = shift + mult - 1 + len(rest)
-        total.extend([0] * (size - len(total)))
-        for j in range(mult):  # [m]_q = 1 + q + ... + q^{m-1}
-            for d, c in enumerate(rest, start=shift + j):
-                total[d] += c
-    return tuple(total)
-
-
 def unfold(groups):
     """The per-row placements that the groups of `_placements` stand for,
     as `row_placements` yields them: row rows[r] of a group takes gain + r,
@@ -986,7 +963,7 @@ class TestSpringerClosedForm:
 
 class TestDuality:
     """Hess(X, h) and Hess(X, h*) are isomorphic through V_i -> V_{n-i}^perp
-    and X -> X^T, so `poincare` agrees on h and its dual."""
+    and X -> X^T, so `poincare` and the cell tables agree on h and its dual."""
 
     def test_dual_hessenberg(self):
         assert dual_hessenberg(HessenbergFunction([0, 0, 1, 1])).values == (0, 0, 0, 2)
@@ -1011,6 +988,20 @@ class TestDuality:
                     self_dual += dual == h
                     empty += p.coeffs == ()
         assert (pairs, self_dual, empty) == (8271, 859, 3944)
+
+    def test_cell_tables_every_partition_to_6(self):
+        # the walk's own dimensions, not the level loop's histogram
+        pairs = 0
+        for n in range(1, 7):
+            hs = list(all_hessenberg_functions(n))
+            for parts in partitions(n):
+                lam = Composition(parts)
+                for h in hs:
+                    dims = Counter(c.dim for c in enumerate_cells(lam, h))
+                    dual = Counter(c.dim for c in enumerate_cells(lam, dual_hessenberg(h)))
+                    assert dims == dual, (parts, h)
+                    pairs += 1
+        assert pairs == 1836
 
     @settings(max_examples=30, deadline=None, database=None, derandomize=True)
     @given(st.data())
