@@ -8,6 +8,8 @@ The finite-field layer (`oracle` and `verify`) imports numpy, which only
 the F_q checks need, so its names load on first access (PEP 562).
 """
 
+from importlib import import_module
+
 from .combinatorics import (
     Composition,
     HessenbergFunction,
@@ -46,7 +48,6 @@ from .exactla import (
 )
 from .paving import (
     CellDescriptor,
-    InversionProfile,
     InversionSet,
     PoincareData,
     cell_profile,
@@ -60,30 +61,21 @@ from .paving import (
 
 __version__ = "0.1.0"
 
-_FQ_NAMES = frozenset({
-    "CountReport",
-    "conjugation_invariance",
-    "dw_equals_cell",
-    "run_verification",
-    "springer_points",
-    "variety_point_count",
-    "zeros_structure_check",
-})
+# each lazy name and the module that defines it
+_FQ_NAMES = {
+    "CountReport": "oracle",
+    "conjugation_invariance": "oracle",
+    "dw_equals_cell": "oracle",
+    "run_verification": "verify",
+    "springer_points": "oracle",
+    "variety_point_count": "oracle",
+    "zeros_structure_check": "oracle",
+}
 
 
 def __getattr__(name: str):
     if name not in _FQ_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .oracle import (
-        CountReport,
-        conjugation_invariance,
-        dw_equals_cell,
-        springer_points,
-        variety_point_count,
-        zeros_structure_check,
-    )
-    from .verify import run_verification
-
-    loaded = {key: value for key, value in locals().items() if key in _FQ_NAMES}
-    globals().update(loaded)
-    return loaded[name]
+    module = import_module(f".{_FQ_NAMES[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value

@@ -388,22 +388,17 @@ def cmd_profile(args, lam: Composition, h: HessenbergFunction) -> int:
         raise InputError(str(e))
     payload = _header(args, lam, h)
     payload["w"] = list(w.word)
-    payload["profile"] = [
-        {"i": i, "j": j, "count": c} for (i, j), c in sorted(prof.d.items()) if c
-    ]
-    payload["total"] = prof.total
+    entries = sorted(prof.items())
+    payload["profile"] = [{"i": i, "j": j, "count": c} for (i, j), c in entries]
+    payload["total"] = prof.total()
 
     def csv_rows() -> list[str]:
-        return ["i;j;count"] + [
-            f"{i};{j};{c}" for (i, j), c in sorted(prof.d.items()) if c
-        ]
+        return ["i;j;count"] + [f"{i};{j};{c}" for (i, j), c in entries]
 
     def text() -> str:
         lines = [f"inversion profile for w={w}, lambda={lam}, h={h}"]
-        for (i, j), c in sorted(prof.d.items()):
-            if c:
-                lines.append(f"d({i},{j}) = {c}")
-        lines.append(f"total = {prof.total}")
+        lines += [f"d({i},{j}) = {c}" for (i, j), c in entries]
+        lines.append(f"total = {prof.total()}")
         return "\n".join(lines)
 
     _emit(args, payload, csv_rows, text)

@@ -10,10 +10,11 @@ to the right of l (no condition when l ends its row).
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import starmap
-from math import factorial, prod
+from math import comb
 from operator import attrgetter, itemgetter, le
 from typing import Iterable, Iterator, Sequence
 
@@ -24,6 +25,7 @@ from .combinatorics import (
     Tableau,
     base_filling,
     is_h_strict,
+    standardize,
     tableau_of,
 )
 
@@ -257,10 +259,9 @@ def iter_fillings(
 ) -> Iterator[
     tuple[
         tuple[tuple[int, ...], ...],
-        list[int],
-        dict[int, tuple[int, int]],
+        tuple[int, ...],
         int,
-        list[tuple[int, int]],
+        tuple[tuple[int, int], ...],
     ]
 ]:
     """Depth-first enumeration of RS_h(lambda) with its Hessenberg inversions.
@@ -268,9 +269,8 @@ def iter_fillings(
     Walks the states of `_placements` from n down to 1, writing each value
     into the box it takes; dim is the sum of the gains.  A branch is pruned
     as soon as its partial sum exceeds `max_dim`.  Each placement of m also
-    records w(m), the label of m's box in the base filling R(e), and the
-    box's 1-based (row, column), so a filling arrives with its permutation
-    and positions already known.
+    records w(m), the label of m's box in the base filling R(e), so a
+    filling arrives with its permutation already known.
 
     The node that places l also lists the pairs (k, l) by `_pairs_below`:
     every k > l and the right neighbor of l's box are placed by then.  The
@@ -284,12 +284,10 @@ def iter_fillings(
     by row index, with the ordered child state and gain of each.  The walk
     itself is one explicit stack of child iterators.
 
-    Yields (rows, word, pos, dim, pairs): the filling R(w) as a tuple of row
-    tuples, the one-line word of w, the map value -> (row, column), the
-    dimension and the pairs of inv_{lambda,h}(w), by decreasing l.  A row is
-    frozen once, when its first box is filled, and every filling below that
-    node shares the tuple.  The word, pos and pairs containers are reused;
-    copy them if kept.
+    Yields (rows, word, dim, pairs): the filling R(w) as a tuple of row
+    tuples, the one-line word of w, the dimension and the pairs of
+    inv_{lambda,h}(w) sorted by (k, l).  A row is frozen once, when its
+    first box is filled, and every filling below that node shares the tuple.
     """
     n = lam.n
     if n != h.n:
@@ -344,7 +342,7 @@ def iter_fillings(
             if c == 0:
                 finished[i] = tuple(row)
             if m == 1:
-                yield tuple(finished), word, pos, d, pairs
+                yield tuple(finished), tuple(word), d, tuple(sorted(pairs))
                 continue
             kids = memo.get(child)
             if kids is None:
@@ -363,8 +361,8 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescrip
     """All affine cells of Hess(X_lambda, h), sorted by the one-line word of w.
 
     An empty list signals that the variety is empty.  Each descriptor holds
-    what the walk produced: the frozen rows, the word of w and the pairs of
-    inv_{lambda,h}(w) that the walk's `_pairs_below` steps listed, sorted.
+    what the walk produced: the frozen rows, the word of w and the sorted
+    pairs of inv_{lambda,h}(w) that the walk's `_pairs_below` steps listed.
     Every cell is checked as it is built: each pair must have the larger
     index first (ValueError); the walk's gains from `_placements` count
     each cell's inversions on their own, and a pair list whose size
@@ -375,17 +373,16 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescrip
     """
     values = set(range(1, lam.n + 1))
     cells = []
-    for rows, word, _, dim, pairs in iter_fillings(lam, h):
+    for rows, word, dim, pairs in iter_fillings(lam, h):
         if any(starmap(le, pairs)):
             raise ValueError("inversion pairs must have the larger index first")
         if len(pairs) != dim:
             raise RuntimeError(
                 f"walk counted {dim} inversions for {rows}, descriptor has {len(pairs)}"
             )
-        word = tuple(word)
         if set(word) != values:
             raise ValueError(f"not a permutation of 1..{lam.n}: {word}")
-        cells.append(CellDescriptor(word, rows, tuple(sorted(pairs)), dim, h))
+        cells.append(CellDescriptor(word, rows, pairs, dim, h))
     cells.sort(key=attrgetter("word"))
     return cells
 
@@ -429,9 +426,9 @@ def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
     partial fillings (the rows that n..m+1 went to, row i taking at most
     lambda_i of them) whose ordered state sorts to that key: t^gain [k]_t
     has k digits of 1, one per row of the group.  Each partial filling
-    extends to a different complete one, so no digit exceeds
-    n!/prod(lambda_i!) < 2^width, and adding packed histograms never
-    carries from one digit into the next.
+    extends to a different complete one, so no digit exceeds the
+    multinomial n!/prod(lambda_i!) < 2^width, and adding packed histograms
+    never carries from one digit into the next.
     """
     n = lam.n
     if n != h.n:
@@ -440,7 +437,12 @@ def poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
         return PoincareData(())
     hv = h.values
     nrows = lam.num_rows
-    width = (factorial(n) // prod(map(factorial, lam.parts))).bit_length()
+    # the multinomial as a product of binomials: no n! at large n
+    multinomial, left = 1, n
+    for p in lam.parts:
+        multinomial *= comb(left, p)
+        left -= p
+    width = multinomial.bit_length()
     # tied[k] = [k]_t = 1 + t + ... + t^(k-1), packed
     tied = [0]
     for k in range(nrows):
@@ -502,56 +504,36 @@ def zero_dim_cells(lam: Composition, h: HessenbergFunction) -> list[Tableau]:
     """All tableaux of cells of dimension zero (pruned enumeration)."""
     return [
         Tableau(rows, lam)
-        for rows, _, _, _, _ in iter_fillings(lam, h, max_dim=0)
+        for rows, _, _, _ in iter_fillings(lam, h, max_dim=0)
     ]
 
 
-@dataclass(frozen=True)
-class InversionProfile:
-    """d_R(i,j): Hessenberg inversions counted by the columns of k and l."""
-
-    d: dict[tuple[int, int], int]
-
-    def __call__(self, i: int, j: int) -> int:
-        return self.d.get((i, j), 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.d.values())
-
-    def dominates(self, other: "InversionProfile") -> bool:
-        keys = set(self.d) | set(other.d)
-        return all(self(i, j) >= other(i, j) for i, j in keys)
-
-
 def _grid_profile(
-    pairs: Iterable[tuple[int, int]],
-    pos: dict[int, tuple[int, int]],
-    num_cols: int,
-) -> InversionProfile:
-    """d(i, j): how many inversions (k, l) have k in column i and l in column j."""
-    d = {(i, j): 0 for i in range(1, num_cols + 1) for j in range(i, num_cols + 1)}
-    for k, l in pairs:
-        d[(pos[k][1], pos[l][1])] += 1
-    return InversionProfile(d)
+    pairs: Iterable[tuple[int, int]], pos: dict[int, tuple[int, int]]
+) -> Counter[tuple[int, int]]:
+    """d(i, j): how many inversions (k, l) have k in column i and l in column j.
+
+    d_std(R) dominates d_R, entry by entry with one entry larger, exactly
+    when `d_std > d_R` as Counters.
+    """
+    return Counter((pos[k][1], pos[l][1]) for k, l in pairs)
 
 
-def inversion_profile(t: Tableau, h: HessenbergFunction) -> InversionProfile:
+def inversion_profile(t: Tableau, h: HessenbergFunction) -> Counter[tuple[int, int]]:
     """The profile d_R of an h-strict tableau R."""
     if not is_h_strict(t, h):
         raise ValueError("tableau is not h-strict")
-    return _grid_profile(_tableau_inversions(t, h), t.index, t.shape.num_cols)
+    return _grid_profile(_tableau_inversions(t, h), t.index)
 
 
-def cell_profile(cell: CellDescriptor) -> InversionProfile:
+def cell_profile(cell: CellDescriptor) -> Counter[tuple[int, int]]:
     """The profile d_R(w) of a cell, read off its inversions inv_{lambda,h}(w).
 
     A cell's tableau is h-strict by construction and its inversions are
     already known, so this is `inversion_profile(cell.tableau, h)` without
     the h-strictness check and without a second pass of the pair kernel.
     """
-    t = cell.tableau
-    return _grid_profile(cell.hess_inv.pairs, t.index, t.shape.num_cols)
+    return _grid_profile(cell.pairs, cell.tableau.index)
 
 
 def maximal_cells_are_standard(
@@ -559,23 +541,13 @@ def maximal_cells_are_standard(
 ) -> tuple[bool, Tableau | None]:
     """Check that every maximal-dimension cell of a cell table has a standard tableau.
 
-    Returns (ok, witness) where witness is a failing tableau if any.
+    A tableau is standard when `standardize` leaves it as it is.  Returns
+    (ok, witness) where witness is a failing tableau if any.
     """
     top = max((c.dim for c in cells), default=0)
     for c in cells:
-        if c.dim != top:
-            continue
-        t = c.tableau
-        if any(
-            any(a > b for a, b in zip(colvals, colvals[1:]))
-            for colvals in _columns(t)
-        ):
-            return False, t
+        if c.dim == top:
+            t = c.tableau
+            if standardize(t).rows != t.rows:
+                return False, t
     return True, None
-
-
-def _columns(t: Tableau) -> list[list[int]]:
-    return [
-        [t.entry(r, c) for r in t.shape.column_rows(c)]
-        for c in range(1, t.shape.num_cols + 1)
-    ]

@@ -122,8 +122,7 @@ def _check_profiles(h, cells) -> CheckResult:
         s = standardize(t)
         if s.rows == t.rows:
             continue
-        p, ps = cell_profile(c), inversion_profile(s, h)
-        if not ps.dominates(p) or ps.total == p.total and ps.d == p.d:
+        if not inversion_profile(s, h) > cell_profile(c):
             return CheckResult("profile-inequality", False, f"w={c.w}")
     return CheckResult("profile-inequality", True)
 

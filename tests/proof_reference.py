@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +44,6 @@ from hesspave.exactla import (
     factor_unipotent,
 )
 from hesspave.paving import (
-    InversionProfile,
     PoincareData,
     _grid_profile,
     _inversion_pairs,
@@ -424,7 +424,7 @@ class SortStep:
     """
 
     grid: tuple[tuple[int | None, ...], ...]
-    profile: InversionProfile
+    profile: Counter[tuple[int, int]]
 
 
 def column_sort_trace(
@@ -449,14 +449,14 @@ def column_sort_trace(
         list(row) + [None] * (width - len(row)) for row in t.rows
     ]
 
-    def profile_of(g: list[list[int | None]]) -> InversionProfile:
+    def profile_of(g: list[list[int | None]]) -> Counter[tuple[int, int]]:
         pos = {
             v: (ri, ci)
             for ri, row in enumerate(g, start=1)
             for ci, v in enumerate(row, start=1)
             if v is not None
         }
-        return _grid_profile(_inversion_pairs(g, pos, h.values, h.n), pos, width)
+        return _grid_profile(_inversion_pairs(g, pos, h.values, h.n), pos)
 
     steps = [SortStep(tuple(tuple(r) for r in grid), profile_of(grid))]
 

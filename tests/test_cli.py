@@ -36,6 +36,11 @@ DIGESTS_COUNT = json.loads((DATA / "count_n9_10_sha256.json").read_text())
 # under the Springer h and two others, recorded while the command still cut
 # D_w by substituting 0 into the full generic flag
 DIGESTS_GENERIC_FLAG = json.loads((DATA / "generic_flag_sha256.json").read_text())
+# profile in every format for every cell of (3,2,1) under the Springer h and
+# 0,1,1,2,3,4, (2,2,2) under 0,1,1,1,3,4, (3,3,1) under the Springer h and
+# (2,3,2) under 0,0,1,2,3,4,5, recorded while profiles were still a
+# hand-written class with one zero entry per column pair
+DIGESTS_PROFILE = json.loads((DATA / "profile_sha256.json").read_text())
 # the benchmark's own digests of the stdout of each op it checks, read only:
 # output drift fails here before the benchmark reports it
 DIGESTS_BENCH = json.loads(
@@ -421,6 +426,15 @@ class TestProfile:
         assert code == 2
         assert "h-strict" in err
 
+    def test_output_unchanged(self, capsys):
+        assert len(DIGESTS_PROFILE) == 831
+        changed = []
+        for argv, digest in DIGESTS_PROFILE.items():
+            code, out, _ = run(capsys, *argv.split())
+            if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+                changed.append(argv)
+        assert changed == []
+
 
 def _w_of_paper_grid():
     from hesspave.combinatorics import Tableau, permutation_of_tableau
@@ -627,6 +641,33 @@ class TestParser:
         assert argvs
         for argv in argvs:
             assert parser.parse_args(argv).command == argv[0]
+
+
+class TestReadme:
+    """README's examples run as printed, so the docs cannot drift unseen."""
+
+    README = (Path(__file__).parents[1] / "README.md").read_text()
+
+    def _block(self, opening: str, after: str) -> list[str]:
+        tail = self.README.split(after, 1)[1]
+        body = tail.split(opening + "\n", 1)[1].split("```\n", 1)[0]
+        return body.splitlines()
+
+    def test_command_line_examples_exit_0(self, capsys):
+        lines = [line.split("#", 1)[0].split()
+                 for line in self._block("```", "## Command line")]
+        commands = [argv[1:] for argv in lines if argv[:1] == ["hesspave"]]
+        assert [argv[0] for argv in commands] == [
+            "cells", "poincare", "r0", "verify", "count", "generic-flag", "profile"]
+        for argv in commands:
+            assert run(capsys, *argv)[0] == 0, argv
+
+    def test_python_snippet_prints_its_comment(self, capsys):
+        lines = self._block("```python", "## Library layout")
+        exec("\n".join(lines), {})
+        out, _ = capsys.readouterr()
+        assert lines[-1] == "# (1, 5, 14, 24, 25, 16, 5)"
+        assert out == lines[-1][2:] + "\n"
 
 
 def _fresh_python(code: str) -> dict:

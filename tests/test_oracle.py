@@ -54,6 +54,7 @@ from proof_reference import (
     RATIONALS,
     all_hessenberg_functions,
     compositions,
+    dual_hessenberg,
     evaluate,
     flag_matrix,
     flag_of_matrix,
@@ -358,6 +359,28 @@ class TestVarietyCounts:
         for q in (2, 3, 5):
             report = variety_point_count(lam, h, q)
             assert report.total == evaluate(poincare(lam, h), q)
+
+    def test_dual_totals_every_partition_of_6(self):
+        # Hess(X, h) and Hess(X, h*) are isomorphic, so their F_2-point totals
+        # agree with each other and with P(2); one search per partition
+        # answers a fixed sample of non-self-dual h and their duals.  For
+        # n <= 5 criterion 2 and TestDuality already imply this
+        sample = [HessenbergFunction(v) for v in [
+            (0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 4, 4), (0, 0, 0, 2, 2, 2),
+            (0, 0, 1, 1, 1, 3), (0, 0, 1, 2, 3, 3), (0, 0, 2, 2, 3, 5),
+            (0, 1, 1, 1, 3, 4), (0, 1, 1, 3, 4, 4),
+        ]]
+        duals = [dual_hessenberg(h) for h in sample]
+        assert all(d != h for h, d in zip(sample, duals))
+        nonempty = 0
+        for parts in partitions(6):
+            lam = Composition(parts)
+            counts = flag_point_counts(nilpotent_residues(lam), sample + duals, 2)
+            totals = [sum(c.values()) for c in counts]
+            for h, total, dual_total in zip(sample, totals, totals[len(sample):]):
+                assert total == dual_total == evaluate(poincare(lam, h), 2), (parts, h)
+                nonempty += total > 0
+        assert nonempty == 42  # of the 88 (partition, h) pairs
 
     def test_dense_conjugate_sums_to_poincare(self):
         # a random conjugate of X_lambda prunes little, so the search visits

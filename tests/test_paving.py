@@ -268,7 +268,7 @@ def reference_profile(grid, h):
 
 
 def nonzero(profile):
-    return {key: v for key, v in profile.d.items() if v}
+    return {key: v for key, v in profile.items() if v}
 
 
 def descriptor_cases():
@@ -388,8 +388,9 @@ def record_calls(monkeypatch, owner=paving, name="_placements"):
 
 
 class TestPrunedWalk:
-    def test_walk_carries_w_and_positions(self):
-        # what each placement records is what the tableau functions derive
+    def test_walk_carries_w_as_tuples(self):
+        # what each placement records is what the tableau functions derive,
+        # handed out as finished tuples
         cases = fillings = 0
         for n in range(1, 7):
             hs = list(all_hessenberg_functions(n)) if n <= 5 else [HessenbergFunction.springer(n)]
@@ -397,11 +398,11 @@ class TestPrunedWalk:
                 lam = Composition(parts)
                 for h in hs:
                     cases += 1
-                    for rows, word, pos, _, _ in iter_fillings(lam, h):
+                    for rows, word, _, pairs in iter_fillings(lam, h):
                         fillings += 1
                         t = Tableau(rows, lam)
-                        assert tuple(word) == permutation_of_tableau(t).word
-                        assert type(pos) is dict and pos == t.index
+                        assert word == permutation_of_tableau(t).word
+                        assert type(word) is type(pairs) is tuple
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 32
         assert fillings > 10_000
 
@@ -414,10 +415,10 @@ class TestPrunedWalk:
             if lam.n > 5:
                 continue
             cases += 1
-            full = [([list(r) for r in rows], d) for rows, _, _, d, _ in iter_fillings(lam, h)]
+            full = [([list(r) for r in rows], d) for rows, _, d, _ in iter_fillings(lam, h)]
             for max_dim in (0, 1, 2):
                 pruned = [([list(r) for r in rows], d)
-                          for rows, _, _, d, _ in iter_fillings(lam, h, max_dim)]
+                          for rows, _, d, _ in iter_fillings(lam, h, max_dim)]
                 expect = [(rows, d) for rows, d in full if d <= max_dim]
                 assert pruned == expect, (lam.parts, h.values, max_dim)
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42
@@ -433,7 +434,7 @@ class TestPrunedWalk:
         merged = {}
         for n in range(1, 7):
             lam, h = Composition([1] * n), HessenbergFunction.springer(n)
-            columns = [[row[0] for row in rows] for rows, _, _, _, _ in iter_fillings(lam, h)]
+            columns = [[row[0] for row in rows] for rows, _, _, _ in iter_fillings(lam, h)]
             assert len(columns) == factorial(n)
             for max_dim in (0, 1, 2):
                 prefixes, expect = set(), set()
@@ -513,8 +514,8 @@ class TestWalkAgainstReference:
                 for h in hs:
                     for max_dim in (None, 0, 1, 2):
                         cases += 1
-                        got = [([list(r) for r in rows], list(word), dict(pos), dim)
-                               for rows, word, pos, dim, _ in iter_fillings(lam, h, max_dim)]
+                        got = [([list(r) for r in rows], list(word), Tableau(rows).index, dim)
+                               for rows, word, dim, _ in iter_fillings(lam, h, max_dim)]
                         assert got == list(reference_walk(lam, h, max_dim)), \
                             (parts, h.values, max_dim)
                         fillings += len(got)
@@ -527,9 +528,10 @@ def walk_pairs_match(lam, h):
     on the finished rows and against `hessenberg_inversions`; return the
     number of fillings."""
     fillings = 0
-    for rows, word, pos, dim, pairs in iter_fillings(lam, h):
+    for rows, word, dim, pairs in iter_fillings(lam, h):
         got = sorted(pairs)
         assert len(got) == dim
+        pos = Tableau(rows, lam).index
         assert got == sorted(paving._inversion_pairs(rows, pos, h.values, lam.n))
         assert got == hessenberg_inversions(Permutation(word), lam, h).sorted_pairs()
         fillings += 1
@@ -586,14 +588,14 @@ class TestChecksOnBadInput:
         walk = paving.iter_fillings
 
         def tampered(lam, h, max_dim=None):
-            for rows, word, pos, dim, pairs in walk(lam, h, max_dim):
-                yield tamper(rows, list(word), pos, dim, pairs)
+            for rows, word, dim, pairs in walk(lam, h, max_dim):
+                yield tamper(rows, word, dim, pairs)
 
         monkeypatch.setattr(paving, "iter_fillings", tampered)
 
     def test_walk_count_disagreeing_with_kernel_raises(self, monkeypatch):
         self._tampered(monkeypatch,
-                       lambda rows, word, pos, dim, pairs: (rows, word, pos, dim + 1, pairs))
+                       lambda rows, word, dim, pairs: (rows, word, dim + 1, pairs))
         with pytest.raises(RuntimeError, match="walk counted"):
             enumerate_cells(self.lam, self.h)
 
@@ -607,7 +609,7 @@ class TestChecksOnBadInput:
 
     def test_word_that_is_not_a_permutation_raises(self, monkeypatch):
         self._tampered(monkeypatch,
-                       lambda rows, word, pos, dim, pairs: (rows, [1] * len(word), pos, dim, pairs))
+                       lambda rows, word, dim, pairs: (rows, (1,) * len(word), dim, pairs))
         with pytest.raises(ValueError, match="not a permutation"):
             enumerate_cells(self.lam, self.h)
 
@@ -1092,17 +1094,17 @@ class TestProfilesAndSorting:
 
     def test_profile_values(self):
         p = inversion_profile(self.R, self.h)
-        assert (p(1, 1), p(1, 2), p(3, 3)) == (2, 1, 0)
+        assert (p[1, 1], p[1, 2], p[3, 3]) == (2, 1, 0)
         s = standardize(self.R)
         ps = inversion_profile(s, self.h)
-        assert (ps(1, 1), ps(1, 2), ps(3, 3)) == (3, 1, 1)
+        assert (ps[1, 1], ps[1, 2], ps[3, 3]) == (3, 1, 1)
 
     def test_profile_total(self):
         lam = Composition([2, 2, 1])
         h = HessenbergFunction([0, 1, 1, 3, 3])
         for c in enumerate_cells(lam, h):
             p = inversion_profile(c.tableau, h)
-            assert p.total == c.dim
+            assert p.total() == c.dim
 
     def test_cell_profile_matches_inversion_profile(self):
         # every cell of every composition with n <= 5 under every h
@@ -1123,10 +1125,10 @@ class TestProfilesAndSorting:
     def test_trace_two_column(self):
         steps = column_sort_trace(self.R, 1, 1, self.h)
         assert len(steps) == 3  # start plus two swaps
-        assert steps[0].profile(1, 1) == 2
-        assert steps[-1].profile(1, 1) == 3
+        assert steps[0].profile[1, 1] == 2
+        assert steps[-1].profile[1, 1] == 3
         # intermediate states never decrease d(1,1)
-        vals = [s.profile(1, 1) for s in steps]
+        vals = [s.profile[1, 1] for s in steps]
         assert vals == sorted(vals)
         assert [r[:2] for r in steps[-1].grid] == [
             (1, 4), (2, 5), (3, 9), (6, None)]
@@ -1134,7 +1136,7 @@ class TestProfilesAndSorting:
     def test_trace_three_column(self):
         steps = column_sort_trace(self.R, 1, 2, self.h)
         assert len(steps) == 4
-        vals = [s.profile(1, 2) for s in steps]
+        vals = [s.profile[1, 2] for s in steps]
         assert vals[0] == 1 and vals[-1] == 1
         assert all(a <= b for a, b in zip(vals, vals[1:]))
         assert [r[:3] for r in steps[-1].grid] == [
@@ -1142,8 +1144,8 @@ class TestProfilesAndSorting:
 
     def test_trace_last_column_strict_increase(self):
         steps = column_sort_trace(self.R, 3, 3, self.h)
-        assert steps[0].profile(3, 3) == 0
-        assert steps[-1].profile(3, 3) == 1
+        assert steps[0].profile[3, 3] == 0
+        assert steps[-1].profile[3, 3] == 1
         assert [r[2:] for r in steps[-1].grid] == [
             (7, 10), (8, 11), (12, None), (None, None)]
 
@@ -1180,7 +1182,18 @@ class TestMaximalCells:
 
         monkeypatch.setattr(Tableau, "__init__", counting)
         assert maximal_cells_are_standard(cells) == (True, None)
-        assert 0 < len(built) == sum(c.dim == top for c in cells) < len(cells)
+        # each top cell builds its tableau and that tableau's standardization
+        top_cells = sum(c.dim == top for c in cells)
+        assert 0 < len(built) == 2 * top_cells
+        assert top_cells < len(cells)
+
+    def test_composition_with_a_non_standard_top_cell(self):
+        # a composition's shape is not a partition (ROADMAP item 1): of the
+        # two top cells of (1, 2), the first has 3 above 1 in its first column
+        cells = enumerate_cells(Composition([1, 2]), HessenbergFunction.springer(3))
+        ok, witness = maximal_cells_are_standard(cells)
+        assert not ok
+        assert witness.rows == ((3,), (1, 2))
 
     def test_profile_domination(self):
         # d_R <= d_std(R) with a strict inequality for non-standard R
@@ -1194,5 +1207,5 @@ class TestMaximalCells:
                             continue
                         p = inversion_profile(c.tableau, h)
                         ps = inversion_profile(s, h)
-                        assert ps.dominates(p)
-                        assert ps.total > p.total
+                        assert ps >= p
+                        assert ps.total() > p.total()
