@@ -48,7 +48,6 @@ from .exactla import (
 )
 from .paving import (
     CellDescriptor,
-    InversionSet,
     PoincareData,
     cell_profile,
     enumerate_cells,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterator, Mapping, Sequence
 
 from .combinatorics import (
     Composition,
@@ -23,9 +23,11 @@ from .combinatorics import (
     tableau_of,
 )
 from .domains import POLYNOMIALS, Domain, Poly
-from .paving import InversionSet, hessenberg_inversions, springer_inversions
+from .paving import hessenberg_inversions, springer_inversions
 
 Vector = tuple
+# a set of pairs (k, l), k > l, such as inv_lambda(w) or inv_{lambda,h}(w)
+Pairs = AbstractSet[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -223,24 +225,30 @@ class UnipotentPattern:
         return sorted(self.free_positions)
 
 
+def _level(spr: Pairs, k: int) -> list[int]:
+    """inv^k: the l with (k, l) in spr, sorted."""
+    return sorted([l for kk, l in spr if kk == k])
+
+
 def bk_entries(
     w: Permutation,
     lam: Composition,
-    spr: InversionSet,
+    spr: Pairs,
     k: int,
     coords: Mapping[tuple[int, int], object],
 ) -> list[tuple[int, int, object]]:
     """The element of B_k(w) with the given coordinates, as the triples
     (tgt, src, x) with g_k = I + sum of x E_{tgt,src}.
 
-    `spr` is a subset S of inv_lambda(w), such as inv_{lambda,h}(w).  coords
-    must be keyed by exactly the pairs (w(k), w(l)) for (k,l) in level k of
-    S.  The matrix acts by g_k e_{w(j)} = e_{w(j)} + x_{w(k)w(l)} X^m e_{w(k)}
-    whenever e_{w(j)} = X^m e_{w(l)}, and fixes all other basis vectors.
+    `spr` is any set of pairs (k, l) that is a subset S of inv_lambda(w),
+    such as inv_{lambda,h}(w).  coords must be keyed by exactly the pairs
+    (w(k), w(l)) for l in inv^k, the sorted l with (k, l) in S.  The matrix
+    acts by g_k e_{w(j)} = e_{w(j)} + x_{w(k)w(l)} X^m e_{w(k)} whenever
+    e_{w(j)} = X^m e_{w(l)}, and fixes all other basis vectors.
     """
     if not (2 <= k <= w.n):
         raise ValueError(f"k must be in 2..{w.n}, got {k}")
-    level = spr.level(k)
+    level = _level(spr, k)
     expected = {(w(k), w(l)) for l in level}
     if set(coords) != expected:
         raise ValueError(
@@ -266,7 +274,7 @@ def bk_entries(
 def bk_generator(
     w: Permutation,
     lam: Composition,
-    spr: InversionSet,
+    spr: Pairs,
     k: int,
     coords: Mapping[tuple[int, int], object],
 ) -> ExactMatrix:
@@ -277,11 +285,11 @@ def bk_generator(
 
 
 def generic_coordinates(
-    w: Permutation, spr: InversionSet, k: int
+    w: Permutation, spr: Pairs, k: int
 ) -> dict[tuple[int, int], Poly]:
     """Fresh polynomial variables x_{w(k)w(l)} for level k of spr, a subset
     S of inv_lambda(w)."""
-    return {(w(k), w(l)): Poly.var(w(k), w(l)) for l in spr.level(k)}
+    return {(w(k), w(l)): Poly.var(w(k), w(l)) for l in _level(spr, k)}
 
 
 @dataclass(frozen=True)
@@ -297,7 +305,7 @@ class Flag:
 
 
 def _generic_products(
-    w: Permutation, lam: Composition, spr: InversionSet
+    w: Permutation, lam: Composition, spr: Pairs
 ) -> Iterator[ExactMatrix]:
     """The running products I, g_2, g_3 g_2, ..., g_n ... g_2 over the
     polynomials, each g_k applied as row operations; `spr` is a subset S of
@@ -317,16 +325,17 @@ def _flag_of(w: Permutation, prod: ExactMatrix) -> Flag:
     return Flag(POLYNOMIALS, tuple(cols[v - 1] for v in w.word))
 
 
-def generic_flag(w: Permutation, lam: Composition, spr: InversionSet) -> Flag:
+def generic_flag(w: Permutation, lam: Composition, spr: Pairs) -> Flag:
     """The generic point of D_w = B_n(w)...B_2(w) wE_, over the polynomial ring.
 
     Parametrizes D_w as affine space of dimension |inv_lambda(w)|.  `spr` is
     a subset S of inv_lambda(w) for a w whose R(w) is row-strict; the
     coordinates outside S are 0.  A cell's Springer set gives D_w itself, and
     S = inv_{lambda,h}(w), as the `generic-flag` command passes it, gives
-    the cut of D_w to Hess(X_lambda, h).
+    the cut of D_w to Hess(X_lambda, h).  Only the running product is kept.
     """
-    *_, prod = _generic_products(w, lam, spr)
+    for prod in _generic_products(w, lam, spr):
+        pass
     return _flag_of(w, prod)
 
 
@@ -390,11 +399,11 @@ def hess_zero_coordinates(
         raise ValueError("R(w) is not row-strict")
     hess = hessenberg_inversions(w, lam, h)
     spr = springer_inversions(w, lam)
-    return {(w(k), w(l)) for (k, l) in spr.pairs - hess.pairs}
+    return {(w(k), w(l)) for (k, l) in spr - hess}
 
 
 def difference_residual(
-    w: Permutation, tab: Tableau, spr: InversionSet, x: ExactMatrix, l: int, flag: Flag
+    w: Permutation, tab: Tableau, spr: Pairs, x: ExactMatrix, l: int, flag: Flag
 ) -> Vector:
     """v_l - X v_r - sum over (k,l) inversions of x_{w(k)w(l)} v_k.
 

@@ -41,8 +41,8 @@ from .combinatorics import (
     base_filling,
 )
 from .domains import BudgetExceededError, FieldSpec
-from .exactla import Flag, UnipotentPattern
-from .paving import CellDescriptor, InversionSet, enumerate_cells
+from .exactla import Flag, Pairs, UnipotentPattern
+from .paving import CellDescriptor, enumerate_cells
 
 
 @dataclass
@@ -367,18 +367,19 @@ def _image_keys(
 
 
 def dw_equals_cell(
-    w: Permutation, spr: InversionSet, q: int, flag: Flag, points: np.ndarray
+    w: Permutation, spr: Pairs, q: int, flag: Flag, points: np.ndarray
 ) -> bool:
     """Set equality of the generic-flag image and the brute-force cell.
 
-    `spr` is inv_lambda(w), `flag` is generic_flag(w, lambda, spr) and
-    `points` is springer_points(lambda, q)[w.word].  Keys the flag at every
-    coordinate tuple over F_q (see _image_keys) and compares with the
-    points; also asserts the parametrization is injective (q^{d_w} distinct
-    flags).
+    `spr` is inv_lambda(w) as a set of pairs, `flag` is
+    generic_flag(w, lambda, spr) and `points` is
+    springer_points(lambda, q)[w.word].  Keys the flag at every coordinate
+    tuple over F_q, one per sorted pair of spr (see _image_keys), and
+    compares with the points; also asserts the parametrization is
+    injective (q^{d_w} distinct flags, d_w = len(spr)).
     """
     FieldSpec(q)
-    coords = [(w(k), w(l)) for k, l in spr.sorted_pairs()]
+    coords = [(w(k), w(l)) for k, l in sorted(spr)]
     dw_keys = _image_keys(w, coords, q, flag)
     if dw_keys is None or len(dw_keys) != q ** len(spr):
         return False

@@ -30,43 +30,6 @@ from .combinatorics import (
 )
 
 
-@dataclass(frozen=True)
-class InversionSet:
-    """A set of Hessenberg inversions (k, l), larger index first."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __init__(self, pairs):
-        pairs = frozenset(pairs)
-        if any(starmap(le, pairs)):
-            raise ValueError("inversion pairs must have the larger index first")
-        object.__setattr__(self, "pairs", pairs)
-
-    @cached_property
-    def _levels(self) -> dict[int, tuple[int, ...]]:
-        levels: dict[int, list[int]] = {}
-        for k, l in sorted(self.pairs):
-            levels.setdefault(k, []).append(l)
-        return {k: tuple(ls) for k, ls in levels.items()}
-
-    def level(self, k: int) -> tuple[int, ...]:
-        """The l's with (k,l) present, sorted (the set inv^k); every level
-        is computed on the first call and kept."""
-        return self._levels.get(k, ())
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-    def __le__(self, other: "InversionSet") -> bool:
-        return self.pairs <= other.pairs
-
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
-
-
 class _PairRow(dict):
     """Row l of the pair table: row[k] is the shared tuple (k, l), made on
     the first read."""
@@ -148,14 +111,15 @@ def _tableau_inversions(t: Tableau, h: HessenbergFunction) -> frozenset[tuple[in
 
 def hessenberg_inversions(
     w: Permutation, lam: Composition, h: HessenbergFunction
-) -> InversionSet:
-    """inv_{lambda,h}(w), computed from the tableau R(w)."""
+) -> frozenset[tuple[int, int]]:
+    """inv_{lambda,h}(w), the pairs (k, l) with k > l, computed from the
+    tableau R(w)."""
     if not (w.n == lam.n == h.n):
         raise ValueError(f"size mismatch: |w|={w.n}, n(lambda)={lam.n}, n(h)={h.n}")
-    return InversionSet(_tableau_inversions(tableau_of(w, lam), h))
+    return _tableau_inversions(tableau_of(w, lam), h)
 
 
-def springer_inversions(w: Permutation, lam: Composition) -> InversionSet:
+def springer_inversions(w: Permutation, lam: Composition) -> frozenset[tuple[int, int]]:
     """inv_lambda(w): the Hessenberg inversions for h = (0,1,...,n-1)."""
     return hessenberg_inversions(w, lam, HessenbergFunction.springer(lam.n))
 
@@ -166,9 +130,10 @@ class CellDescriptor:
 
     The fields are what the walk produced: the one-line `word` of w, the
     filling R(w) as `rows` and inv_{lambda,h}(w) as `pairs`, sorted by
-    (k, l).  The views `w`, `hess_inv`, `tableau` and the Springer
-    inversions inv_lambda(w) are built on first read and cached, so a cell
-    table that only lists w, R(w) and inv_{lambda,h}(w) never pays for them.
+    (k, l).  The views `w`, `tableau` and the Springer inversions
+    inv_lambda(w) (a frozenset) are built on first read and cached, so a
+    cell table that only lists w, R(w) and inv_{lambda,h}(w) never pays for
+    them.
     """
 
     word: tuple[int, ...]
@@ -192,20 +157,14 @@ class CellDescriptor:
         return Permutation(self.word)
 
     @cached_property
-    def hess_inv(self) -> InversionSet:
-        return InversionSet(self.pairs)
-
-    @cached_property
     def tableau(self) -> Tableau:
         return Tableau(self.rows)
 
     @cached_property
-    def springer_inv(self) -> InversionSet:
+    def springer_inv(self) -> frozenset[tuple[int, int]]:
         if self.h.is_springer():
-            return self.hess_inv
-        return InversionSet(
-            _tableau_inversions(self.tableau, HessenbergFunction.springer(self.h.n))
-        )
+            return frozenset(self.pairs)
+        return _tableau_inversions(self.tableau, HessenbergFunction.springer(self.h.n))
 
 
 def _placements(
@@ -368,7 +327,7 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescrip
     each cell's inversions on their own, and a pair list whose size
     disagrees with that count raises RuntimeError; and the word must take
     each of 1..n once, so no box took two values (ValueError).
-    `Permutation`, `InversionSet` and `Tableau` are left to the
+    `Permutation`, `Tableau` and the Springer set are left to the
     descriptor's first read.
     """
     values = set(range(1, lam.n + 1))

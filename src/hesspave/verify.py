@@ -85,11 +85,12 @@ def _check_cells(h, cells) -> CheckResult:
     for c in cells:
         if not is_h_strict(c.tableau, h):
             return CheckResult("cell-tableaux-h-strict", False, f"w={c.w}")
-        if c.dim != len(c.hess_inv):
+        pairs = frozenset(c.pairs)
+        if c.dim != len(pairs):
             return CheckResult("cell-dimension", False, f"w={c.w}")
-        if not (c.hess_inv <= c.springer_inv):
+        if not (pairs <= c.springer_inv):
             return CheckResult("inversion-containment", False, f"w={c.w}")
-        if not (c.springer_inv.pairs <= inversions(c.w)):
+        if not (c.springer_inv <= inversions(c.w)):
             return CheckResult("inversion-containment", False, f"w={c.w}")
     return CheckResult("cell-table", True)
 

@@ -5,9 +5,11 @@ projection C_w -> C_y through w = v*y, the deletion of the box labeled n
 and the column bubble-sort behind the profile inequality), the sweeps over
 partitions and Hessenberg functions, and the evaluators the tests compare
 the package against, among them the Poincare level loop on ordered states,
-the line recursion for |B_mu(F_q)| and the dict-per-cell `cells` JSON.  No
-command runs any of them, so they live here and not in the package.  (The
-module is not named `reference`, which is perfbench's reference loop.)
+the line recursion for |B_mu(F_q)|, the flag-free count of
+|Hess(X_mu, h)(F_q)| over nilpotent orbits and the dict-per-cell `cells`
+JSON.  No command runs any of them, so they live here and not in the
+package.  (The module is not named `reference`, which is perfbench's
+reference loop.)
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterator, Mapping, Sequence
 
 import hesspave
 from hesspave.combinatorics import (
@@ -122,6 +124,11 @@ def length(w: Permutation) -> int:
     return len(inversions(w))
 
 
+def inv_level(spr: AbstractSet[tuple[int, int]], k: int) -> tuple[int, ...]:
+    """inv^k of a set of pairs (k, l): the l that pair with k, sorted."""
+    return tuple(sorted(l for kk, l in spr if kk == k))
+
+
 def delete_last_box(t: Tableau) -> tuple[Composition, Tableau]:
     """Remove the box labeled n; n must sit at the end of its row.
 
@@ -218,6 +225,77 @@ def ordered_poincare(lam: Composition, h: HessenbergFunction) -> PoincareData:
 def evaluate(p: PoincareData, q: int) -> int:
     """Point count over F_q predicted by the paving."""
     return sum(c * q**k for k, c in enumerate(p.coeffs))
+
+
+def _rank_mod(rows: list[list[int]], q: int) -> int:
+    """The rank over F_q, q prime, of a matrix of residues."""
+    rows = [r for r in rows if any(r)]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[c], -1, q)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % q
+            if f:
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _jordan_type(x: list[list[int]], q: int) -> tuple[int, ...]:
+    """The Jordan type of a nilpotent X over F_q, from the ranks of X^k:
+    rank X^(k-1) - rank X^k parts are at least k."""
+    n = len(x)
+    ranks = [n]
+    power = x
+    while ranks[-1]:
+        ranks.append(_rank_mod(power, q))
+        power = [
+            [sum(a * b for a, b in zip(row, col)) % q for col in zip(*x)] for row in power
+        ]
+    at_least = [a - b for a, b in zip(ranks, ranks[1:])]
+    return tuple(sum(1 for c in at_least if c >= i) for i in range(1, at_least[0] + 1))
+
+
+def orbit_point_counts(h: HessenbergFunction, q: int) -> dict[tuple[int, ...], Fraction]:
+    """|Hess(X_mu, h)(F_q)| for every partition mu of n, with no flag in sight.
+
+    Count the pairs (X, V) with X in the nilpotent orbit O_mu and V in
+    Hess(X, h) two ways.  GL_n(F_q) moves every flag to the standard one,
+    which lies in Hess(X, h) exactly when X lies in
+    H(h) = {X : X_ij = 0 for i > h(j)}; so
+    |Hess(X_mu, h)| = |Fl_n| |O_mu cap H(h)| / |O_mu|.  One pass over
+    H(h)(F_q) bins each X by its Jordan type, and
+    |O_mu| = |GL_n(F_q)| / a_mu(q), a_mu(q) = q^(|mu| + 2n(mu)) prod_i
+    phi_(m_i)(1/q), the order of the centralizer, with
+    phi_m(t) = (1 - t)...(1 - t^m) and n(mu) = sum (i-1) mu_i.  A count
+    that is not an integer comes back as the Fraction it is.
+    """
+    n = h.n
+    free = [(i, j) for j in range(n) for i in range(h(j + 1))]
+    types: Counter[tuple[int, ...]] = Counter()
+    for values in itertools.product(range(q), repeat=len(free)):
+        x = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(free, values):
+            x[i][j] = v
+        types[_jordan_type(x, q)] += 1
+    flags = 1
+    group = 1
+    for i in range(n):
+        flags *= (q ** (i + 1) - 1) // (q - 1)
+        group *= q**n - q**i
+    counts = {}
+    for mu in partitions(n):
+        centralizer = Fraction(q ** (n + 2 * sum(i * p for i, p in enumerate(mu))))
+        for m in Counter(mu).values():
+            for j in range(1, m + 1):
+                centralizer *= 1 - Fraction(1, q**j)
+        counts[mu] = flags * types[mu] * centralizer / group
+    return counts
 
 
 def cells_json(lam: Composition, h: HessenbergFunction, h_arg: str) -> str:
@@ -379,7 +457,7 @@ def bn_split(
     n = w.n
     i = w(n)
     spr = springer_inversions(w, lam)
-    level = spr.level(n)
+    level = inv_level(spr, n)
     coords = {(i, w(l)): matrix_entry(g_n, i, w(l)) for l in level}
     member = ExactMatrix.identity(dom, n).add_row_multiples(
         bk_entries(w, lam, spr, n, coords))

@@ -73,15 +73,14 @@ class TestCells:
 
     def test_table_builds_no_view_per_cell(self, capsys, monkeypatch):
         # `cells` prints the descriptors' word, rows and pairs; no cell
-        # builds its Permutation, InversionSet (Hessenberg or Springer) or
-        # Tableau
+        # builds its Permutation, Tableau or Springer set
         from hesspave.combinatorics import Composition, Permutation, Tableau, base_filling
-        from hesspave.paving import InversionSet
+        from hesspave.paving import CellDescriptor
 
         for parts in ([3, 2, 2, 1], [3, 3, 2, 2]):
             base_filling(Composition(parts))
         built = []
-        for cls in (Permutation, InversionSet, Tableau):
+        for cls in (Permutation, Tableau):
             init = cls.__init__
 
             def counting(self, *args, init=init, name=cls.__name__):
@@ -89,6 +88,14 @@ class TestCells:
                 init(self, *args)
 
             monkeypatch.setattr(cls, "__init__", counting)
+        for name in ("w", "tableau", "springer_inv"):
+            view = CellDescriptor.__dict__[name]
+
+            def counting_view(cell, build=view.func, name=name):
+                built.append(name)
+                return build(cell)
+
+            monkeypatch.setattr(view, "func", counting_view)
         for argv in (["--lambda", "3,2,2,1"], ["--lambda", "3,3,2,2", "--h", "0,0,1,2,3,4,5,6,7,8"]):
             code, out, _ = run(capsys, "cells", *argv, "--format", "json")
             assert code == 0

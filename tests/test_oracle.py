@@ -502,7 +502,7 @@ def canonical_key(m):
 def reference_image_keys(w, lam, q, flag):
     """canonical_key of the flag evaluated at every coordinate tuple over F_q."""
     dom = PrimeFieldDomain(q)
-    coords = [(w(k), w(l)) for k, l in springer_inversions(w, lam).sorted_pairs()]
+    coords = [(w(k), w(l)) for k, l in sorted(springer_inversions(w, lam))]
     rows = flag_matrix(flag).rows
     keys = []
     for vals in itertools.product(dom.elements(), repeat=len(coords)):
@@ -540,7 +540,7 @@ class TestGenericFlagImage:
             lam = Composition(parts)
             for c in enumerate_cells(lam, HessenbergFunction.springer(n)):
                 flag = generic_flag(c.w, lam, c.springer_inv)
-                coords = [(c.w(k), c.w(l)) for k, l in c.springer_inv.sorted_pairs()]
+                coords = [(c.w(k), c.w(l)) for k, l in sorted(c.springer_inv)]
                 ref = reference_image_keys(c.w, lam, q, flag)
                 assert len(set(ref)) == len(ref) == q ** c.dim
                 assert _image_keys(c.w, coords, q, flag) == set(ref)
@@ -573,7 +573,7 @@ class TestGenericFlagImage:
         w = Permutation([2, 4, 1, 3])
         points = springer_points(lam, 2)[w.word]
         spr = springer_inversions(w, lam)
-        keys = {(w(k), w(l)) for k, l in spr.pairs}
+        keys = {(w(k), w(l)) for k, l in spr}
         others = [v for v in all_perms(4) if v != w and is_row_strict(tableau_of(v, lam))]
         assert others
         for v in others:

@@ -23,9 +23,9 @@ from hesspave.combinatorics import (
     tableau_of,
 )
 from hesspave import paving
+from hesspave.exactla import _level
 from hesspave.paving import (
     CellDescriptor,
-    InversionSet,
     cell_profile,
     enumerate_cells,
     hessenberg_inversions,
@@ -47,6 +47,8 @@ from proof_reference import (
     evaluate,
     h_leq,
     identity_permutation,
+    inv_level,
+    orbit_point_counts,
     ordered_poincare,
     partitions,
     row_placements,
@@ -75,21 +77,21 @@ class TestInversionSets:
         lam = Composition([2, 3, 1, 1])
         w = Permutation([4, 3, 1, 6, 5, 7, 2])
         springer = HessenbergFunction.springer(7)
-        assert hessenberg_inversions(w, lam, springer).pairs == {
+        assert hessenberg_inversions(w, lam, springer) == {
             (7, 6), (7, 4), (5, 4), (3, 2), (3, 1), (2, 1)}
         h = HessenbergFunction([0, 0, 1, 2, 3, 3, 3])
-        assert hessenberg_inversions(w, lam, h).pairs == {
+        assert hessenberg_inversions(w, lam, h) == {
             (7, 6), (7, 4), (5, 4), (3, 2), (2, 1)}
 
     def test_springer_examples(self):
         assert springer_inversions(
             Permutation([3, 2, 6, 1, 7, 4, 5]), Composition([3, 2, 2])
-        ).pairs == {(7, 5), (6, 5), (4, 2), (4, 3), (2, 1)}
+        ) == {(7, 5), (6, 5), (4, 2), (4, 3), (2, 1)}
         assert springer_inversions(
             Permutation([3, 6, 2, 1, 5, 4]), Composition([2, 2, 2])
-        ).pairs == {(6, 5), (6, 2), (5, 2), (4, 3), (4, 2), (3, 2)}
+        ) == {(6, 5), (6, 2), (5, 2), (4, 3), (4, 2), (3, 2)}
         for lam in [Composition([2, 2]), Composition([3, 1])]:
-            assert not springer_inversions(identity_permutation(4), lam).pairs
+            assert not springer_inversions(identity_permutation(4), lam)
 
     def test_containment_chain(self):
         # inv_{lambda,h} <= inv_lambda <= inv(w), exhaustively for small n
@@ -100,7 +102,7 @@ class TestInversionSets:
                 lam = Composition(parts)
                 for w in all_perms(n):
                     spr = springer_inversions(w, lam)
-                    assert spr.pairs <= inversions(w)
+                    assert spr <= inversions(w)
                     for h in hs:
                         assert hessenberg_inversions(w, lam, h) <= spr
 
@@ -126,19 +128,16 @@ class TestInversionSets:
                     continue
                 spr = springer_inversions(w, lam)
                 for k in range(2, 6):
-                    rows = [t.position(l)[0] for l in spr.level(k)]
+                    rows = [t.position(l)[0] for l in inv_level(spr, k)]
                     assert len(rows) == len(set(rows))
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(st.sets(st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(lambda p: p[0] > p[1])))
     def test_level_matches_a_fresh_sort(self, pairs):
-        spr = InversionSet(pairs)
+        # the one level rule that bk_entries and generic_coordinates read,
+        # on any set of pairs
         for k in range(0, 9):
-            assert spr.level(k) == tuple(sorted(l for kk, l in pairs if kk == k))
-
-    def test_larger_first_enforced(self):
-        with pytest.raises(ValueError):
-            InversionSet([(1, 2)])
+            assert _level(frozenset(pairs), k) == sorted(l for kk, l in pairs if kk == k)
 
     def test_deletion_recursion(self):
         # inv of y on the deleted shape = inv of w minus the k = n level
@@ -152,8 +151,8 @@ class TestInversionSets:
                     _, y = factorize(w)
                     lamp, _ = delete_last_box(t)
                     yp = Permutation(y.word[:-1]) if n > 1 else y
-                    expect = {p for p in springer_inversions(w, lam).pairs if p[0] != n}
-                    assert springer_inversions(yp, lamp).pairs == expect
+                    expect = {p for p in springer_inversions(w, lam) if p[0] != n}
+                    assert springer_inversions(yp, lamp) == expect
 
 
 class TestEnumerateCells:
@@ -194,8 +193,8 @@ class TestEnumerateCells:
         for c in enumerate_cells(lam, h):
             assert c.tableau.rows == tableau_of(c.w, lam).rows
             assert is_h_strict(c.tableau, h)
-            assert c.hess_inv <= c.springer_inv
-            assert c.dim == len(c.hess_inv)
+            assert frozenset(c.pairs) <= c.springer_inv
+            assert c.dim == len(frozenset(c.pairs))
 
 
 class TestPoincare:
@@ -296,15 +295,17 @@ class TestCellDescriptors:
                 cells_seen += 1
                 # the slim fields against the views built from them
                 assert c.w == Permutation(c.word)
-                assert c.pairs == tuple(c.hess_inv.sorted_pairs())
+                assert c.pairs == tuple(sorted(frozenset(c.pairs)))
+                assert all(k > l for k, l in c.pairs + tuple(c.springer_inv))
                 assert c.tableau.rows == c.rows
                 assert tableau_of(c.w, lam).rows == c.tableau.rows
                 assert permutation_of_tableau(c.tableau) == c.w
-                assert c.hess_inv == hessenberg_inversions(c.w, lam, h)
+                assert frozenset(c.pairs) == hessenberg_inversions(c.w, lam, h)
+                assert type(c.springer_inv) is frozenset
                 assert c.springer_inv == springer_inversions(c.w, lam)
                 grid = [list(r) for r in c.tableau.rows]
-                assert c.hess_inv.pairs == reference_inversions(grid, h)[0]
-                assert c.springer_inv.pairs == reference_inversions(grid, springer)[0]
+                assert frozenset(c.pairs) == reference_inversions(grid, h)[0]
+                assert c.springer_inv == reference_inversions(grid, springer)[0]
                 assert nonzero(inversion_profile(c.tableau, h)) == reference_profile(grid, h)
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 3 * 32
         assert cells_seen > 10_000
@@ -313,7 +314,7 @@ class TestCellDescriptors:
         lam, h = Composition([2, 2, 1]), HessenbergFunction([0, 1, 1, 2, 3])
         base_filling(lam)
         built = []
-        for cls in (Permutation, InversionSet, Tableau):
+        for cls in (Permutation, Tableau):
             init = cls.__init__
 
             def counting(self, *args, init=init, name=cls.__name__):
@@ -321,15 +322,22 @@ class TestCellDescriptors:
                 init(self, *args)
 
             monkeypatch.setattr(cls, "__init__", counting)
+        kernel = paving._tableau_inversions
+
+        def counting_kernel(t, h):
+            built.append("springer_inv")
+            return kernel(t, h)
+
+        monkeypatch.setattr(paving, "_tableau_inversions", counting_kernel)
         cells = enumerate_cells(lam, h)
         assert cells and built == []
         c = cells[-1]
-        first = c.w, c.hess_inv, c.tableau, c.springer_inv
-        again = c.w, c.hess_inv, c.tableau, c.springer_inv
+        first = c.w, c.tableau, c.springer_inv
+        again = c.w, c.tableau, c.springer_inv
         assert all(a is b for a, b in zip(first, again))
-        # one Tableau for the view, one InversionSet each for hess_inv and
-        # springer_inv (h is not Springer), and one Permutation
-        assert sorted(built) == ["InversionSet", "InversionSet", "Permutation", "Tableau"]
+        # one Tableau for the view, one kernel pass for springer_inv (h is
+        # not Springer), which reads that Tableau, and one Permutation
+        assert sorted(built) == ["Permutation", "Tableau", "springer_inv"]
 
     def test_descriptor_is_a_frozen_value(self):
         # the hand-written __init__ keeps what the dataclass gave: equality,
@@ -533,7 +541,7 @@ def walk_pairs_match(lam, h):
         assert len(got) == dim
         pos = Tableau(rows, lam).index
         assert got == sorted(paving._inversion_pairs(rows, pos, h.values, lam.n))
-        assert got == hessenberg_inversions(Permutation(word), lam, h).sorted_pairs()
+        assert got == sorted(hessenberg_inversions(Permutation(word), lam, h))
         fillings += 1
     return fillings
 
@@ -619,8 +627,6 @@ class TestChecksOnBadInput:
                             lambda *a: [(l, k) for k, l in kernel(*a)])
         with pytest.raises(ValueError, match="larger index first"):
             enumerate_cells(self.lam, self.h)
-        with pytest.raises(ValueError, match="larger index first"):
-            InversionSet([(2, 1), (3, 3)])
 
 
 class TestPoincareRecursion:
@@ -961,6 +967,39 @@ class TestSpringerClosedForm:
         calls = record_calls(monkeypatch, proof_reference, "row_placements")
         ordered_poincare(Composition(parts), HessenbergFunction.springer(sum(parts)))
         assert len(calls) == states
+
+
+class TestOrbitPointCounts:
+    """`poincare` at q against |Hess(X_mu, h)(F_q)| counted over the
+    nilpotent orbits in H(h)(F_q), with no flag and no cell."""
+
+    def test_small_cases_by_hand(self):
+        # X = 0 gives every flag; a regular nilpotent in the Springer
+        # fiber gives the standard flag alone
+        for q in (2, 3, 5):
+            counts = orbit_point_counts(HessenbergFunction.springer(2), q)
+            assert counts == {(2,): 1, (1, 1): q + 1}
+            counts = orbit_point_counts(HessenbergFunction([0, 0, 0]), q)
+            assert counts == {(3,): 0, (2, 1): 0, (1, 1, 1): (q**2 + q + 1) * (q + 1)}
+
+    # n = 5 at q = 3 takes about 20 s, n = 6 at q = 2 about 40 s
+    @pytest.mark.parametrize("sizes, q, cases", [
+        ((2, 3, 4), 2, 89),
+        ((2, 3, 4), 3, 89),
+        ((5,), 2, 294),
+        pytest.param((5,), 3, 294, marks=pytest.mark.exhaustive),
+        pytest.param((6,), 2, 1452, marks=pytest.mark.exhaustive),
+    ])
+    def test_every_partition_and_h(self, sizes, q, cases):
+        checked = 0
+        for n in sizes:
+            for h in all_hessenberg_functions(n):
+                counts = orbit_point_counts(h, q)
+                for parts in partitions(n):
+                    assert counts[parts] == evaluate(poincare(Composition(parts), h), q), \
+                        (parts, h.values, q)
+                    checked += 1
+        assert checked == cases
 
 
 class TestDuality:

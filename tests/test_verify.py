@@ -6,12 +6,18 @@ import hesspave.exactla
 import hesspave.oracle
 import hesspave.paving
 import hesspave.verify
-from hesspave.combinatorics import Composition, HessenbergFunction, Permutation
+from hesspave.combinatorics import Composition, HessenbergFunction, Permutation, inversions
 from hesspave.exactla import ExactMatrix, generic_flag
 from hesspave.oracle import dw_equals_cell, springer_points
 from hesspave.paving import CellDescriptor, enumerate_cells, springer_inversions
-from hesspave.verify import CONJUGATION_TRIALS, _check_symbolic, run_verification
-from proof_reference import partitions
+from hesspave.verify import (
+    CONJUGATION_TRIALS,
+    CheckResult,
+    _check_cells,
+    _check_symbolic,
+    run_verification,
+)
+from proof_reference import inv_level, partitions
 
 MODULES = (hesspave.exactla, hesspave.oracle, hesspave.paving, hesspave.verify)
 
@@ -182,7 +188,7 @@ def test_chained_triple_fails_the_group_law(monkeypatch):
     flags = [generic_flag(c.w, lam, c.springer_inv) for c in cells]
     entries = hesspave.verify.bk_entries
     cell = cells[len(cells) // 2]
-    k = max(k for k in range(2, 6) if cell.springer_inv.level(k))
+    k = max(k for k in range(2, 6) if inv_level(cell.springer_inv, k))
 
     def chained(w, lam, spr, level, coords):
         g = entries(w, lam, spr, level, coords)
@@ -222,11 +228,11 @@ def test_generic_flag_reads_inv_from_its_caller(monkeypatch):
     ((2, 2, 1), HessenbergFunction([0, 0, 1, 2, 3])),
 ])
 def test_each_cell_view_is_built_at_most_once(monkeypatch, parts, h):
-    # a descriptor builds w, hess_inv, tableau and springer_inv on first
-    # read and caches them, however many checks read them
+    # a descriptor builds w, tableau and springer_inv on first read and
+    # caches them, however many checks read them
     built = Counter()
     cells = []
-    for name in ("w", "hess_inv", "tableau", "springer_inv"):
+    for name in ("w", "tableau", "springer_inv"):
         view = CellDescriptor.__dict__[name]
 
         def counting(cell, build=view.func, name=name):
@@ -238,5 +244,59 @@ def test_each_cell_view_is_built_at_most_once(monkeypatch, parts, h):
         monkeypatch.setattr(view, "func", counting)
     report = run_verification(Composition(parts), h, q=2)
     assert report.passed
-    assert {name for name, _ in built} == {"w", "hess_inv", "tableau", "springer_inv"}
+    assert {name for name, _ in built} == {"w", "tableau", "springer_inv"}
     assert max(built.values()) == 1
+
+
+class TestCheckCellsFailures:
+    """Each failure branch of `_check_cells`, on hand-made descriptors built
+    from a true cell of (2,2,1) under h = (0,1,1,2,3) or the Springer h."""
+
+    lam = Composition([2, 2, 1])
+    h = HessenbergFunction([0, 1, 1, 2, 3])
+
+    def _cell(self, h, **fields):
+        # the cell of highest dimension, with the given fields replaced
+        cell = max(enumerate_cells(self.lam, h), key=lambda c: (c.dim, c.word))
+        values = {name: getattr(cell, name) for name in ("word", "rows", "pairs", "dim", "h")}
+        values.update(fields)
+        return CellDescriptor(**values)
+
+    def _fails(self, cell, name):
+        # the bad cell fails with its witness, after a true cell that passes
+        good = enumerate_cells(self.lam, cell.h)[0]
+        assert _check_cells(cell.h, [good]) == CheckResult("cell-table", True)
+        result = _check_cells(cell.h, [good, cell])
+        assert (result.ok, result.name, result.witness) == (False, name, f"w={cell.w}")
+
+    def test_rows_that_are_not_h_strict(self):
+        # 4|5 is row-strict, but 4 > h(5) = 3
+        cell = self._cell(self.h, rows=((1, 2), (4, 5), (3,)))
+        self._fails(cell, "cell-tableaux-h-strict")
+
+    def test_wrong_dimension(self):
+        cell = self._cell(self.h)
+        self._fails(self._cell(self.h, dim=cell.dim + 1), "cell-dimension")
+
+    def test_duplicated_pair(self):
+        # dim equals len(pairs), but the pairs hold one inversion twice
+        cell = self._cell(self.h)
+        assert cell.pairs
+        pairs = cell.pairs + cell.pairs[:1]
+        self._fails(self._cell(self.h, pairs=pairs, dim=len(pairs)), "cell-dimension")
+
+    def test_pair_outside_the_springer_set(self):
+        cell = self._cell(self.h)
+        extra = next((k, l) for k in range(2, 6) for l in range(1, k)
+                     if (k, l) not in cell.springer_inv)
+        pairs = tuple(sorted(cell.pairs + (extra,)))
+        self._fails(self._cell(self.h, pairs=pairs, dim=len(pairs)), "inversion-containment")
+
+    def test_springer_pair_outside_inv_w(self):
+        # under the Springer h the cell's pairs are inv_lambda(w) itself
+        springer = HessenbergFunction.springer(5)
+        cell = self._cell(springer)
+        extra = next((k, l) for k in range(2, 6) for l in range(1, k)
+                     if (k, l) not in inversions(cell.w))
+        pairs = tuple(sorted(cell.pairs + (extra,)))
+        self._fails(self._cell(springer, pairs=pairs, dim=len(pairs)), "inversion-containment")
