@@ -31,7 +31,6 @@ from .combinatorics import (
     HessenbergFunction,
     Permutation,
     format_tableau,
-    is_row_strict,
     tableau_of,
 )
 from .domains import BudgetExceededError, FieldSpec, Poly
@@ -309,10 +308,11 @@ def cmd_verify(args, lam: Composition, h: HessenbergFunction) -> int:
 
 def cmd_generic_flag(args, lam: Composition, h: HessenbergFunction) -> int:
     w = _parse_w(args, lam.n)
-    if not is_row_strict(tableau_of(w, lam)):
-        raise InputError(f"R(w) is not row-strict for w={w}")
+    try:
+        zero_keys = hess_zero_coordinates(w, lam, h)
+    except ValueError as e:
+        raise InputError(f"{e} for w={w}")
     columns = generic_flag(w, lam, hessenberg_inversions(w, lam, h)).columns
-    zero_keys = hess_zero_coordinates(w, lam, h)
     payload = _header(args, lam, h)
     payload["w"] = list(w.word)
     payload["zeroed"] = sorted([list(k) for k in zero_keys])

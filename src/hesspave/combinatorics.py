@@ -109,10 +109,6 @@ class Permutation:
             inv[v - 1] = i
         return Permutation(inv)
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition (self*other)(i) = self(other(i))."""
-        return Permutation(tuple(self.word[j - 1] for j in other.word))
-
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.word) + "]"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import AbstractSet, Iterator, Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .combinatorics import (
     Composition,
@@ -104,12 +104,6 @@ class ExactMatrix:
                 a + x * b if b else a for a, b in zip(rows[tgt - 1], self.rows[src - 1])
             )
         return ExactMatrix(self.domain, tuple(rows))
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(self.domain, tuple(
-            tuple(a - b for a, b in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        ))
 
     @cached_property
     def _row_support(self) -> tuple[tuple[tuple[int, object], ...], ...]:
@@ -304,27 +298,6 @@ class Flag:
         return len(self.columns)
 
 
-def _generic_products(
-    w: Permutation, lam: Composition, spr: Pairs
-) -> Iterator[ExactMatrix]:
-    """The running products I, g_2, g_3 g_2, ..., g_n ... g_2 over the
-    polynomials, each g_k applied as row operations; `spr` is a subset S of
-    inv_lambda(w) for a w whose R(w) is row-strict.
-    """
-    prod = ExactMatrix.identity(POLYNOMIALS, w.n)
-    yield prod
-    for k in range(2, w.n + 1):
-        prod = prod.add_row_multiples(
-            bk_entries(w, lam, spr, k, generic_coordinates(w, spr, k)))
-        yield prod
-
-
-def _flag_of(w: Permutation, prod: ExactMatrix) -> Flag:
-    """The flag with columns prod e_{w(1)}, ..., prod e_{w(n)}."""
-    cols = tuple(zip(*prod.rows))
-    return Flag(POLYNOMIALS, tuple(cols[v - 1] for v in w.word))
-
-
 def generic_flag(w: Permutation, lam: Composition, spr: Pairs) -> Flag:
     """The generic point of D_w = B_n(w)...B_2(w) wE_, over the polynomial ring.
 
@@ -332,11 +305,16 @@ def generic_flag(w: Permutation, lam: Composition, spr: Pairs) -> Flag:
     a subset S of inv_lambda(w) for a w whose R(w) is row-strict; the
     coordinates outside S are 0.  A cell's Springer set gives D_w itself, and
     S = inv_{lambda,h}(w), as the `generic-flag` command passes it, gives
-    the cut of D_w to Hess(X_lambda, h).  Only the running product is kept.
+    the cut of D_w to Hess(X_lambda, h).  The product g_n ... g_2 is built
+    from the identity by applying g_2, ..., g_n in turn as row operations;
+    the flag holds its columns w(1), ..., w(n).
     """
-    for prod in _generic_products(w, lam, spr):
-        pass
-    return _flag_of(w, prod)
+    prod = ExactMatrix.identity(POLYNOMIALS, w.n)
+    for k in range(2, w.n + 1):
+        prod = prod.add_row_multiples(
+            bk_entries(w, lam, spr, k, generic_coordinates(w, spr, k)))
+    cols = tuple(zip(*prod.rows))
+    return Flag(POLYNOMIALS, tuple(cols[v - 1] for v in w.word))
 
 
 def _last_nonzero(v: Sequence) -> int | None:
@@ -394,6 +372,8 @@ def hess_zero_coordinates(
     """Coordinates set to zero when cutting D_w down to Hess(X_lambda, h).
 
     Keys (w(k), w(l)) for (k,l) in inv_lambda(w) minus inv_{lambda,h}(w).
+    Raises ValueError if R(w) is not row-strict; the `generic-flag` command
+    relies on this as its only R(w) check.
     """
     if not is_row_strict(tableau_of(w, lam)):
         raise ValueError("R(w) is not row-strict")

@@ -26,7 +26,7 @@ come from one such search, grouped by w.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import log2
@@ -54,7 +54,7 @@ class CountReport:
     total: int
     predicted: int
     match: bool
-    expected_per_cell: dict[tuple[int, ...], int] = field(default_factory=dict)
+    expected_per_cell: dict[tuple[int, ...], int]
 
     @classmethod
     def from_counts(

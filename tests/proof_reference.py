@@ -34,16 +34,15 @@ from hesspave.combinatorics import (
     is_row_strict,
     tableau_of,
 )
-from hesspave.domains import Domain, Poly
+from hesspave.domains import POLYNOMIALS, Domain, Poly
 from hesspave.exactla import (
     ExactMatrix,
     Flag,
     UnipotentPattern,
-    _flag_of,
-    _generic_products,
     bk_entries,
     bruhat_canonical_form,
     factor_unipotent,
+    generic_coordinates,
 )
 from hesspave.paving import (
     PoincareData,
@@ -117,6 +116,11 @@ def h_leq(h1: HessenbergFunction, h2: HessenbergFunction) -> bool:
 
 def identity_permutation(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
+
+
+def compose(v: Permutation, y: Permutation) -> Permutation:
+    """The composition v*y, with (v*y)(i) = v(y(i))."""
+    return Permutation(tuple(v(j) for j in y.word))
 
 
 def length(w: Permutation) -> int:
@@ -390,6 +394,13 @@ def substitute(poly: Poly, values: Mapping[tuple[int, int], object], domain: Dom
 # -- matrices, patterns and flags -------------------------------------------
 
 
+def matrix_difference(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The entrywise difference a - b."""
+    return ExactMatrix(a.domain, tuple(
+        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)
+    ))
+
+
 def matrix_entry(m: ExactMatrix, i: int, j: int):
     """1-based access."""
     return m.rows[i - 1][j - 1]
@@ -443,7 +454,13 @@ def generic_flag_stages(w: Permutation, lam: Composition) -> list[Flag]:
     if not is_row_strict(tableau_of(w, lam)):
         raise ValueError("R(w) is not row-strict")
     spr = springer_inversions(w, lam)
-    return [_flag_of(w, prod) for prod in _generic_products(w, lam, spr)]
+    prod = ExactMatrix.identity(POLYNOMIALS, w.n)
+    stages = [Flag(POLYNOMIALS, tuple(prod.column(v) for v in w.word))]
+    for k in range(2, w.n + 1):
+        prod = prod.add_row_multiples(
+            bk_entries(w, lam, spr, k, generic_coordinates(w, spr, k)))
+        stages.append(Flag(POLYNOMIALS, tuple(prod.column(v) for v in w.word)))
+    return stages
 
 
 def bn_split(

@@ -51,6 +51,7 @@ from proof_reference import (
     delete_last_box,
     generic_flag_stages,
     inv_level,
+    matrix_difference,
     matrix_entry,
     partitions,
     subs_zero,
@@ -269,7 +270,7 @@ def _check_symbolic_cell(w, lam, t, base, kernel, xm, springer):
             assert not any(xm.apply(g.apply(basis_vec)))
 
         # commutator: g_k X - X g_k hits only columns of right neighbors
-        commutator = g @ xm - xm @ g
+        commutator = matrix_difference(g @ xm, xm @ g)
         expected = ExactMatrix.zero(POLYNOMIALS, n)
         for l in inv_level(spr, k):
             j = t.right_neighbor(l)

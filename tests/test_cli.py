@@ -346,11 +346,11 @@ class TestGenericFlag:
         assert "--w is required" in err
 
     def test_rejects_non_row_strict(self, capsys):
-        code, _, err = run(
+        code, out, err = run(
             capsys, "generic-flag", "--lambda", "2,2", "--w", "3,1,4,2"
         )
-        assert code == 2
-        assert "row-strict" in err
+        assert (code, out, err) == (
+            2, "", "input error: R(w) is not row-strict for w=[3,1,4,2]\n")
 
 
 class TestCount:
@@ -677,9 +677,10 @@ class TestReadme:
         assert out == lines[-1][2:] + "\n"
 
 
-def _fresh_python(code: str) -> dict:
-    """Run `code` in a new interpreter that imports hesspave from this tree;
-    it prints one JSON value, which is returned."""
+def _fresh_python(code: str, hash_seed: int | None = None) -> dict:
+    """Run `code` in a new interpreter that imports hesspave from this tree,
+    under PYTHONHASHSEED=hash_seed if given; it prints one JSON value, which
+    is returned."""
     import os
     import subprocess
     import sys
@@ -689,6 +690,8 @@ def _fresh_python(code: str) -> dict:
     src = str(Path(hesspave.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     return json.loads(proc.stdout)
@@ -749,6 +752,35 @@ print(json.dumps({
 }))
 """)
         assert seen == {"before": False, "unknown": False, "same": [True, True], "all": []}
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # README promises the same bytes for a fixed configuration; str and
+    # bytes hashes, and so the iteration order of sets holding them, follow
+    # PYTHONHASHSEED (int-tuple hashes, as in the inversion sets, do not)
+    runs = []
+    for lam, h, w in [("2,2,1", "0,1,1,2,3", "3,2,5,1,4"),
+                      ("3,2,1", "0,1,1,2,3,4", "3,2,5,1,4,6")]:
+        shape = ["--lambda", lam, "--h", h]
+        runs += [["cells", *shape], ["cells", *shape, "--format", "text"]]
+        runs += [["generic-flag", *shape, "--w", w, "--format", fmt]
+                 for fmt in ("json", "csv", "text")]
+        runs += [["profile", *shape, "--w", w], ["verify", *shape, "--q", "2"]]
+    runs.append(["count", "--lambda", "2,2,1", "--h", "0,1,1,2,3", "--q", "3"])
+    code = f"""
+import contextlib, io, json
+from hesspave.cli import main
+outputs = []
+for argv in {runs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+"""
+    seed0 = _fresh_python(code, hash_seed=0)
+    assert [c for c, _ in seed0] == [0] * len(runs)
+    assert seed0 == _fresh_python(code, hash_seed=1)
 
 
 def test_console_script_installed():

@@ -18,6 +18,7 @@ from hesspave.combinatorics import (
 )
 from proof_reference import (
     all_hessenberg_functions,
+    compose,
     delete_last_box,
     h_leq,
     identity_permutation,
@@ -72,7 +73,7 @@ class TestPermutation:
 
     def test_inverse_and_compose(self):
         for w in all_perms(4):
-            assert w * w.inverse() == identity_permutation(4)
+            assert compose(w, w.inverse()) == identity_permutation(4)
             assert w.inverse().inverse() == w
 
     def test_inversions_examples(self):
@@ -99,7 +100,7 @@ class TestFactorize:
         for n in range(1, 7):
             for w in all_perms(n):
                 v, y = factorize(w)
-                assert v * y == w
+                assert compose(v, y) == w
                 assert length(w) == length(v) + length(y)
                 yinv = y.inverse()
                 pulled = {
