@@ -50,6 +50,7 @@ from .paving import (
     CellDescriptor,
     PoincareData,
     cell_profile,
+    cell_table,
     enumerate_cells,
     hessenberg_inversions,
     inversion_profile,

@@ -36,8 +36,7 @@ from .combinatorics import (
 from .domains import BudgetExceededError, FieldSpec, Poly
 from .exactla import generic_flag, hess_zero_coordinates
 from .paving import (
-    CellDescriptor,
-    enumerate_cells,
+    cell_table,
     hessenberg_inversions,
     inversion_profile,
     poincare,
@@ -184,15 +183,15 @@ class _Fragments(dict):
         return text
 
 
-def _cells_array(cells: list[CellDescriptor], n: int) -> str:
+def _cells_array(cells: list[tuple], n: int) -> str:
     """The elements of the `cells` JSON array, as json.dumps with sorted keys
     writes {"w": word, "tableau": rows, "inversions": pairs, "dim": dim}.
 
-    Each cell is one string spliced from shared fragments: the decimal text
-    of each value 1..n, and the text of each pair and each row tuple, made
-    the first time one is read.  The walk shares its row tuples and the
-    pair tuples of `_pair_table` across cells, and only the pairs that
-    occur are ever encoded.
+    Each (word, rows, pairs, dim) row of `cell_table` is one string spliced
+    from shared fragments: the decimal text of each value 1..n, and the text
+    of each pair and each row tuple, made the first time one is read.  The
+    walk shares its row tuples and the pair tuples of `_pair_table` across
+    cells, and only the pairs that occur are ever encoded.
     """
     digits = list(map(str, range(n + 1)))
     pair = _Fragments(digits).__getitem__
@@ -200,33 +199,33 @@ def _cells_array(cells: list[CellDescriptor], n: int) -> str:
     digit = digits.__getitem__
     return ",".join([
         '{"dim":%d,"inversions":[%s],"tableau":[%s],"w":[%s]}' % (
-            c.dim,
-            ",".join(map(pair, c.pairs)),
-            ",".join(map(row, c.rows)),
-            ",".join(map(digit, c.word)),
+            dim,
+            ",".join(map(pair, pairs)),
+            ",".join(map(row, rows)),
+            ",".join(map(digit, word)),
         )
-        for c in cells
+        for word, rows, pairs, dim in cells
     ])
 
 
 def cmd_cells(args, lam: Composition, h: HessenbergFunction) -> int:
-    cells = enumerate_cells(lam, h)
+    cells = cell_table(lam, h)
     payload = _header(args, lam, h)
     payload["count"] = len(cells)
 
     def csv_rows() -> list[str]:
         return ["w;dim;inversions"] + [
-            ",".join(map(str, c.word))
-            + f";{c.dim};"
-            + " ".join(f"({k},{l})" for k, l in c.pairs)
-            for c in cells
+            ",".join(map(str, word))
+            + f";{dim};"
+            + " ".join(f"({k},{l})" for k, l in pairs)
+            for word, _, pairs, dim in cells
         ]
 
     def text() -> str:
         lines = [f"{len(cells)} cells for lambda={lam}, h={h}"]
-        for c in cells:
-            w = ",".join(map(str, c.word))
-            lines.append(f"w=[{w}]  dim={c.dim}  inv={list(c.pairs)}")
+        for word, _, pairs, dim in cells:
+            w = ",".join(map(str, word))
+            lines.append(f"w=[{w}]  dim={dim}  inv={list(pairs)}")
         return "\n".join(lines)
 
     _emit(args, payload, csv_rows, text, lambda: _cells_array(cells, lam.n))
@@ -308,11 +307,12 @@ def cmd_verify(args, lam: Composition, h: HessenbergFunction) -> int:
 
 def cmd_generic_flag(args, lam: Composition, h: HessenbergFunction) -> int:
     w = _parse_w(args, lam.n)
+    hess = hessenberg_inversions(w, lam, h)
     try:
-        zero_keys = hess_zero_coordinates(w, lam, h)
+        zero_keys = hess_zero_coordinates(w, lam, hess)
     except ValueError as e:
         raise InputError(f"{e} for w={w}")
-    columns = generic_flag(w, lam, hessenberg_inversions(w, lam, h)).columns
+    columns = generic_flag(w, lam, hess).columns
     payload = _header(args, lam, h)
     payload["w"] = list(w.word)
     payload["zeroed"] = sorted([list(k) for k in zero_keys])

@@ -23,7 +23,7 @@ from .combinatorics import (
     tableau_of,
 )
 from .domains import POLYNOMIALS, Domain, Poly
-from .paving import hessenberg_inversions, springer_inversions
+from .paving import springer_inversions
 
 Vector = tuple
 # a set of pairs (k, l), k > l, such as inv_lambda(w) or inv_{lambda,h}(w)
@@ -366,20 +366,16 @@ def verify_flag_membership(
     return True
 
 
-def hess_zero_coordinates(
-    w: Permutation, lam: Composition, h: HessenbergFunction
-) -> set[tuple[int, int]]:
+def hess_zero_coordinates(w: Permutation, lam: Composition, hess: Pairs) -> set[tuple[int, int]]:
     """Coordinates set to zero when cutting D_w down to Hess(X_lambda, h).
 
-    Keys (w(k), w(l)) for (k,l) in inv_lambda(w) minus inv_{lambda,h}(w).
-    Raises ValueError if R(w) is not row-strict; the `generic-flag` command
-    relies on this as its only R(w) check.
+    Keys (w(k), w(l)) for (k,l) in inv_lambda(w) minus `hess`, the caller's
+    inv_{lambda,h}(w).  Raises ValueError if R(w) is not row-strict; the
+    `generic-flag` command relies on this as its only R(w) check.
     """
     if not is_row_strict(tableau_of(w, lam)):
         raise ValueError("R(w) is not row-strict")
-    hess = hessenberg_inversions(w, lam, h)
-    spr = springer_inversions(w, lam)
-    return {(w(k), w(l)) for (k, l) in spr - hess}
+    return {(w(k), w(l)) for (k, l) in springer_inversions(w, lam) - hess}
 
 
 def difference_residual(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import starmap
 from math import comb
-from operator import attrgetter, itemgetter, le
+from operator import itemgetter, le
 from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import (
@@ -128,12 +128,9 @@ def springer_inversions(w: Permutation, lam: Composition) -> frozenset[tuple[int
 class CellDescriptor:
     """One affine cell of the paving: C_w meets Hess(X_lambda,h) in C^dim.
 
-    The fields are what the walk produced: the one-line `word` of w, the
-    filling R(w) as `rows` and inv_{lambda,h}(w) as `pairs`, sorted by
-    (k, l).  The views `w`, `tableau` and the Springer inversions
-    inv_lambda(w) (a frozenset) are built on first read and cached, so a
-    cell table that only lists w, R(w) and inv_{lambda,h}(w) never pays for
-    them.
+    The fields are one (word, rows, pairs, dim) row of `cell_table`, and h.
+    The views `w`, `tableau` and the Springer inversions inv_lambda(w) (a
+    frozenset) are built on first read and cached.
     """
 
     word: tuple[int, ...]
@@ -316,19 +313,18 @@ def iter_fillings(
             m += 1
 
 
-def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescriptor]:
-    """All affine cells of Hess(X_lambda, h), sorted by the one-line word of w.
+def cell_table(lam: Composition, h: HessenbergFunction) -> list[tuple]:
+    """All affine cells of Hess(X_lambda, h) as (word, rows, pairs, dim)
+    tuples, sorted by the one-line word of w.
 
-    An empty list signals that the variety is empty.  Each descriptor holds
-    what the walk produced: the frozen rows, the word of w and the sorted
-    pairs of inv_{lambda,h}(w) that the walk's `_pairs_below` steps listed.
-    Every cell is checked as it is built: each pair must have the larger
-    index first (ValueError); the walk's gains from `_placements` count
-    each cell's inversions on their own, and a pair list whose size
-    disagrees with that count raises RuntimeError; and the word must take
-    each of 1..n once, so no box took two values (ValueError).
-    `Permutation`, `Tableau` and the Springer set are left to the
-    descriptor's first read.
+    An empty list signals that the variety is empty.  Each tuple holds what
+    the walk produced: the word of w, the frozen rows of R(w), the sorted
+    pairs of inv_{lambda,h}(w) that the walk's `_pairs_below` steps listed
+    and the dimension.  Every cell is checked as it is built: each pair must
+    have the larger index first (ValueError); the walk's gains from
+    `_placements` count each cell's inversions on their own, and a pair list
+    whose size disagrees with that count raises RuntimeError; and the word
+    must take each of 1..n once, so no box took two values (ValueError).
     """
     values = set(range(1, lam.n + 1))
     cells = []
@@ -341,9 +337,14 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescrip
             )
         if set(word) != values:
             raise ValueError(f"not a permutation of 1..{lam.n}: {word}")
-        cells.append(CellDescriptor(word, rows, pairs, dim, h))
-    cells.sort(key=attrgetter("word"))
+        cells.append((word, rows, pairs, dim))
+    cells.sort(key=itemgetter(0))
     return cells
+
+
+def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescriptor]:
+    """The checked rows of `cell_table`, in its order, kept as descriptors."""
+    return [CellDescriptor(w, r, p, d, h) for w, r, p, d in cell_table(lam, h)]
 
 
 @dataclass(frozen=True)

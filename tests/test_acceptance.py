@@ -166,7 +166,7 @@ def test_criterion_1_paper_examples():
 
         # restricting to h = (0,0,1,1,3,4) zeroes exactly x12
         h = HessenbergFunction([0, 0, 1, 1, 3, 4])
-        zeros = hess_zero_coordinates(w, lam, h)
+        zeros = hess_zero_coordinates(w, lam, hessenberg_inversions(w, lam, h))
         assert zeros == {(1, 2)}
         cut3 = tuple(subs_zero(p, zeros) for p in stages[5].columns[2])
         assert cut3 == vec(6, {2: ONE, 1: x(4, 5)})

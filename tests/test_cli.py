@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import hesspave.cli as cli
+from hesspave import exactla, paving
 from hesspave.cli import build_parser, main
-from hesspave.combinatorics import Composition
-from hesspave.paving import PoincareData
+from hesspave.combinatorics import Composition, HessenbergFunction
+from hesspave.paving import CellDescriptor, PoincareData
 from proof_reference import (
     all_hessenberg_functions,
     cells_json,
@@ -136,8 +137,14 @@ class TestCells:
         ("springer", "cells_222_springer"),
         ("0,1,1,1,3,4", "cells_222_h011134"),
     ])
-    def test_output_unchanged(self, capsys, fmt, h, stem):
-        # tests/data holds the reference output of each view, byte for byte
+    def test_output_unchanged(self, capsys, monkeypatch, fmt, h, stem):
+        # tests/data holds the reference output of each view, byte for byte;
+        # every view reads the plain rows of `cell_table`, so no cell builds
+        # a descriptor
+        def refuse(self, *args):
+            raise AssertionError("cells built a CellDescriptor")
+
+        monkeypatch.setattr(CellDescriptor, "__init__", refuse)
         code, out, _ = run(capsys, "cells", "--lambda", "2,2,2", "--h", h, "--format", fmt)
         assert code == 0
         assert out == (DATA / f"{stem}.{fmt}").read_text()
@@ -339,6 +346,26 @@ class TestGenericFlag:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_computes_the_hessenberg_set_once(self, capsys, monkeypatch, fmt):
+        # inv_{lambda,h}(w) is computed once and handed to both the zeroed
+        # keys and the flag; the one other call is inv_lambda(w), which the
+        # zeroed keys read through springer_inversions
+        orig = paving.hessenberg_inversions
+        calls = []
+
+        def counted(w, lam, h):
+            calls.append(h)
+            return orig(w, lam, h)
+
+        for mod in (cli, exactla, paving):
+            if getattr(mod, "hessenberg_inversions", None) is orig:
+                monkeypatch.setattr(mod, "hessenberg_inversions", counted)
+        code, _, _ = run(capsys, "generic-flag", "--lambda", "2,2,2", "--h", "0,0,1,1,3,4",
+                         "--w", "3,6,2,1,5,4", "--format", fmt)
+        assert code == 0
+        assert calls == [HessenbergFunction([0, 0, 1, 1, 3, 4]), HessenbergFunction.springer(6)]
 
     def test_requires_w(self, capsys):
         code, _, err = run(capsys, "generic-flag", "--lambda", "2,2")

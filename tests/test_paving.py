@@ -23,10 +23,12 @@ from hesspave.combinatorics import (
     tableau_of,
 )
 from hesspave import paving
+from hesspave.cli import main
 from hesspave.exactla import _level
 from hesspave.paving import (
     CellDescriptor,
     cell_profile,
+    cell_table,
     enumerate_cells,
     hessenberg_inversions,
     inversion_profile,
@@ -339,6 +341,24 @@ class TestCellDescriptors:
         # not Springer), which reads that Tableau, and one Permutation
         assert sorted(built) == ["Permutation", "Tableau", "springer_inv"]
 
+    def test_cell_table_is_the_descriptors_fields(self):
+        # the plain rows that `cells` prints are the descriptors' fields, in
+        # the same order, with no word twice
+        shapes = [(c, None) for n in range(1, 6) for c in compositions(n)]
+        shapes += [(p, HessenbergFunction.springer(6)) for p in partitions(6)]
+        cases = cells_seen = 0
+        for parts, springer in shapes:
+            lam = Composition(parts)
+            for h in [springer] if springer else all_hessenberg_functions(lam.n):
+                table = cell_table(lam, h)
+                assert table == [(c.word, c.rows, c.pairs, c.dim) for c in enumerate_cells(lam, h)]
+                words = [word for word, _, _, _ in table]
+                assert all(a < b for a, b in zip(words, words[1:]))
+                cases += 1
+                cells_seen += len(table)
+        assert cases == 809 + 11
+        assert cells_seen > 10_000
+
     def test_descriptor_is_a_frozen_value(self):
         # the hand-written __init__ keeps what the dataclass gave: equality,
         # hash and repr over the five fields, and no assignment
@@ -588,7 +608,9 @@ class TestWalkPairs:
 
 
 class TestChecksOnBadInput:
-    """The per-cell checks of `enumerate_cells` still fire when fed bad data."""
+    """The per-cell checks of `cell_table` still fire when fed bad data, with
+    one exception and message through `enumerate_cells`, `cell_table` and
+    the `cells` command alike."""
 
     lam, h = Composition([2, 1]), HessenbergFunction.springer(3)
 
@@ -601,32 +623,37 @@ class TestChecksOnBadInput:
 
         monkeypatch.setattr(paving, "iter_fillings", tampered)
 
+    def _raises(self, error, match):
+        raised = set()
+        for build in (enumerate_cells, cell_table,
+                      lambda lam, h: main(["cells", "--lambda", "2,1"])):
+            with pytest.raises(error, match=match) as info:
+                build(self.lam, self.h)
+            raised.add((info.type, str(info.value)))
+        assert len(raised) == 1, raised
+
     def test_walk_count_disagreeing_with_kernel_raises(self, monkeypatch):
         self._tampered(monkeypatch,
                        lambda rows, word, dim, pairs: (rows, word, dim + 1, pairs))
-        with pytest.raises(RuntimeError, match="walk counted"):
-            enumerate_cells(self.lam, self.h)
+        self._raises(RuntimeError, "walk counted")
 
     def test_kernel_counts_pair_by_pair(self, monkeypatch):
         # drop the last pair of each step of the walk: the count check sees
         # it at once
         kernel = paving._pairs_below
         monkeypatch.setattr(paving, "_pairs_below", lambda *a: kernel(*a)[:-1])
-        with pytest.raises(RuntimeError, match="walk counted"):
-            enumerate_cells(self.lam, self.h)
+        self._raises(RuntimeError, "walk counted")
 
     def test_word_that_is_not_a_permutation_raises(self, monkeypatch):
         self._tampered(monkeypatch,
                        lambda rows, word, dim, pairs: (rows, (1,) * len(word), dim, pairs))
-        with pytest.raises(ValueError, match="not a permutation"):
-            enumerate_cells(self.lam, self.h)
+        self._raises(ValueError, "not a permutation")
 
     def test_pair_with_smaller_index_first_raises(self, monkeypatch):
         kernel = paving._pairs_below
         monkeypatch.setattr(paving, "_pairs_below",
                             lambda *a: [(l, k) for k, l in kernel(*a)])
-        with pytest.raises(ValueError, match="larger index first"):
-            enumerate_cells(self.lam, self.h)
+        self._raises(ValueError, "larger index first")
 
 
 class TestPoincareRecursion:
