@@ -8,7 +8,7 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import AbstractSet, Mapping, Sequence
 
@@ -224,6 +224,36 @@ def _level(spr: Pairs, k: int) -> list[int]:
     return sorted([l for kk, l in spr if kk == k])
 
 
+def _bk_level(
+    w: Permutation,
+    base: Tableau,
+    k: int,
+    level: Sequence[int],
+    coords: Mapping[tuple[int, int], object],
+) -> list[tuple[int, int, object]]:
+    """The triples of the element of B_k(w) with the given coordinates, for
+    inv^k = `level` and the base filling `base`; see bk_entries."""
+    expected = {(w(k), w(l)) for l in level}
+    if set(coords) != expected:
+        raise ValueError(
+            f"coordinate keys {sorted(coords)} do not match inv^"
+            f"{k} keys {sorted(expected)}"
+        )
+    a = w(k)
+    ra, ca = base.position(a)
+    entries = []
+    for l in level:
+        b = w(l)
+        x = coords[(a, b)]
+        rb, cb = base.position(b)
+        # X^m e_v is e of the box m columns left of v in the base filling
+        entries += [
+            (base.rows[ra - 1][ca - 1 - m], base.rows[rb - 1][cb - 1 - m], x)
+            for m in range(min(ca, cb))
+        ]
+    return entries
+
+
 def bk_entries(
     w: Permutation,
     lam: Composition,
@@ -242,27 +272,7 @@ def bk_entries(
     """
     if not (2 <= k <= w.n):
         raise ValueError(f"k must be in 2..{w.n}, got {k}")
-    level = _level(spr, k)
-    expected = {(w(k), w(l)) for l in level}
-    if set(coords) != expected:
-        raise ValueError(
-            f"coordinate keys {sorted(coords)} do not match inv^"
-            f"{k} keys {sorted(expected)}"
-        )
-    base = base_filling(lam)
-    a = w(k)
-    ra, ca = base.position(a)
-    entries = []
-    for l in level:
-        b = w(l)
-        x = coords[(a, b)]
-        rb, cb = base.position(b)
-        # X^m e_v is e of the box m columns left of v in the base filling
-        entries += [
-            (base.rows[ra - 1][ca - 1 - m], base.rows[rb - 1][cb - 1 - m], x)
-            for m in range(min(ca, cb))
-        ]
-    return entries
+    return _bk_level(w, base_filling(lam), k, _level(spr, k), coords)
 
 
 def bk_generator(
@@ -278,20 +288,35 @@ def bk_generator(
     return ExactMatrix.identity(POLYNOMIALS, w.n).add_row_multiples(entries)
 
 
+def _fresh_coordinates(
+    w: Permutation, k: int, level: Sequence[int]
+) -> dict[tuple[int, int], Poly]:
+    """Fresh polynomial variables x_{w(k)w(l)} for the l in `level`."""
+    a = w(k)
+    return {(a, w(l)): Poly.var(a, w(l)) for l in level}
+
+
 def generic_coordinates(
     w: Permutation, spr: Pairs, k: int
 ) -> dict[tuple[int, int], Poly]:
     """Fresh polynomial variables x_{w(k)w(l)} for level k of spr, a subset
     S of inv_lambda(w)."""
-    return {(w(k), w(l)): Poly.var(w(k), w(l)) for l in _level(spr, k)}
+    return _fresh_coordinates(w, k, _level(spr, k))
 
 
 @dataclass(frozen=True)
 class Flag:
-    """A full flag (v_1 | v_2 | ... | v_n); column k spans grow the flag."""
+    """A full flag (v_1 | v_2 | ... | v_n); column k spans grow the flag.
+
+    `generators` holds, for a flag built by generic_flag, the triples
+    (tgt, src, x) of g_2, ..., g_n in order, as bk_entries gives them; a
+    flag built any other way holds none.  They take no part in equality,
+    hashing or repr.
+    """
 
     domain: Domain
     columns: tuple[Vector, ...]
+    generators: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -305,16 +330,25 @@ def generic_flag(w: Permutation, lam: Composition, spr: Pairs) -> Flag:
     a subset S of inv_lambda(w) for a w whose R(w) is row-strict; the
     coordinates outside S are 0.  A cell's Springer set gives D_w itself, and
     S = inv_{lambda,h}(w), as the `generic-flag` command passes it, gives
-    the cut of D_w to Hess(X_lambda, h).  The product g_n ... g_2 is built
-    from the identity by applying g_2, ..., g_n in turn as row operations;
-    the flag holds its columns w(1), ..., w(n).
+    the cut of D_w to Hess(X_lambda, h).  S is grouped by level in one
+    sorted pass.  The product g_n ... g_2 is built from the identity by
+    applying g_2, ..., g_n in turn as row operations; the flag holds its
+    columns w(1), ..., w(n) and keeps the triples of g_2, ..., g_n as its
+    `generators`.
     """
+    levels: dict[int, list[int]] = {}
+    for k, l in sorted(spr):
+        levels.setdefault(k, []).append(l)
+    base = base_filling(lam)
     prod = ExactMatrix.identity(POLYNOMIALS, w.n)
+    generators = []
     for k in range(2, w.n + 1):
-        prod = prod.add_row_multiples(
-            bk_entries(w, lam, spr, k, generic_coordinates(w, spr, k)))
+        level = levels.get(k, ())
+        g = tuple(_bk_level(w, base, k, level, _fresh_coordinates(w, k, level)))
+        prod = prod.add_row_multiples(g)
+        generators.append(g)
     cols = tuple(zip(*prod.rows))
-    return Flag(POLYNOMIALS, tuple(cols[v - 1] for v in w.word))
+    return Flag(POLYNOMIALS, tuple(cols[v - 1] for v in w.word), tuple(generators))
 
 
 def _last_nonzero(v: Sequence) -> int | None:

@@ -18,9 +18,7 @@ from .combinatorics import (
 )
 from .exactla import (
     POLYNOMIALS,
-    bk_entries,
     difference_residual,
-    generic_coordinates,
     generic_flag,
     nilpotent_matrix,
     verify_flag_membership,
@@ -129,22 +127,32 @@ def _check_profiles(h, cells) -> CheckResult:
 
 
 def _check_symbolic(lam, springer_cells, flags) -> CheckResult:
-    """The group law g_k(x)^2 = g_k(2x) is read off the `bk_entries` triples:
-    g_k = I + N with N = sum of x_i E_{t_i s_i}, and N^2 = sum over s_i = t_j
-    of x_i x_j E_{t_i s_j}.  Each x_i is a variable, so nothing cancels, and
-    the law holds exactly when no target is a source (t = s counts too).
+    """Membership, the group law and the difference identity of each
+    Springer cell's generic flag, as generic_flag built it.
+
+    The group law g_k(x)^2 = g_k(2x) is read off the triples that the flag
+    keeps as its `generators`: g_k = I + N with N = sum of x_i E_{t_i s_i},
+    and N^2 = sum over s_i = t_j of x_i x_j E_{t_i s_j}.  Each x_i is a
+    variable, so nothing cancels, and the law holds exactly when no target
+    is a source (t = s counts too).  A flag that does not hold one level of
+    triples for each k = 2..n raises ValueError, so no flag passes the law
+    for want of generators.
     """
     x = nilpotent_matrix(lam, POLYNOMIALS)
     springer = HessenbergFunction.springer(lam.n)
     for c, flag in zip(springer_cells, flags):
         w = c.w
+        if len(flag.generators) != lam.n - 1:
+            raise ValueError(
+                f"the flag of w={w} holds {len(flag.generators)} generator levels, "
+                f"not {lam.n - 1}"
+            )
         if not verify_flag_membership(flag, x, springer):
             return CheckResult("generic-flag-membership", False, f"w={w}")
-        spr = c.springer_inv
-        for k in range(2, lam.n + 1):
-            g = bk_entries(w, lam, spr, k, generic_coordinates(w, spr, k))
+        for k, g in enumerate(flag.generators, start=2):
             if {t for t, _, _ in g} & {s for _, s, _ in g}:
                 return CheckResult("group-law", False, f"w={w}, k={k}")
+        spr = c.springer_inv
         for l in range(1, lam.n + 1):
             if c.tableau.right_neighbor(l) is not None and any(
                 difference_residual(w, c.tableau, spr, x, l, flag)
@@ -165,9 +173,10 @@ def run_verification(
     The cell table of (lambda, h) is built once and shared by every check;
     the Springer-fiber checks (n <= 5) share the Springer table, which is
     the same list when h is Springer, and one generic flag per Springer
-    cell, which the symbolic and F_q image checks both use.  At n <= 4 one
-    search finds the F_q points of every Springer cell, and each cell's
-    points are handed to both the image and the zero-structure check.
+    cell, which the symbolic and F_q image checks both use; the symbolic
+    check reads each B_k(w) generator from its flag and forms none.  At
+    n <= 4 one search finds the F_q points of every Springer cell, and each
+    cell's points are handed to both the image and the zero-structure check.
     """
     checks: list[CheckResult] = []
     try:

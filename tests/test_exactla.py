@@ -376,6 +376,25 @@ class TestGenericFlag:
                 checked += 1
         assert checked == cells
 
+    @pytest.mark.parametrize("n, cells", [(1, 1), (2, 5), (3, 47), (4, 671), (5, 12_977)])
+    def test_generators_are_the_bk_entries(self, n, cells):
+        # the flag's generators, from S grouped by level once, are level by
+        # level the triples of the public per-k rule, for every composition,
+        # every h and every cell with S = inv_{lambda,h}(w)
+        checked = 0
+        for parts in compositions(n):
+            lam = Composition(parts)
+            for h in all_hessenberg_functions(n):
+                for c in enumerate_cells(lam, h):
+                    hess = frozenset(c.pairs)
+                    generators = generic_flag(c.w, lam, hess).generators
+                    assert len(generators) == n - 1
+                    for k in range(2, n + 1):
+                        entries = bk_entries(c.w, lam, hess, k, generic_coordinates(c.w, hess, k))
+                        assert list(generators[k - 2]) == entries
+                    checked += 1
+        assert checked == cells
+
     def test_requires_row_strict(self):
         with pytest.raises(ValueError):
             generic_flag_stages(Permutation([3, 1, 4, 2]), Composition([2, 2]))

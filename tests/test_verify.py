@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,14 @@ import hesspave.oracle
 import hesspave.paving
 import hesspave.verify
 from hesspave.combinatorics import Composition, HessenbergFunction, Permutation, inversions
-from hesspave.exactla import ExactMatrix, generic_flag
+from hesspave.domains import POLYNOMIALS
+from hesspave.exactla import (
+    ExactMatrix,
+    Flag,
+    generic_flag,
+    nilpotent_matrix,
+    verify_flag_membership,
+)
 from hesspave.oracle import dw_equals_cell, springer_points
 from hesspave.paving import CellDescriptor, enumerate_cells, springer_inversions
 from hesspave.verify import (
@@ -180,28 +188,86 @@ def test_flags_and_symbolic_suite_form_no_dense_product(monkeypatch):
     assert generators == []
 
 
-def test_chained_triple_fails_the_group_law(monkeypatch):
+def _springer_flags(parts):
+    lam = Composition(parts)
+    cells = enumerate_cells(lam, HessenbergFunction.springer(lam.n))
+    return lam, cells, [generic_flag(c.w, lam, c.springer_inv) for c in cells]
+
+
+def _with_flag(flags, i, **fields):
+    """The flags with the i-th one's given fields replaced."""
+    return flags[:i] + [replace(flags[i], **fields)] + flags[i + 1:]
+
+
+def _failure(result):
+    return (result.ok, result.name, result.witness)
+
+
+def test_chained_triple_fails_the_group_law():
     # mutation: one cell's level k gains a triple whose source is another
     # triple's target, so N^2 != 0 and g_k(x)^2 != g_k(2x)
-    lam = Composition([2, 2, 1])
-    cells = enumerate_cells(lam, HessenbergFunction.springer(5))
-    flags = [generic_flag(c.w, lam, c.springer_inv) for c in cells]
-    entries = hesspave.verify.bk_entries
-    cell = cells[len(cells) // 2]
+    lam, cells, flags = _springer_flags((2, 2, 1))
+    i = len(cells) // 2
+    cell = cells[i]
     k = max(k for k in range(2, 6) if inv_level(cell.springer_inv, k))
-
-    def chained(w, lam, spr, level, coords):
-        g = entries(w, lam, spr, level, coords)
-        if (w, level) == (cell.w, k):
-            tgt, src, x = g[0]
-            g = g + [(src, tgt, x)]
-        return g
-
-    monkeypatch.setattr(hesspave.verify, "bk_entries", chained)
-    result = _check_symbolic(lam, cells, flags)
-    assert (result.ok, result.name, result.witness) == (False, "group-law", f"w={cell.w}, k={k}")
-    monkeypatch.undo()
+    generators = list(flags[i].generators)
+    tgt, src, x = generators[k - 2][0]
+    generators[k - 2] += ((src, tgt, x),)
+    result = _check_symbolic(lam, cells, _with_flag(flags, i, generators=tuple(generators)))
+    assert _failure(result) == (False, "group-law", f"w={cell.w}, k={k}")
     assert _check_symbolic(lam, cells, flags).ok
+
+
+def test_flag_without_generators_raises():
+    # a hand-built flag holds no triples, so its group law cannot be read;
+    # it raises instead of passing for want of generators
+    lam, cells, flags = _springer_flags((2, 2, 1))
+    bare = [Flag(flag.domain, flag.columns) for flag in flags]
+    assert bare == flags
+    with pytest.raises(ValueError, match="holds 0 generator levels, not 4"):
+        _check_symbolic(lam, cells, bare)
+
+
+def test_perturbed_column_fails_membership():
+    # mutation: v_1 becomes v_1 + v_2 in a cell where X v_2 != 0, so X no
+    # longer kills V_1, and X V_1 is not in V_0 = 0
+    lam, cells, flags = _springer_flags((2, 2, 1))
+    x = nilpotent_matrix(lam, POLYNOMIALS)
+    i = next(i for i, flag in enumerate(flags) if any(x.apply(flag.columns[1])))
+    v = flags[i].columns
+    columns = (tuple(a + b for a, b in zip(v[0], v[1])),) + v[1:]
+    result = _check_symbolic(lam, cells, _with_flag(flags, i, columns=columns))
+    assert _failure(result) == (False, "generic-flag-membership", f"w={cells[i].w}")
+
+
+def test_shifted_column_fails_the_difference_identity():
+    # mutation: v_l becomes v_l + v_1, which leaves every V_i, and so
+    # membership, as it was.  l is the least label with a right neighbour,
+    # so no earlier residual reads v_l, and residual l gains v_1 != 0
+    lam, cells, flags = _springer_flags((2, 2, 1))
+    i, l = next(
+        (i, l) for i, c in enumerate(cells) for l in range(2, 6)
+        if c.tableau.right_neighbor(l) is not None
+        and all(c.tableau.right_neighbor(m) is None for m in range(1, l))
+    )
+    v = list(flags[i].columns)
+    v[l - 1] = tuple(a + b for a, b in zip(v[l - 1], v[0]))
+    mutated = _with_flag(flags, i, columns=tuple(v))
+    springer = HessenbergFunction.springer(5)
+    assert verify_flag_membership(mutated[i], nilpotent_matrix(lam, POLYNOMIALS), springer)
+    result = _check_symbolic(lam, cells, mutated)
+    assert _failure(result) == (False, "difference-residual", f"w={cells[i].w}, l={l}")
+
+
+def test_symbolic_suite_forms_no_generators(monkeypatch):
+    # the group law reads each flag's kept triples; no level is rebuilt
+    lam, cells, flags = _springer_flags((2, 2, 1))
+    entries = count_calls(monkeypatch, "bk_entries", hesspave.exactla)
+    coords = count_calls(monkeypatch, "generic_coordinates", hesspave.exactla)
+    result = _check_symbolic(lam, cells, flags)
+    assert result.ok, result.witness
+    assert entries == []
+    assert coords == []
 
 
 def test_symbolic_check_reads_inv_from_the_cells(monkeypatch):
