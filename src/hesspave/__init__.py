@@ -47,10 +47,8 @@ from .exactla import (
     verify_flag_membership,
 )
 from .paving import (
-    CellDescriptor,
     PoincareData,
     cell_profile,
-    cell_table,
     enumerate_cells,
     hessenberg_inversions,
     inversion_profile,

@@ -36,7 +36,7 @@ from .combinatorics import (
 from .domains import BudgetExceededError, FieldSpec, Poly
 from .exactla import generic_flag, hess_zero_coordinates
 from .paving import (
-    cell_table,
+    enumerate_cells,
     hessenberg_inversions,
     inversion_profile,
     poincare,
@@ -187,11 +187,12 @@ def _cells_array(cells: list[tuple], n: int) -> str:
     """The elements of the `cells` JSON array, as json.dumps with sorted keys
     writes {"w": word, "tableau": rows, "inversions": pairs, "dim": dim}.
 
-    Each (word, rows, pairs, dim) row of `cell_table` is one string spliced
-    from shared fragments: the decimal text of each value 1..n, and the text
-    of each pair and each row tuple, made the first time one is read.  The
-    walk shares its row tuples and the pair tuples of `_pair_table` across
-    cells, and only the pairs that occur are ever encoded.
+    Each (word, rows, pairs, dim) cell of `enumerate_cells` is one string
+    spliced from shared fragments: the decimal text of each value 1..n, and
+    the text of each pair and each row tuple, made the first time one is
+    read.  The walk shares its row tuples and the pair tuples of
+    `_pair_table` across cells, and only the pairs that occur are ever
+    encoded.
     """
     digits = list(map(str, range(n + 1)))
     pair = _Fragments(digits).__getitem__
@@ -209,7 +210,7 @@ def _cells_array(cells: list[tuple], n: int) -> str:
 
 
 def cmd_cells(args, lam: Composition, h: HessenbergFunction) -> int:
-    cells = cell_table(lam, h)
+    cells = enumerate_cells(lam, h)
     payload = _header(args, lam, h)
     payload["count"] = len(cells)
 

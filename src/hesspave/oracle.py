@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import log2
+from math import log, log1p, log2
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from .combinatorics import (
 )
 from .domains import BudgetExceededError, FieldSpec
 from .exactla import Flag, Pairs, UnipotentPattern
-from .paving import CellDescriptor, enumerate_cells
+from .paving import enumerate_cells
 
 
 @dataclass
@@ -58,10 +58,11 @@ class CountReport:
 
     @classmethod
     def from_counts(
-        cls, q: int, per_cell: dict[tuple[int, ...], int], cells: list[CellDescriptor]
+        cls, q: int, per_cell: dict[tuple[int, ...], int], cells: list[tuple]
     ) -> "CountReport":
-        """Compare brute-force counts per w with the q^dim of each paving cell."""
-        expected = {c.word: q**c.dim for c in cells}
+        """Compare brute-force counts per w with the q^dim of each
+        (word, rows, pairs, dim) cell of `enumerate_cells`."""
+        expected = {word: q**dim for word, _, _, dim in cells}
         total = sum(per_cell.values())
         predicted = sum(expected.values())
         match = total == predicted and all(
@@ -86,16 +87,21 @@ class CountReport:
 
 def _check_budget(n: int, q: int, budget_bits: int) -> None:
     """Check q, and the budget against log2 |Fl_n(F_q)|, which bounds the
-    points of every search."""
+    points of every search.  The product of the [i]_q = (q^i - 1)/(q - 1)
+    is multiplied out only until it passes 2^budget_bits, so a refusal costs
+    no more than the budget; the message sums the log2 [i]_q as floats."""
     FieldSpec(q)
+    limit = 2**budget_bits
     total_points = 1
     for i in range(1, n + 1):
         total_points *= (q**i - 1) // (q - 1)
-    bits = log2(total_points)
-    if bits > budget_bits:
-        raise BudgetExceededError(
-            f"enumeration needs {bits:.1f} bits of work, budget is {budget_bits}"
-        )
+        if total_points > limit:
+            # log2 [i]_q = i log2 q + log2(1 - q^-i) - log2(q - 1)
+            bits = sum(i * log2(q) + log1p(-(q ** -i)) / log(2) for i in range(1, n + 1))
+            bits -= n * log2(q - 1)
+            raise BudgetExceededError(
+                f"enumeration needs {bits:.1f} bits of work, budget is {budget_bits}"
+            )
 
 
 def _free_positions(w: Permutation) -> list[tuple[int, int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import starmap
 from math import comb
 from operator import itemgetter, le
@@ -122,46 +122,6 @@ def hessenberg_inversions(
 def springer_inversions(w: Permutation, lam: Composition) -> frozenset[tuple[int, int]]:
     """inv_lambda(w): the Hessenberg inversions for h = (0,1,...,n-1)."""
     return hessenberg_inversions(w, lam, HessenbergFunction.springer(lam.n))
-
-
-@dataclass(frozen=True)
-class CellDescriptor:
-    """One affine cell of the paving: C_w meets Hess(X_lambda,h) in C^dim.
-
-    The fields are one (word, rows, pairs, dim) row of `cell_table`, and h.
-    The views `w`, `tableau` and the Springer inversions inv_lambda(w) (a
-    frozenset) are built on first read and cached.
-    """
-
-    word: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    pairs: tuple[tuple[int, int], ...]
-    dim: int
-    h: HessenbergFunction
-
-    def __init__(self, word, rows, pairs, dim, h):
-        # one table holds a descriptor per cell: writing the fields straight
-        # into __dict__ costs half of the frozen dataclass __init__
-        fields = self.__dict__
-        fields["word"] = word
-        fields["rows"] = rows
-        fields["pairs"] = pairs
-        fields["dim"] = dim
-        fields["h"] = h
-
-    @cached_property
-    def w(self) -> Permutation:
-        return Permutation(self.word)
-
-    @cached_property
-    def tableau(self) -> Tableau:
-        return Tableau(self.rows)
-
-    @cached_property
-    def springer_inv(self) -> frozenset[tuple[int, int]]:
-        if self.h.is_springer():
-            return frozenset(self.pairs)
-        return _tableau_inversions(self.tableau, HessenbergFunction.springer(self.h.n))
 
 
 def _placements(
@@ -313,15 +273,16 @@ def iter_fillings(
             m += 1
 
 
-def cell_table(lam: Composition, h: HessenbergFunction) -> list[tuple]:
+def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[tuple]:
     """All affine cells of Hess(X_lambda, h) as (word, rows, pairs, dim)
     tuples, sorted by the one-line word of w.
 
     An empty list signals that the variety is empty.  Each tuple holds what
     the walk produced: the word of w, the frozen rows of R(w), the sorted
     pairs of inv_{lambda,h}(w) that the walk's `_pairs_below` steps listed
-    and the dimension.  Every cell is checked as it is built: each pair must
-    have the larger index first (ValueError); the walk's gains from
+    and the dimension; a caller builds `Permutation(word)` or `Tableau(rows)`
+    where it needs them.  Every cell is checked as it is built: each pair
+    must have the larger index first (ValueError); the walk's gains from
     `_placements` count each cell's inversions on their own, and a pair list
     whose size disagrees with that count raises RuntimeError; and the word
     must take each of 1..n once, so no box took two values (ValueError).
@@ -340,11 +301,6 @@ def cell_table(lam: Composition, h: HessenbergFunction) -> list[tuple]:
         cells.append((word, rows, pairs, dim))
     cells.sort(key=itemgetter(0))
     return cells
-
-
-def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[CellDescriptor]:
-    """The checked rows of `cell_table`, in its order, kept as descriptors."""
-    return [CellDescriptor(w, r, p, d, h) for w, r, p, d in cell_table(lam, h)]
 
 
 @dataclass(frozen=True)
@@ -486,28 +442,27 @@ def inversion_profile(t: Tableau, h: HessenbergFunction) -> Counter[tuple[int, i
     return _grid_profile(_tableau_inversions(t, h), t.index)
 
 
-def cell_profile(cell: CellDescriptor) -> Counter[tuple[int, int]]:
-    """The profile d_R(w) of a cell, read off its inversions inv_{lambda,h}(w).
+def cell_profile(pairs: Iterable[tuple[int, int]], t: Tableau) -> Counter[tuple[int, int]]:
+    """The profile d_R(w) of a cell, read off its pairs inv_{lambda,h}(w) and R(w) = t.
 
     A cell's tableau is h-strict by construction and its inversions are
-    already known, so this is `inversion_profile(cell.tableau, h)` without
-    the h-strictness check and without a second pass of the pair kernel.
+    already known, so this is `inversion_profile(t, h)` without the
+    h-strictness check and without a second pass of the pair kernel.
     """
-    return _grid_profile(cell.pairs, cell.tableau.index)
+    return _grid_profile(pairs, t.index)
 
 
-def maximal_cells_are_standard(
-    cells: list[CellDescriptor],
-) -> tuple[bool, Tableau | None]:
+def maximal_cells_are_standard(cells: list[tuple]) -> tuple[bool, Tableau | None]:
     """Check that every maximal-dimension cell of a cell table has a standard tableau.
 
-    A tableau is standard when `standardize` leaves it as it is.  Returns
-    (ok, witness) where witness is a failing tableau if any.
+    `cells` is a table of `enumerate_cells`; only its top cells get a
+    Tableau, which is standard when `standardize` leaves it as it is.
+    Returns (ok, witness) where witness is a failing tableau if any.
     """
-    top = max((c.dim for c in cells), default=0)
-    for c in cells:
-        if c.dim == top:
-            t = c.tableau
+    top = max((dim for _, _, _, dim in cells), default=0)
+    for _, rows, _, dim in cells:
+        if dim == top:
+            t = Tableau(rows)
             if standardize(t).rows != t.rows:
                 return False, t
     return True, None

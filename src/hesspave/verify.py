@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from .combinatorics import (
     Composition,
     HessenbergFunction,
+    Permutation,
+    Tableau,
     inversions,
     is_h_strict,
     standardize,
@@ -39,6 +41,7 @@ from .paving import (
     inversion_profile,
     maximal_cells_are_standard,
     r0_tableau,
+    springer_inversions,
 )
 
 # Random conjugates of X_lambda whose point count the conjugation check compares.
@@ -79,27 +82,29 @@ class VerifyReport:
         return out
 
 
-def _check_cells(h, cells) -> CheckResult:
-    for c in cells:
-        if not is_h_strict(c.tableau, h):
-            return CheckResult("cell-tableaux-h-strict", False, f"w={c.w}")
-        pairs = frozenset(c.pairs)
-        if c.dim != len(pairs):
-            return CheckResult("cell-dimension", False, f"w={c.w}")
-        if not (pairs <= c.springer_inv):
-            return CheckResult("inversion-containment", False, f"w={c.w}")
-        if not (c.springer_inv <= inversions(c.w)):
-            return CheckResult("inversion-containment", False, f"w={c.w}")
+def _check_cells(lam, h, cells, tableaux) -> CheckResult:
+    for (word, _, pairs, dim), t in zip(cells, tableaux):
+        w = Permutation(word)
+        if not is_h_strict(t, h):
+            return CheckResult("cell-tableaux-h-strict", False, f"w={w}")
+        pairs = frozenset(pairs)
+        if dim != len(pairs):
+            return CheckResult("cell-dimension", False, f"w={w}")
+        spr = pairs if h.is_springer() else springer_inversions(w, lam)
+        if not (pairs <= spr):
+            return CheckResult("inversion-containment", False, f"w={w}")
+        if not (spr <= inversions(w)):
+            return CheckResult("inversion-containment", False, f"w={w}")
     return CheckResult("cell-table", True)
 
 
-def _check_zero_cell(lam, h, cells) -> CheckResult:
+def _check_zero_cell(lam, h, cells, tableaux) -> CheckResult:
     r0 = r0_tableau(lam, h)
     if not cells:
         if r0 is not None:
             return CheckResult("unique-zero-cell", False, f"R0={r0!r} but no cells")
         return CheckResult("unique-zero-cell", True)
-    zeros = [c.tableau for c in cells if c.dim == 0]
+    zeros = [t for (_, _, _, dim), t in zip(cells, tableaux) if dim == 0]
     if len(zeros) != 1 or r0 is None or zeros[0].rows != r0.rows:
         return CheckResult(
             "unique-zero-cell", False,
@@ -115,18 +120,17 @@ def _check_max_standard(cells) -> CheckResult:
     return CheckResult("maximal-cells-standard", True)
 
 
-def _check_profiles(h, cells) -> CheckResult:
-    for c in cells:
-        t = c.tableau
+def _check_profiles(h, cells, tableaux) -> CheckResult:
+    for (word, _, pairs, _), t in zip(cells, tableaux):
         s = standardize(t)
         if s.rows == t.rows:
             continue
-        if not inversion_profile(s, h) > cell_profile(c):
-            return CheckResult("profile-inequality", False, f"w={c.w}")
+        if not inversion_profile(s, h) > cell_profile(pairs, t):
+            return CheckResult("profile-inequality", False, f"w={Permutation(word)}")
     return CheckResult("profile-inequality", True)
 
 
-def _check_symbolic(lam, springer_cells, flags) -> CheckResult:
+def _check_symbolic(lam, springer_cells, tableaux, flags) -> CheckResult:
     """Membership, the group law and the difference identity of each
     Springer cell's generic flag, as generic_flag built it.
 
@@ -140,8 +144,8 @@ def _check_symbolic(lam, springer_cells, flags) -> CheckResult:
     """
     x = nilpotent_matrix(lam, POLYNOMIALS)
     springer = HessenbergFunction.springer(lam.n)
-    for c, flag in zip(springer_cells, flags):
-        w = c.w
+    for (word, _, pairs, _), tableau, flag in zip(springer_cells, tableaux, flags):
+        w = Permutation(word)
         if len(flag.generators) != lam.n - 1:
             raise ValueError(
                 f"the flag of w={w} holds {len(flag.generators)} generator levels, "
@@ -152,10 +156,10 @@ def _check_symbolic(lam, springer_cells, flags) -> CheckResult:
         for k, g in enumerate(flag.generators, start=2):
             if {t for t, _, _ in g} & {s for _, s, _ in g}:
                 return CheckResult("group-law", False, f"w={w}, k={k}")
-        spr = c.springer_inv
+        spr = frozenset(pairs)
         for l in range(1, lam.n + 1):
-            if c.tableau.right_neighbor(l) is not None and any(
-                difference_residual(w, c.tableau, spr, x, l, flag)
+            if tableau.right_neighbor(l) is not None and any(
+                difference_residual(w, tableau, spr, x, l, flag)
             ):
                 return CheckResult("difference-residual", False, f"w={w}, l={l}")
     return CheckResult("symbolic-identities", True)
@@ -170,26 +174,32 @@ def run_verification(
 ) -> VerifyReport:
     """Run every invariant suite that applies to (lambda, h) and optional q.
 
-    The cell table of (lambda, h) is built once and shared by every check;
-    the Springer-fiber checks (n <= 5) share the Springer table, which is
-    the same list when h is Springer, and one generic flag per Springer
-    cell, which the symbolic and F_q image checks both use; the symbolic
-    check reads each B_k(w) generator from its flag and forms none.  At
-    n <= 4 one search finds the F_q points of every Springer cell, and each
-    cell's points are handed to both the image and the zero-structure check.
+    The cell table of (lambda, h) and each cell's Tableau are built once and
+    shared by every check; the Springer-fiber checks (n <= 5) share the
+    Springer table and tableaux, the same lists when h is Springer, and one
+    generic flag per Springer cell, from its pairs inv_lambda(w), which the
+    symbolic and F_q image checks both use; the symbolic check reads each
+    B_k(w) generator from its flag and forms none.  At n <= 4 one search
+    finds the F_q points of every Springer cell, and each cell's points are
+    handed to both the image and the zero-structure check.
     """
     checks: list[CheckResult] = []
     try:
         cells = enumerate_cells(lam, h)
-        checks.append(_check_cells(h, cells))
-        checks.append(_check_zero_cell(lam, h, cells))
+        tableaux = [Tableau(rows) for _, rows, _, _ in cells]
+        checks.append(_check_cells(lam, h, cells, tableaux))
+        checks.append(_check_zero_cell(lam, h, cells, tableaux))
         checks.append(_check_max_standard(cells))
-        checks.append(_check_profiles(h, cells))
+        checks.append(_check_profiles(h, cells, tableaux))
         if lam.n <= 5:
-            springer = HessenbergFunction.springer(lam.n)
-            springer_cells = cells if h.is_springer() else enumerate_cells(lam, springer)
-            flags = [generic_flag(c.w, lam, c.springer_inv) for c in springer_cells]
-            checks.append(_check_symbolic(lam, springer_cells, flags))
+            if h.is_springer():
+                springer_cells, springer_tableaux = cells, tableaux
+            else:
+                springer_cells = enumerate_cells(lam, HessenbergFunction.springer(lam.n))
+                springer_tableaux = [Tableau(rows) for _, rows, _, _ in springer_cells]
+            flags = [generic_flag(Permutation(word), lam, frozenset(pairs))
+                     for word, _, pairs, _ in springer_cells]
+            checks.append(_check_symbolic(lam, springer_cells, springer_tableaux, flags))
         if q is not None:
             counts = flag_point_counts(nilpotent_residues(lam), [h], q, budget_bits)
             report = CountReport.from_counts(q, counts[0], cells)
@@ -198,15 +208,16 @@ def run_verification(
                                       None if report.match else witness))
             if lam.n <= 4:
                 fiber = springer_points(lam, q, budget_bits)
-                for c, flag in zip(springer_cells, flags):
-                    points = fiber.get(c.word)
+                for (word, _, pairs, _), flag in zip(springer_cells, flags):
+                    w = Permutation(word)
+                    points = fiber.get(word)
                     if points is None or not dw_equals_cell(
-                        c.w, c.springer_inv, q, flag, points
+                        w, frozenset(pairs), q, flag, points
                     ):
-                        checks.append(CheckResult("generic-flag-image", False, f"w={c.w}"))
+                        checks.append(CheckResult("generic-flag-image", False, f"w={w}"))
                         break
-                    if not zeros_structure_check(c.w, lam, q, points):
-                        checks.append(CheckResult("factor-zero-structure", False, f"w={c.w}"))
+                    if not zeros_structure_check(w, lam, q, points):
+                        checks.append(CheckResult("factor-zero-structure", False, f"w={w}"))
                         break
                 else:
                     checks.append(CheckResult("generic-flag-image", True))

@@ -314,8 +314,8 @@ def cells_json(lam: Composition, h: HessenbergFunction, h_arg: str) -> str:
         "command": "cells",
         "version": hesspave.__version__,
         "cells": [
-            {"w": c.word, "tableau": c.rows, "inversions": c.pairs, "dim": c.dim}
-            for c in cells
+            {"w": word, "tableau": rows, "inversions": pairs, "dim": dim}
+            for word, rows, pairs, dim in cells
         ],
         "count": len(cells),
     }

@@ -321,11 +321,12 @@ def test_criterion_5_maximal_cells_standard():
                     cells = enumerate_cells(lam, h)
                     ok, witness = maximal_cells_are_standard(cells)
                     assert ok, (parts, h.values, witness)
-                    for c in cells:
-                        s = standardize(c.tableau)
-                        if s.rows == c.tableau.rows:
+                    for _, rows, pairs, _ in cells:
+                        t = Tableau(rows)
+                        s = standardize(t)
+                        if s.rows == t.rows:
                             continue
-                        p = cell_profile(c)
+                        p = cell_profile(pairs, t)
                         ps = inversion_profile(s, h)
                         assert ps >= p
                         assert ps.total() > p.total()
@@ -408,5 +409,5 @@ def test_criterion_7_known_values():
         for n in range(1, 7):
             cells = enumerate_cells(Composition([n]), HessenbergFunction.springer(n))
             assert len(cells) == 1
-            assert cells[0].dim == 0
+            assert cells[0][3] == 0
             assert poincare(Composition([n]), HessenbergFunction.springer(n)).coeffs == (1,)

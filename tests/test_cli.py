@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from argparse import Namespace
 from pathlib import Path
@@ -11,7 +12,7 @@ import hesspave.cli as cli
 from hesspave import exactla, paving
 from hesspave.cli import build_parser, main
 from hesspave.combinatorics import Composition, HessenbergFunction
-from hesspave.paving import CellDescriptor, PoincareData
+from hesspave.paving import PoincareData
 from proof_reference import (
     all_hessenberg_functions,
     cells_json,
@@ -73,10 +74,9 @@ class TestCells:
         assert out1 == out2
 
     def test_table_builds_no_view_per_cell(self, capsys, monkeypatch):
-        # `cells` prints the descriptors' word, rows and pairs; no cell
-        # builds its Permutation, Tableau or Springer set
+        # `cells` prints each cell's word, rows and pairs; no cell builds
+        # its Permutation or Tableau
         from hesspave.combinatorics import Composition, Permutation, Tableau, base_filling
-        from hesspave.paving import CellDescriptor
 
         for parts in ([3, 2, 2, 1], [3, 3, 2, 2]):
             base_filling(Composition(parts))
@@ -89,19 +89,28 @@ class TestCells:
                 init(self, *args)
 
             monkeypatch.setattr(cls, "__init__", counting)
-        for name in ("w", "tableau", "springer_inv"):
-            view = CellDescriptor.__dict__[name]
-
-            def counting_view(cell, build=view.func, name=name):
-                built.append(name)
-                return build(cell)
-
-            monkeypatch.setattr(view, "func", counting_view)
         for argv in (["--lambda", "3,2,2,1"], ["--lambda", "3,3,2,2", "--h", "0,0,1,2,3,4,5,6,7,8"]):
             code, out, _ = run(capsys, "cells", *argv, "--format", "json")
             assert code == 0
             assert json.loads(out)["count"] > 1000
         assert built == []
+
+    def test_one_cell_table_per_run(self, capsys, monkeypatch):
+        # `cells` builds its table through the name `enumerate_cells` that
+        # cli binds, once, so a wrapper put on that name (as the benchmark's
+        # tracer does) sees the whole walk of the command
+        build = cli.enumerate_cells
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "enumerate_cells", counted)
+        code, out, _ = run(capsys, "cells", "--lambda", "2,2,1")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["count"] == len(build(*calls[0])) == 30
 
     def test_csv(self, capsys):
         code, out, _ = run(
@@ -137,14 +146,8 @@ class TestCells:
         ("springer", "cells_222_springer"),
         ("0,1,1,1,3,4", "cells_222_h011134"),
     ])
-    def test_output_unchanged(self, capsys, monkeypatch, fmt, h, stem):
-        # tests/data holds the reference output of each view, byte for byte;
-        # every view reads the plain rows of `cell_table`, so no cell builds
-        # a descriptor
-        def refuse(self, *args):
-            raise AssertionError("cells built a CellDescriptor")
-
-        monkeypatch.setattr(CellDescriptor, "__init__", refuse)
+    def test_output_unchanged(self, capsys, fmt, h, stem):
+        # tests/data holds the reference output of each view, byte for byte
         code, out, _ = run(capsys, "cells", "--lambda", "2,2,2", "--h", h, "--format", fmt)
         assert code == 0
         assert out == (DATA / f"{stem}.{fmt}").read_text()
@@ -399,6 +402,15 @@ class TestCount:
         )
         assert code == 3
         assert "budget exceeded" in err
+
+    def test_far_over_budget_exits_fast(self, capsys):
+        # |Fl_4000(F_2)| has about 8 million bits, which the budget check
+        # refuses without multiplying them all out
+        start = time.process_time()
+        code, out, err = run(capsys, "count", "--lambda", "4000", "--q", "2")
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: enumeration needs 8001998.2 bits of work, budget is 24\n"
 
     @pytest.mark.parametrize("stem, args", [
         ("count_221_h00123_q3.json", ["--lambda", "2,2,1", "--h", "0,0,1,2,3", "--q", "3"]),

@@ -369,10 +369,11 @@ class TestGenericFlag:
         checked = 0
         for parts in partitions(n):
             lam = Composition(parts)
-            for c in enumerate_cells(lam, HessenbergFunction.springer(n)):
-                flag = generic_flag(c.w, lam, c.springer_inv)
-                assert flag == generic_flag(c.w, lam, springer_inversions(c.w, lam))
-                assert flag == generic_flag_stages(c.w, lam)[-1]
+            for word, _, pairs, _ in enumerate_cells(lam, HessenbergFunction.springer(n)):
+                w = Permutation(word)
+                flag = generic_flag(w, lam, frozenset(pairs))
+                assert flag == generic_flag(w, lam, springer_inversions(w, lam))
+                assert flag == generic_flag_stages(w, lam)[-1]
                 checked += 1
         assert checked == cells
 
@@ -385,12 +386,12 @@ class TestGenericFlag:
         for parts in compositions(n):
             lam = Composition(parts)
             for h in all_hessenberg_functions(n):
-                for c in enumerate_cells(lam, h):
-                    hess = frozenset(c.pairs)
-                    generators = generic_flag(c.w, lam, hess).generators
+                for word, _, pairs, _ in enumerate_cells(lam, h):
+                    w, hess = Permutation(word), frozenset(pairs)
+                    generators = generic_flag(w, lam, hess).generators
                     assert len(generators) == n - 1
                     for k in range(2, n + 1):
-                        entries = bk_entries(c.w, lam, hess, k, generic_coordinates(c.w, hess, k))
+                        entries = bk_entries(w, lam, hess, k, generic_coordinates(w, hess, k))
                         assert list(generators[k - 2]) == entries
                     checked += 1
         assert checked == cells
@@ -574,20 +575,21 @@ class TestZeroCoordinates:
         checked = cut = 0
         for parts in shapes:
             lam = Composition(parts)
-            cells = list(enumerate_cells(lam, HessenbergFunction.springer(lam.n)))
-            full = {c.word: generic_flag(c.w, lam, c.springer_inv) for c in cells}
+            cells = [(Permutation(word), frozenset(pairs)) for word, _, pairs, _
+                     in enumerate_cells(lam, HessenbergFunction.springer(lam.n))]
+            full = {w.word: generic_flag(w, lam, spr) for w, spr in cells}
             for h in all_hessenberg_functions(lam.n):
-                for c in cells:
-                    hess = hessenberg_inversions(c.w, lam, h)
-                    zeros = hess_zero_coordinates(c.w, lam, hess)
+                for w, _ in cells:
+                    hess = hessenberg_inversions(w, lam, h)
+                    zeros = hess_zero_coordinates(w, lam, hess)
                     expected = tuple(
-                        tuple(subs_zero(e, zeros) for e in col) for col in full[c.word].columns
+                        tuple(subs_zero(e, zeros) for e in col) for col in full[w.word].columns
                     )
-                    columns = generic_flag(c.w, lam, hess).columns
+                    columns = generic_flag(w, lam, hess).columns
                     assert columns == expected
                     assert repr(columns) == repr(expected)
                     if zeros:
-                        assert full[c.word].columns != expected
+                        assert full[w.word].columns != expected
                         cut += 1
                     checked += 1
         assert checked == cases

@@ -3,6 +3,7 @@ import itertools
 import json
 import time
 import tracemalloc
+from math import log2
 from pathlib import Path
 
 import hypothesis
@@ -35,6 +36,7 @@ from hesspave.oracle import (
     _ROWS,
     BudgetExceededError,
     CountReport,
+    _check_budget,
     _image_keys,
     _m_vectors,
     _random_gl,
@@ -247,11 +249,40 @@ class TestBatchArithmetic:
                 expected[w.word] = sorted_points(residues(us, n))
         fiber = springer_points(lam, q)
         cells = enumerate_cells(lam, h)
-        assert sorted(fiber) == sorted(expected) == [c.word for c in cells]
-        for c in cells:
-            assert fiber[c.word].shape == (q**c.dim, n, n)
+        assert sorted(fiber) == sorted(expected) == [word for word, _, _, _ in cells]
+        for word, _, _, dim in cells:
+            assert fiber[word].shape == (q**dim, n, n)
         # the lists agree as multisets; neither consumer reads the order
         assert {w: sorted_points(points) for w, points in fiber.items()} == expected
+
+
+class TestBudgetCheck:
+    """`_check_budget` against the exact size of Fl_n(F_q)."""
+
+    def test_decision_and_message_match_the_exact_product(self):
+        # every q and n <= 60, at each budget around log2 |Fl_n(F_q)|: the
+        # check refuses exactly when the product passes 2^budget, and its
+        # message shows log2 of the whole product.  |Fl_2(F_3)| = 4 points
+        # fit a 2-bit budget exactly
+        _check_budget(2, 3, 2)
+        cases = refused = 0
+        for q in (2, 3, 5, 7, 11, 13):
+            exact = 1
+            for n in range(1, 61):
+                exact *= (q**n - 1) // (q - 1)
+                top = exact.bit_length()
+                for budget in {1, 24} | set(range(max(1, top - 2), top + 2)):
+                    cases += 1
+                    if exact <= 2**budget:
+                        _check_budget(n, q, budget)
+                        continue
+                    refused += 1
+                    with pytest.raises(BudgetExceededError) as info:
+                        _check_budget(n, q, budget)
+                    assert str(info.value) == (
+                        f"enumeration needs {log2(exact):.1f} bits of work, budget is {budget}"
+                    )
+        assert cases > 1500 and refused > 1000
 
 
 class TestCellCounts:
@@ -274,7 +305,7 @@ class TestCellCounts:
     def test_cell_sizes_match_dimension(self):
         lam = Composition([2, 2])
         h = HessenbergFunction.springer(4)
-        dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
+        dims = {word: dim for word, _, _, dim in enumerate_cells(lam, h)}
         [counts] = flag_point_counts(nilpotent_residues(lam), [h], 2)
         for w in all_perms(4):
             if w.word in dims:
@@ -403,7 +434,7 @@ class TestVarietyCounts:
         # |Fl_7(F_2)| is 2^26.2 flags, over the default 24-bit budget
         lam, h = Composition([2, 2, 2, 1]), HessenbergFunction.springer(7)
         [per_cell] = flag_point_counts(nilpotent_residues(lam), [h], 2, budget_bits=27)
-        dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
+        dims = {word: dim for word, _, _, dim in enumerate_cells(lam, h)}
         assert per_cell == {w: 2**d for w, d in dims.items()}
         assert sum(per_cell.values()) == evaluate(poincare(lam, h), 2) == 51429
 
@@ -411,7 +442,7 @@ class TestVarietyCounts:
         # |Fl_8(F_2)| is 2^34.2 flags; the shared search visits few of them
         lam, h = Composition([3, 3, 2]), HessenbergFunction.springer(8)
         [per_cell] = flag_point_counts(nilpotent_residues(lam), [h], 2, budget_bits=35)
-        dims = {c.w.word: c.dim for c in enumerate_cells(lam, h)}
+        dims = {word: dim for word, _, _, dim in enumerate_cells(lam, h)}
         assert per_cell == {w: 2**d for w, d in dims.items()}
 
     def test_counting_keeps_no_points(self):
@@ -440,7 +471,7 @@ class TestVarietyCounts:
             tracemalloc.stop()
         cells = enumerate_cells(lam, h)
         assert len(cells) == 252
-        assert per_cell == {c.word: 2**c.dim for c in cells}
+        assert per_cell == {word: 2**dim for word, _, _, dim in cells}
         assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("parts, h", [
@@ -456,16 +487,16 @@ class TestVarietyCounts:
         cells = enumerate_cells(lam, h)
         [sparse] = flag_point_counts(nilpotent_residues(lam), [h], q)
         assert 0 not in sparse.values()
+        word, _, _, dim = cells[-1]
         emptied = dict(sparse)
-        del emptied[cells[-1].word]
+        del emptied[word]
         for counts in (sparse, emptied):
             padded = {w.word: counts.get(w.word, 0) for w in all_perms(lam.n)}
             report = CountReport.from_counts(q, counts, cells)
             assert report.to_json() == CountReport.from_counts(q, padded, cells).to_json()
         missing = CountReport.from_counts(q, emptied, cells).to_json()
         assert missing["match"] is False
-        assert {"w": list(cells[-1].word), "count": 0,
-                "expected": q ** cells[-1].dim} in missing["per_cell"]
+        assert {"w": list(word), "count": 0, "expected": q**dim} in missing["per_cell"]
 
     def test_zero_matrix_counts_every_flag_at_q5(self):
         # X = 0 at the largest n and q that test_search_matches_brute_force
@@ -538,12 +569,13 @@ class TestGenericFlagImage:
         # bruhat_canonical_form does point by point
         for parts in partitions(n):
             lam = Composition(parts)
-            for c in enumerate_cells(lam, HessenbergFunction.springer(n)):
-                flag = generic_flag(c.w, lam, c.springer_inv)
-                coords = [(c.w(k), c.w(l)) for k, l in sorted(c.springer_inv)]
-                ref = reference_image_keys(c.w, lam, q, flag)
-                assert len(set(ref)) == len(ref) == q ** c.dim
-                assert _image_keys(c.w, coords, q, flag) == set(ref)
+            for word, _, pairs, dim in enumerate_cells(lam, HessenbergFunction.springer(n)):
+                w = Permutation(word)
+                flag = generic_flag(w, lam, frozenset(pairs))
+                coords = [(w(k), w(l)) for k, l in pairs]
+                ref = reference_image_keys(w, lam, q, flag)
+                assert len(set(ref)) == len(ref) == q**dim
+                assert _image_keys(w, coords, q, flag) == set(ref)
 
     def test_q3_spot_check(self):
         w, lam = Permutation([2, 4, 1, 3]), Composition([2, 2])
@@ -625,11 +657,12 @@ def test_springer_fiber_checks_reach_n5():
     for parts in partitions(5):
         lam = Composition(parts)
         fiber = springer_points(lam, 2)
-        for c in enumerate_cells(lam, HessenbergFunction.springer(5)):
-            flag, points = generic_flag(c.w, lam, c.springer_inv), fiber[c.word]
+        for word, _, pairs, _ in enumerate_cells(lam, HessenbergFunction.springer(5)):
+            w, spr = Permutation(word), frozenset(pairs)
+            flag, points = generic_flag(w, lam, spr), fiber[word]
             start = time.process_time()
-            assert dw_equals_cell(c.w, c.springer_inv, 2, flag, points), (parts, c.w)
-            assert zeros_structure_check(c.w, lam, 2, points), (parts, c.w)
+            assert dw_equals_cell(w, spr, 2, flag, points), (parts, w)
+            assert zeros_structure_check(w, lam, 2, points), (parts, w)
             spent += time.process_time() - start
             cells += 1
     assert cells == 246

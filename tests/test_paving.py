@@ -2,7 +2,6 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import FrozenInstanceError
 from math import factorial, prod
 
 import pytest
@@ -26,9 +25,7 @@ from hesspave import paving
 from hesspave.cli import main
 from hesspave.exactla import _level
 from hesspave.paving import (
-    CellDescriptor,
     cell_profile,
-    cell_table,
     enumerate_cells,
     hessenberg_inversions,
     inversion_profile,
@@ -161,18 +158,19 @@ class TestEnumerateCells:
     def test_single_row(self):
         cells = enumerate_cells(Composition([2]), HessenbergFunction([0, 1]))
         assert len(cells) == 1
-        assert cells[0].w == identity_permutation(2)
-        assert cells[0].dim == 0
+        word, _, _, dim = cells[0]
+        assert Permutation(word) == identity_permutation(2)
+        assert dim == 0
 
     def test_222_springer(self):
         cells = enumerate_cells(Composition([2, 2, 2]), HessenbergFunction.springer(6))
-        by_w = {c.w.word: c for c in cells}
-        assert (3, 6, 2, 1, 5, 4) in by_w
-        assert by_w[(3, 6, 2, 1, 5, 4)].dim == 6
+        dims = {word: dim for word, _, _, dim in cells}
+        assert (3, 6, 2, 1, 5, 4) in dims
+        assert dims[(3, 6, 2, 1, 5, 4)] == 6
 
     def test_one_column_two_cells(self):
         cells = enumerate_cells(Composition([1, 1]), HessenbergFunction([0, 0]))
-        assert sorted(c.dim for c in cells) == [0, 1]
+        assert sorted(dim for _, _, _, dim in cells) == [0, 1]
 
     def test_matches_direct_filter(self):
         # backtracking enumeration agrees with the n!-filter definition
@@ -185,18 +183,19 @@ class TestEnumerateCells:
                         w.word for w in all_perms(n)
                         if is_h_strict(tableau_of(w, lam), h)
                     )
-                    assert [c.w.word for c in cells] == direct
-                    for c in cells:
-                        assert c.dim == len(hessenberg_inversions(c.w, lam, h))
+                    assert [word for word, _, _, _ in cells] == direct
+                    for word, _, _, dim in cells:
+                        assert dim == len(hessenberg_inversions(Permutation(word), lam, h))
 
-    def test_descriptor_consistency(self):
+    def test_cell_consistency(self):
         lam = Composition([2, 2, 1])
         h = HessenbergFunction([0, 1, 1, 2, 3])
-        for c in enumerate_cells(lam, h):
-            assert c.tableau.rows == tableau_of(c.w, lam).rows
-            assert is_h_strict(c.tableau, h)
-            assert frozenset(c.pairs) <= c.springer_inv
-            assert c.dim == len(frozenset(c.pairs))
+        for word, rows, pairs, dim in enumerate_cells(lam, h):
+            w, t = Permutation(word), Tableau(rows)
+            assert t.rows == tableau_of(w, lam).rows
+            assert is_h_strict(t, h)
+            assert frozenset(pairs) <= springer_inversions(w, lam)
+            assert dim == len(frozenset(pairs))
 
 
 class TestPoincare:
@@ -221,7 +220,7 @@ class TestPoincare:
         cells = enumerate_cells(lam, h)
         assert sum(coeffs) == len(cells)
         for k, c in enumerate(coeffs):
-            assert c == sum(1 for cell in cells if cell.dim == k)
+            assert c == sum(1 for _, _, _, dim in cells if dim == k)
 
     def test_evaluate(self):
         p = poincare(Composition([1, 1]), HessenbergFunction.springer(2))
@@ -234,9 +233,9 @@ def cell_histogram(lam, h):
     against `_inversion_pairs`, so this oracle does not rest on the
     recursion's placement step alone."""
     hist = []
-    for c in enumerate_cells(lam, h):
-        hist.extend([0] * (c.dim + 1 - len(hist)))
-        hist[c.dim] += 1
+    for _, _, _, dim in enumerate_cells(lam, h):
+        hist.extend([0] * (dim + 1 - len(hist)))
+        hist[dim] += 1
     return tuple(hist)
 
 
@@ -272,7 +271,7 @@ def nonzero(profile):
     return {key: v for key, v in profile.items() if v}
 
 
-def descriptor_cases():
+def table_cases():
     """Every composition with n <= 5 under every h, and every composition
     with n = 6 under the Springer h and two others."""
     for n in range(1, 6):
@@ -285,98 +284,48 @@ def descriptor_cases():
             yield Composition(parts), h
 
 
-class TestCellDescriptors:
-    """Each descriptor against the slow per-cell functions and the definition."""
+class TestCellTable:
+    """Each cell of the table against the slow per-cell functions and the
+    definition."""
 
-    def test_descriptors_match_reference(self):
+    def test_cells_match_reference(self):
         cases = cells_seen = 0
-        for lam, h in descriptor_cases():
+        for lam, h in table_cases():
             springer = HessenbergFunction.springer(lam.n)
             cases += 1
-            for c in enumerate_cells(lam, h):
+            for word, rows, pairs, dim in enumerate_cells(lam, h):
                 cells_seen += 1
-                # the slim fields against the views built from them
-                assert c.w == Permutation(c.word)
-                assert c.pairs == tuple(sorted(frozenset(c.pairs)))
-                assert all(k > l for k, l in c.pairs + tuple(c.springer_inv))
-                assert c.tableau.rows == c.rows
-                assert tableau_of(c.w, lam).rows == c.tableau.rows
-                assert permutation_of_tableau(c.tableau) == c.w
-                assert frozenset(c.pairs) == hessenberg_inversions(c.w, lam, h)
-                assert type(c.springer_inv) is frozenset
-                assert c.springer_inv == springer_inversions(c.w, lam)
-                grid = [list(r) for r in c.tableau.rows]
-                assert frozenset(c.pairs) == reference_inversions(grid, h)[0]
-                assert c.springer_inv == reference_inversions(grid, springer)[0]
-                assert nonzero(inversion_profile(c.tableau, h)) == reference_profile(grid, h)
+                w, t = Permutation(word), Tableau(rows)
+                spr = springer_inversions(w, lam)
+                assert pairs == tuple(sorted(frozenset(pairs)))
+                assert all(k > l for k, l in pairs + tuple(spr))
+                assert t.rows == rows
+                assert tableau_of(w, lam).rows == t.rows
+                assert permutation_of_tableau(t) == w
+                assert frozenset(pairs) == hessenberg_inversions(w, lam, h)
+                assert type(spr) is frozenset
+                grid = [list(r) for r in t.rows]
+                assert frozenset(pairs) == reference_inversions(grid, h)[0]
+                assert spr == reference_inversions(grid, springer)[0]
+                assert nonzero(inversion_profile(t, h)) == reference_profile(grid, h)
         assert cases == 1 + 2 * 2 + 4 * 5 + 8 * 14 + 16 * 42 + 3 * 32
         assert cells_seen > 10_000
 
-    def test_views_are_built_once_on_first_read(self, monkeypatch):
-        lam, h = Composition([2, 2, 1]), HessenbergFunction([0, 1, 1, 2, 3])
-        base_filling(lam)
-        built = []
-        for cls in (Permutation, Tableau):
-            init = cls.__init__
-
-            def counting(self, *args, init=init, name=cls.__name__):
-                built.append(name)
-                init(self, *args)
-
-            monkeypatch.setattr(cls, "__init__", counting)
-        kernel = paving._tableau_inversions
-
-        def counting_kernel(t, h):
-            built.append("springer_inv")
-            return kernel(t, h)
-
-        monkeypatch.setattr(paving, "_tableau_inversions", counting_kernel)
-        cells = enumerate_cells(lam, h)
-        assert cells and built == []
-        c = cells[-1]
-        first = c.w, c.tableau, c.springer_inv
-        again = c.w, c.tableau, c.springer_inv
-        assert all(a is b for a, b in zip(first, again))
-        # one Tableau for the view, one kernel pass for springer_inv (h is
-        # not Springer), which reads that Tableau, and one Permutation
-        assert sorted(built) == ["Permutation", "Tableau", "springer_inv"]
-
-    def test_cell_table_is_the_descriptors_fields(self):
-        # the plain rows that `cells` prints are the descriptors' fields, in
-        # the same order, with no word twice
+    def test_words_strictly_increase(self):
+        # the table is sorted by word, with no word twice
         shapes = [(c, None) for n in range(1, 6) for c in compositions(n)]
         shapes += [(p, HessenbergFunction.springer(6)) for p in partitions(6)]
         cases = cells_seen = 0
         for parts, springer in shapes:
             lam = Composition(parts)
             for h in [springer] if springer else all_hessenberg_functions(lam.n):
-                table = cell_table(lam, h)
-                assert table == [(c.word, c.rows, c.pairs, c.dim) for c in enumerate_cells(lam, h)]
+                table = enumerate_cells(lam, h)
                 words = [word for word, _, _, _ in table]
                 assert all(a < b for a, b in zip(words, words[1:]))
                 cases += 1
                 cells_seen += len(table)
         assert cases == 809 + 11
         assert cells_seen > 10_000
-
-    def test_descriptor_is_a_frozen_value(self):
-        # the hand-written __init__ keeps what the dataclass gave: equality,
-        # hash and repr over the five fields, and no assignment
-        lam, h = Composition([2, 2, 1]), HessenbergFunction([0, 1, 1, 2, 3])
-        cells = enumerate_cells(lam, h)
-        assert cells
-        for c in cells:
-            twin = CellDescriptor(c.word, c.rows, c.pairs, c.dim, c.h)
-            assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
-            assert repr(c).startswith(f"CellDescriptor(word={c.word!r}, rows={c.rows!r}, ")
-        assert cells[0] != cells[1]
-        assert len(set(cells)) == len(cells)
-        c = cells[-1]
-        for name in ("word", "rows", "pairs", "dim", "h"):
-            with pytest.raises(FrozenInstanceError):
-                setattr(c, name, None)
-        with pytest.raises(FrozenInstanceError):
-            del c.dim
 
     def test_one_row_of_many_boxes_allocates_no_pair_table(self):
         # the pair table's rows are built on demand: a single row has no
@@ -388,7 +337,7 @@ class TestCellDescriptors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [(c.word, c.dim) for c in cells] == [(tuple(range(1, n + 1)), 0)]
+        assert [(word, dim) for word, _, _, dim in cells] == [(tuple(range(1, n + 1)), 0)]
         assert peak < 20 * 2**20
 
     def test_sort_trace_profiles_match_reference(self):
@@ -439,7 +388,7 @@ class TestPrunedWalk:
         # cuts a branch early; what is left must be exactly the full walk's
         # fillings of dim <= max_dim, in the same order
         cases = 0
-        for lam, h in descriptor_cases():
+        for lam, h in table_cases():
             if lam.n > 5:
                 continue
             cases += 1
@@ -608,9 +557,9 @@ class TestWalkPairs:
 
 
 class TestChecksOnBadInput:
-    """The per-cell checks of `cell_table` still fire when fed bad data, with
-    one exception and message through `enumerate_cells`, `cell_table` and
-    the `cells` command alike."""
+    """The per-cell checks of `enumerate_cells` still fire when fed bad data,
+    with one exception and message through `enumerate_cells` and the `cells`
+    command alike."""
 
     lam, h = Composition([2, 1]), HessenbergFunction.springer(3)
 
@@ -625,8 +574,7 @@ class TestChecksOnBadInput:
 
     def _raises(self, error, match):
         raised = set()
-        for build in (enumerate_cells, cell_table,
-                      lambda lam, h: main(["cells", "--lambda", "2,1"])):
+        for build in (enumerate_cells, lambda lam, h: main(["cells", "--lambda", "2,1"])):
             with pytest.raises(error, match=match) as info:
                 build(self.lam, self.h)
             raised.add((info.type, str(info.value)))
@@ -1065,8 +1013,10 @@ class TestDuality:
             for parts in partitions(n):
                 lam = Composition(parts)
                 for h in hs:
-                    dims = Counter(c.dim for c in enumerate_cells(lam, h))
-                    dual = Counter(c.dim for c in enumerate_cells(lam, dual_hessenberg(h)))
+                    dims = Counter(dim for _, _, _, dim in enumerate_cells(lam, h))
+                    dual = Counter(
+                        dim for _, _, _, dim in enumerate_cells(lam, dual_hessenberg(h))
+                    )
                     assert dims == dual, (parts, h)
                     pairs += 1
         assert pairs == 1836
@@ -1168,9 +1118,9 @@ class TestProfilesAndSorting:
     def test_profile_total(self):
         lam = Composition([2, 2, 1])
         h = HessenbergFunction([0, 1, 1, 3, 3])
-        for c in enumerate_cells(lam, h):
-            p = inversion_profile(c.tableau, h)
-            assert p.total() == c.dim
+        for _, rows, _, dim in enumerate_cells(lam, h):
+            p = inversion_profile(Tableau(rows), h)
+            assert p.total() == dim
 
     def test_cell_profile_matches_inversion_profile(self):
         # every cell of every composition with n <= 5 under every h
@@ -1179,9 +1129,10 @@ class TestProfilesAndSorting:
             for parts in compositions(n):
                 lam = Composition(parts)
                 for h in all_hessenberg_functions(n):
-                    for c in enumerate_cells(lam, h):
+                    for _, rows, pairs, _ in enumerate_cells(lam, h):
                         cells_seen += 1
-                        assert cell_profile(c) == inversion_profile(c.tableau, h)
+                        t = Tableau(rows)
+                        assert cell_profile(pairs, t) == inversion_profile(t, h)
         assert cells_seen > 10_000
 
     def test_profile_rejects_non_h_strict(self):
@@ -1238,7 +1189,7 @@ class TestMaximalCells:
     def test_reads_the_tableau_of_top_cells_only(self, monkeypatch):
         lam, h = Composition([3, 2, 1]), HessenbergFunction([0, 1, 1, 2, 4, 5])
         cells = enumerate_cells(lam, h)
-        top = max(c.dim for c in cells)
+        top = max(dim for _, _, _, dim in cells)
         built = []
         init = Tableau.__init__
 
@@ -1249,7 +1200,7 @@ class TestMaximalCells:
         monkeypatch.setattr(Tableau, "__init__", counting)
         assert maximal_cells_are_standard(cells) == (True, None)
         # each top cell builds its tableau and that tableau's standardization
-        top_cells = sum(c.dim == top for c in cells)
+        top_cells = sum(dim == top for _, _, _, dim in cells)
         assert 0 < len(built) == 2 * top_cells
         assert top_cells < len(cells)
 
@@ -1267,11 +1218,12 @@ class TestMaximalCells:
             for parts in partitions(n):
                 lam = Composition(parts)
                 for h in all_hessenberg_functions(n):
-                    for c in enumerate_cells(lam, h):
-                        s = standardize(c.tableau)
-                        if s.rows == c.tableau.rows:
+                    for _, rows, _, _ in enumerate_cells(lam, h):
+                        t = Tableau(rows)
+                        s = standardize(t)
+                        if s.rows == t.rows:
                             continue
-                        p = inversion_profile(c.tableau, h)
+                        p = inversion_profile(t, h)
                         ps = inversion_profile(s, h)
                         assert ps >= p
                         assert ps.total() > p.total()
