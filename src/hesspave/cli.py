@@ -191,8 +191,7 @@ def _cells_array(cells: list[tuple], n: int) -> str:
     spliced from shared fragments: the decimal text of each value 1..n, and
     the text of each pair and each row tuple, made the first time one is
     read.  The walk shares its row tuples and the pair tuples of
-    `_pair_table` across cells, and only the pairs that occur are ever
-    encoded.
+    `_pair_table` across cells, and only the pairs that occur are encoded.
     """
     digits = list(map(str, range(n + 1)))
     pair = _Fragments(digits).__getitem__

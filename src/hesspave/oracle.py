@@ -88,14 +88,14 @@ class CountReport:
 def _check_budget(n: int, q: int, budget_bits: int) -> None:
     """Check q, and the budget against log2 |Fl_n(F_q)|, which bounds the
     points of every search.  The product of the [i]_q = (q^i - 1)/(q - 1)
-    is multiplied out only until it passes 2^budget_bits, so a refusal costs
-    no more than the budget; the message sums the log2 [i]_q as floats."""
+    is multiplied out only until it passes 2^budget_bits, which is never
+    formed; the message sums the log2 [i]_q as floats."""
     FieldSpec(q)
-    limit = 2**budget_bits
     total_points = 1
     for i in range(1, n + 1):
         total_points *= (q**i - 1) // (q - 1)
-        if total_points > limit:
+        # for P >= 1, P > 2^b exactly when P - 1 has more than b bits
+        if (total_points - 1).bit_length() > budget_bits:
             # log2 [i]_q = i log2 q + log2(1 - q^-i) - log2(q - 1)
             bits = sum(i * log2(q) + log1p(-(q ** -i)) / log(2) for i in range(1, n + 1))
             bits -= n * log2(q - 1)

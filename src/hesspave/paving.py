@@ -105,7 +105,8 @@ def _inversion_pairs(
     return pairs
 
 
-def _tableau_inversions(t: Tableau, h: HessenbergFunction) -> frozenset[tuple[int, int]]:
+def tableau_inversions(t: Tableau, h: HessenbergFunction) -> frozenset[tuple[int, int]]:
+    """inv_{lambda,h}(w) read off the tableau R(w) = t, with no w."""
     return frozenset(_inversion_pairs(t.rows, t.index, h.values, t.n))
 
 
@@ -116,7 +117,7 @@ def hessenberg_inversions(
     tableau R(w)."""
     if not (w.n == lam.n == h.n):
         raise ValueError(f"size mismatch: |w|={w.n}, n(lambda)={lam.n}, n(h)={h.n}")
-    return _tableau_inversions(tableau_of(w, lam), h)
+    return tableau_inversions(tableau_of(w, lam), h)
 
 
 def springer_inversions(w: Permutation, lam: Composition) -> frozenset[tuple[int, int]]:
@@ -439,7 +440,7 @@ def inversion_profile(t: Tableau, h: HessenbergFunction) -> Counter[tuple[int, i
     """The profile d_R of an h-strict tableau R."""
     if not is_h_strict(t, h):
         raise ValueError("tableau is not h-strict")
-    return _grid_profile(_tableau_inversions(t, h), t.index)
+    return _grid_profile(tableau_inversions(t, h), t.index)
 
 
 def cell_profile(pairs: Iterable[tuple[int, int]], t: Tableau) -> Counter[tuple[int, int]]:
@@ -452,17 +453,20 @@ def cell_profile(pairs: Iterable[tuple[int, int]], t: Tableau) -> Counter[tuple[
     return _grid_profile(pairs, t.index)
 
 
-def maximal_cells_are_standard(cells: list[tuple]) -> tuple[bool, Tableau | None]:
+def maximal_cells_are_standard(
+    cells: list[tuple], tableaux: list[Tableau] | None = None
+) -> tuple[bool, Tableau | None]:
     """Check that every maximal-dimension cell of a cell table has a standard tableau.
 
-    `cells` is a table of `enumerate_cells`; only its top cells get a
-    Tableau, which is standard when `standardize` leaves it as it is.
-    Returns (ok, witness) where witness is a failing tableau if any.
+    `cells` is a table of `enumerate_cells` and `tableaux`, if given, their
+    tableaux in order; otherwise only the top cells get one.  A tableau is
+    standard when `standardize` leaves it as it is.  Returns (ok, witness)
+    where witness is a failing tableau if any.
     """
     top = max((dim for _, _, _, dim in cells), default=0)
-    for _, rows, _, dim in cells:
+    for i, (_, rows, _, dim) in enumerate(cells):
         if dim == top:
-            t = Tableau(rows)
+            t = Tableau(rows) if tableaux is None else tableaux[i]
             if standardize(t).rows != t.rows:
                 return False, t
     return True, None

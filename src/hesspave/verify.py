@@ -41,7 +41,7 @@ from .paving import (
     inversion_profile,
     maximal_cells_are_standard,
     r0_tableau,
-    springer_inversions,
+    tableau_inversions,
 )
 
 # Random conjugates of X_lambda whose point count the conjugation check compares.
@@ -83,6 +83,7 @@ class VerifyReport:
 
 
 def _check_cells(lam, h, cells, tableaux) -> CheckResult:
+    springer = HessenbergFunction.springer(lam.n)
     for (word, _, pairs, dim), t in zip(cells, tableaux):
         w = Permutation(word)
         if not is_h_strict(t, h):
@@ -90,7 +91,7 @@ def _check_cells(lam, h, cells, tableaux) -> CheckResult:
         pairs = frozenset(pairs)
         if dim != len(pairs):
             return CheckResult("cell-dimension", False, f"w={w}")
-        spr = pairs if h.is_springer() else springer_inversions(w, lam)
+        spr = pairs if h.is_springer() else tableau_inversions(t, springer)
         if not (pairs <= spr):
             return CheckResult("inversion-containment", False, f"w={w}")
         if not (spr <= inversions(w)):
@@ -113,8 +114,8 @@ def _check_zero_cell(lam, h, cells, tableaux) -> CheckResult:
     return CheckResult("unique-zero-cell", True)
 
 
-def _check_max_standard(cells) -> CheckResult:
-    ok, witness = maximal_cells_are_standard(cells)
+def _check_max_standard(cells, tableaux) -> CheckResult:
+    ok, witness = maximal_cells_are_standard(cells, tableaux)
     if not ok:
         return CheckResult("maximal-cells-standard", False, str(witness.rows))
     return CheckResult("maximal-cells-standard", True)
@@ -189,7 +190,7 @@ def run_verification(
         tableaux = [Tableau(rows) for _, rows, _, _ in cells]
         checks.append(_check_cells(lam, h, cells, tableaux))
         checks.append(_check_zero_cell(lam, h, cells, tableaux))
-        checks.append(_check_max_standard(cells))
+        checks.append(_check_max_standard(cells, tableaux))
         checks.append(_check_profiles(h, cells, tableaux))
         if lam.n <= 5:
             if h.is_springer():

@@ -412,6 +412,17 @@ class TestCount:
         assert (code, out) == (3, "")
         assert err == "budget exceeded: enumeration needs 8001998.2 bits of work, budget is 24\n"
 
+    def test_huge_budget_passes_at_once(self, capsys):
+        # the check never forms 2^budget_bits, so a 10^12-bit budget costs
+        # nothing and the count is the one of the default budget
+        _, expected, _ = run(capsys, "count", "--lambda", "2,1", "--q", "2")
+        start = time.process_time()
+        code, out, err = run(
+            capsys, "count", "--lambda", "2,1", "--q", "2", "--budget-bits", str(10**12)
+        )
+        assert time.process_time() - start < 1.0
+        assert (code, out, err) == (0, expected, "")
+
     @pytest.mark.parametrize("stem, args", [
         ("count_221_h00123_q3.json", ["--lambda", "2,2,1", "--h", "0,0,1,2,3", "--q", "3"]),
         ("count_31_springer_q5.csv", ["--lambda", "3,1", "--q", "5", "--format", "csv"]),

@@ -307,17 +307,23 @@ def test_generic_flag_reads_inv_from_its_caller(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("parts, built", [((2, 2, 1), 71), ((1, 1, 1, 1, 1), 243)])
-def test_tableaux_built_per_run(monkeypatch, parts, built):
+@pytest.mark.parametrize("parts, h, built", [
+    ((2, 2, 1), None, 66),
+    ((1, 1, 1, 1, 1), None, 242),
+    ((2, 2, 1), (0, 0, 1, 2, 3), 57),
+])
+def test_tableaux_built_per_run(monkeypatch, parts, h, built):
     # each cell's Tableau once per table, one standardization per cell,
-    # R_0, and the tableau and standardization of each top cell that
-    # `maximal_cells_are_standard` reads
+    # R_0, one more standardization of each top cell, and for another h
+    # the Springer table's tableaux, from which no view is built twice
     lam = Composition(parts)
     springer = HessenbergFunction.springer(lam.n)
-    cells = enumerate_cells(lam, springer)
+    h = springer if h is None else HessenbergFunction(h)
+    cells = enumerate_cells(lam, h)
     top = max(dim for _, _, _, dim in cells)
     top_cells = sum(dim == top for _, _, _, dim in cells)
-    assert built == 2 * len(cells) + 1 + 2 * top_cells
+    springer_cells = 0 if h.is_springer() else len(enumerate_cells(lam, springer))
+    assert built == 2 * len(cells) + 1 + top_cells + springer_cells
     calls = []
     init = Tableau.__init__
 
@@ -326,7 +332,7 @@ def test_tableaux_built_per_run(monkeypatch, parts, built):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Tableau, "__init__", counting)
-    report = run_verification(lam, springer, q=2)
+    report = run_verification(lam, h, q=2)
     assert report.passed
     assert len(calls) == built
 
