@@ -4,8 +4,9 @@ Exact-arithmetic computation of cell tables, dimensions, Poincare
 polynomials, and generic-cell coordinates, with symbolic and finite-field
 verification.
 
-The finite-field layer (`oracle` and `verify`) imports numpy, which only
-the F_q checks need, so its names load on first access (PEP 562).
+Only the paving (`combinatorics`, `paving`) loads with the package; the
+polynomial and matrix layers (`domains`, `exactla`) and the numpy F_q layer
+(`oracle`, `verify`) load on first access of one of their names (PEP 562).
 """
 
 from importlib import import_module
@@ -25,27 +26,6 @@ from .combinatorics import (
     standardize,
     tableau_of,
 )
-from .domains import (
-    POLYNOMIALS,
-    BudgetExceededError,
-    FieldSpec,
-    Poly,
-    PolynomialDomain,
-)
-from .exactla import (
-    ExactMatrix,
-    Flag,
-    UnipotentPattern,
-    bk_entries,
-    bk_generator,
-    bruhat_canonical_form,
-    difference_residual,
-    factor_unipotent,
-    generic_flag,
-    hess_zero_coordinates,
-    nilpotent_matrix,
-    verify_flag_membership,
-)
 from .paving import (
     PoincareData,
     cell_profile,
@@ -59,21 +39,23 @@ from .paving import (
 
 __version__ = "0.1.0"
 
-# each lazy name and the module that defines it
-_FQ_NAMES = {
-    "CountReport": "oracle",
-    "conjugation_invariance": "oracle",
-    "dw_equals_cell": "oracle",
-    "run_verification": "verify",
-    "springer_points": "oracle",
-    "variety_point_count": "oracle",
-    "zeros_structure_check": "oracle",
+# the modules that load on first access, and the names each defines
+_LAZY_MODULES = {
+    "domains": ("BudgetExceededError", "FieldSpec", "POLYNOMIALS", "Poly", "PolynomialDomain"),
+    "exactla": ("ExactMatrix", "Flag", "UnipotentPattern", "bk_entries", "bk_generator",
+                "bruhat_canonical_form", "difference_residual", "factor_unipotent",
+                "generic_flag", "hess_zero_coordinates", "nilpotent_matrix",
+                "verify_flag_membership"),
+    "oracle": ("CountReport", "conjugation_invariance", "dw_equals_cell", "springer_points",
+               "variety_point_count", "zeros_structure_check"),
+    "verify": ("run_verification",),
 }
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name not in _FQ_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_FQ_NAMES[name]}", __name__)
+    module = import_module(f".{_LAZY_NAMES[name]}", __name__)
     value = globals()[name] = getattr(module, name)
     return value

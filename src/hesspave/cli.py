@@ -11,9 +11,9 @@ one dict per cell, which the tests check byte for byte.
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
 or resource limit exceeded (the F_q budget, the recursion limit or memory).
 
-Only `count` and `verify` search over F_q, so only they import the numpy
-layer (`oracle`, and `verify`, which builds on it); the exact commands
-start without it.
+The exact commands (`cells`, `poincare`, `r0`, `profile`) load only
+`combinatorics` and `paving`; `generic-flag` imports `domains` and `exactla`
+when it runs, `count` and `verify` also the numpy F_q layer (`oracle`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import hesspave
 
@@ -33,8 +33,6 @@ from .combinatorics import (
     format_tableau,
     tableau_of,
 )
-from .domains import BudgetExceededError, FieldSpec, Poly
-from .exactla import generic_flag, hess_zero_coordinates
 from .paving import (
     enumerate_cells,
     hessenberg_inversions,
@@ -43,6 +41,9 @@ from .paving import (
     r0_tableau,
     zero_dim_cells,
 )
+
+if TYPE_CHECKING:
+    from .domains import Poly
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -117,6 +118,8 @@ def _search_inputs(args) -> int | None:
         problems.append("--seed must be >= 0")
     q = args.q
     if q is not None:
+        from .domains import FieldSpec
+
         try:
             q = FieldSpec(q).q
         except ValueError as e:
@@ -306,6 +309,8 @@ def cmd_verify(args, lam: Composition, h: HessenbergFunction) -> int:
 
 
 def cmd_generic_flag(args, lam: Composition, h: HessenbergFunction) -> int:
+    from .exactla import generic_flag, hess_zero_coordinates
+
     w = _parse_w(args, lam.n)
     hess = hessenberg_inversions(w, lam, h)
     try:
@@ -348,18 +353,22 @@ def _is_simple(p: Poly) -> bool:
 
 
 def _simple_term(p: Poly, i: int) -> str:
-    if p == Poly.const(1):
+    if p == 1:
         return f"e{i}"
     return f"{p!r}*e{i}"
 
 
 def cmd_count(args, lam: Composition, h: HessenbergFunction) -> int:
-    from .oracle import variety_point_count
+    from .oracle import BudgetExceededError, variety_point_count
 
     q = _search_inputs(args)
     if q is None:
         raise InputError("--q is required for count")
-    report = variety_point_count(lam, h, q, budget_bits=args.budget_bits)
+    try:
+        report = variety_point_count(lam, h, q, budget_bits=args.budget_bits)
+    except BudgetExceededError as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return EXIT_BUDGET
     payload = _header(args, lam, h)
     payload.update(report.to_json())
 
@@ -456,9 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except BudgetExceededError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except RecursionError:
         print("resource limit: recursion too deep for this input", file=sys.stderr)
         return EXIT_BUDGET

@@ -10,15 +10,48 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class Composition:
+class Record:
+    """A frozen dataclass of the fields in `_fields`, without importing
+    `dataclasses`: the same ==, hash and repr, and every attribute is
+    read-only once __init__ has set it with object.__setattr__."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle hand back (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Composition(Record):
     """A (weak) composition of n; zero parts are dropped on construction."""
 
+    __slots__ = _fields = ("parts",)
     parts: tuple[int, ...]
 
     def __init__(self, parts: Sequence[int]):
@@ -46,10 +79,10 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class HessenbergFunction:
+class HessenbergFunction(Record):
     """Nondecreasing h:[n] -> [n] with h(i) < i for all i."""
 
+    __slots__ = _fields = ("values",)
     values: tuple[int, ...]
 
     def __init__(self, values: Sequence[int]):
@@ -84,10 +117,10 @@ class HessenbergFunction:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Permutation of [n] in one-line notation: word[i-1] = w(i)."""
 
+    __slots__ = _fields = ("word",)
     word: tuple[int, ...]
 
     def __init__(self, word: Sequence[int]):
@@ -139,13 +172,15 @@ def factorize(w: Permutation) -> tuple[Permutation, Permutation]:
     return v, y
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """A filling of a composition shape by the integers 1..n, each used once."""
+class Tableau(Record):
+    """A filling of a composition shape by the integers 1..n, each used once;
+    `index` (value -> (row, column)) takes no part in ==, hash or repr."""
 
+    __slots__ = ("shape", "rows", "index")
+    _fields = ("shape", "rows")
     shape: Composition
     rows: tuple[tuple[int, ...], ...]
-    index: dict[int, tuple[int, int]] = field(compare=False, repr=False)
+    index: dict[int, tuple[int, int]]
 
     def __init__(self, rows: Sequence[Sequence[int]], shape: Composition | None = None):
         rows = tuple(tuple(r) for r in rows if len(r) > 0)

@@ -285,6 +285,8 @@ def variety_point_counts(
     budget_bits: int = 24,
 ) -> list[CountReport]:
     """CountReports of Hess(X_lambda, h) for several h at once."""
+    # before the dense X_lambda, so far over budget fails on the budget, not memory
+    _check_budget(lam.n, q, budget_bits)
     counts = flag_point_counts(nilpotent_residues(lam), hs, q, budget_bits)
     return [
         CountReport.from_counts(q, per_cell, enumerate_cells(lam, h))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
 from math import comb
@@ -22,6 +21,7 @@ from .combinatorics import (
     Composition,
     HessenbergFunction,
     Permutation,
+    Record,
     Tableau,
     base_filling,
     is_h_strict,
@@ -304,11 +304,14 @@ def enumerate_cells(lam: Composition, h: HessenbergFunction) -> list[tuple]:
     return cells
 
 
-@dataclass(frozen=True)
-class PoincareData:
+class PoincareData(Record):
     """Cell-dimension histogram; coeffs[k] = number of cells of dimension k."""
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def total_cells(self) -> int:

@@ -49,6 +49,7 @@ from hesspave.paving import (
     _grid_profile,
     _inversion_pairs,
     enumerate_cells,
+    poincare,
     springer_inversions,
 )
 
@@ -265,6 +266,18 @@ def _jordan_type(x: list[list[int]], q: int) -> tuple[int, ...]:
     return tuple(sum(1 for c in at_least if c >= i) for i in range(1, at_least[0] + 1))
 
 
+def centralizer_order(mu: tuple[int, ...], q: int) -> Fraction:
+    """a_mu(q) = q^(|mu| + 2n(mu)) prod_i phi_(m_i)(1/q), the order of the
+    centralizer in GL_n(F_q) of a nilpotent of Jordan type mu, with
+    n(mu) = sum (i-1) mu_i, m_i the multiplicity of the part i and
+    phi_m(t) = (1 - t)...(1 - t^m) (Macdonald, ch. II)."""
+    a = Fraction(q ** (sum(mu) + 2 * sum(i * p for i, p in enumerate(mu))))
+    for m in Counter(mu).values():
+        for j in range(1, m + 1):
+            a *= 1 - Fraction(1, q**j)
+    return a
+
+
 def orbit_point_counts(h: HessenbergFunction, q: int) -> dict[tuple[int, ...], Fraction]:
     """|Hess(X_mu, h)(F_q)| for every partition mu of n, with no flag in sight.
 
@@ -274,10 +287,8 @@ def orbit_point_counts(h: HessenbergFunction, q: int) -> dict[tuple[int, ...], F
     H(h) = {X : X_ij = 0 for i > h(j)}; so
     |Hess(X_mu, h)| = |Fl_n| |O_mu cap H(h)| / |O_mu|.  One pass over
     H(h)(F_q) bins each X by its Jordan type, and
-    |O_mu| = |GL_n(F_q)| / a_mu(q), a_mu(q) = q^(|mu| + 2n(mu)) prod_i
-    phi_(m_i)(1/q), the order of the centralizer, with
-    phi_m(t) = (1 - t)...(1 - t^m) and n(mu) = sum (i-1) mu_i.  A count
-    that is not an integer comes back as the Fraction it is.
+    |O_mu| = |GL_n(F_q)| / a_mu(q) (`centralizer_order`).  A count that is
+    not an integer comes back as the Fraction it is.
     """
     n = h.n
     free = [(i, j) for j in range(n) for i in range(h(j + 1))]
@@ -292,14 +303,30 @@ def orbit_point_counts(h: HessenbergFunction, q: int) -> dict[tuple[int, ...], F
     for i in range(n):
         flags *= (q ** (i + 1) - 1) // (q - 1)
         group *= q**n - q**i
-    counts = {}
-    for mu in partitions(n):
-        centralizer = Fraction(q ** (n + 2 * sum(i * p for i, p in enumerate(mu))))
-        for m in Counter(mu).values():
-            for j in range(1, m + 1):
-                centralizer *= 1 - Fraction(1, q**j)
-        counts[mu] = flags * types[mu] * centralizer / group
-    return counts
+    return {mu: flags * types[mu] * centralizer_order(mu, q) / group for mu in partitions(n)}
+
+
+def nilpotent_cone_sum(h: HessenbergFunction, q: int) -> Fraction:
+    """sum over mu |- n of P_{mu,h}(q) |B(F_q)| / a_mu(q), with P_{mu,h}
+    the `poincare` polynomial of mu read at q: by the nilpotent-cone
+    identity it equals q^(h(1) + ... + h(n)).
+
+    Every X in H(h) (see `orbit_point_counts`) is strictly upper
+    triangular, since h(j) < j, so nilpotent, and the orbits O_mu split
+    H(h)(F_q), which has q^(sum h(j)) points.  The double count of
+    `orbit_point_counts` gives |O_mu cap H(h)| = |Hess(X_mu, h)| |O_mu| / |Fl_n|
+    and |O_mu| / |Fl_n| = |B(F_q)| / a_mu(q), with
+    |B(F_q)| = (q - 1)^n q^(n(n-1)/2).  The identity holds at every prime
+    power, so as rational functions in q, and any integer q >= 2 tests it.
+    It is one equation over all mu together: errors in two shapes that
+    cancel pass it.
+    """
+    n = h.n
+    borel = (q - 1) ** n * q ** (n * (n - 1) // 2)
+    return sum(
+        evaluate(poincare(Composition(mu), h), q) * borel / centralizer_order(mu, q)
+        for mu in partitions(n)
+    )
 
 
 def cells_json(lam: Composition, h: HessenbergFunction, h_arg: str) -> str:

@@ -412,6 +412,23 @@ class TestCount:
         assert (code, out) == (3, "")
         assert err == "budget exceeded: enumeration needs 8001998.2 bits of work, budget is 24\n"
 
+    def test_budget_caught_by_count(self, capsys, monkeypatch):
+        # `count` reports the budget itself, with the line and exit code
+        # that `main` printed when it caught the error
+        code, out, err = run(capsys, "count", "--lambda", "2,2,2", "--q", "3")
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: enumeration needs 26.4 bits of work, budget is 24\n"
+        # and before X_lambda is built, which at n = 20,000 takes 3.2 GB
+        import hesspave.oracle
+
+        def refuse(lam):
+            raise AssertionError("X_lambda built over budget")
+
+        monkeypatch.setattr(hesspave.oracle, "nilpotent_residues", refuse)
+        code, out, err = run(capsys, "count", "--lambda", "20000", "--q", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exceeded: enumeration needs ")
+
     def test_huge_budget_passes_at_once(self, capsys):
         # the check never forms 2^budget_bits, so a 10^12-bit budget costs
         # nothing and the count is the one of the default budget
@@ -748,11 +765,19 @@ def _fresh_python(code: str, hash_seed: int | None = None) -> dict:
 
 
 class TestColdStart:
-    def test_exact_commands_never_load_numpy(self):
-        # numpy (through the F_q layer) is a cost of count and verify only
-        loaded = _fresh_python("""
+    # modules the exact commands must not load: the polynomial and matrix
+    # layers, the F_q layer, numpy, and the standard-library modules that
+    # only those layers import
+    HEAVY = ["hesspave.exactla", "hesspave.domains", "hesspave.oracle",
+             "dataclasses", "fractions", "numpy"]
+
+    def test_exact_commands_load_only_the_paving(self):
+        loaded = _fresh_python(f"""
 import contextlib, io, json, sys
-from hesspave.cli import main
+import hesspave.cli
+heavy = {self.HEAVY!r}
+seen = {{"import": [0, sorted(m for m in heavy if m in sys.modules),
+                   sorted(m for m in sys.modules if m.startswith("hesspave"))]}}
 runs = [
     ["cells", "--lambda", "2,2,1"],
     ["poincare", "--lambda", "2,2,1"],
@@ -761,16 +786,20 @@ runs = [
     ["generic-flag", "--lambda", "2,1", "--w", "2,3,1"],
     ["count", "--lambda", "2,1", "--q", "2"],
 ]
-seen = {}
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    seen[argv[0]] = [code, "numpy" in sys.modules, "hesspave.oracle" in sys.modules]
+        code = hesspave.cli.main(argv)
+    seen[argv[0]] = [code, sorted(m for m in heavy if m in sys.modules)]
 print(json.dumps(seen))
 """)
-        for command in ("cells", "poincare", "r0", "profile", "generic-flag"):
-            assert loaded[command] == [0, False, False], command
-        assert loaded["count"] == [0, True, True]
+        assert loaded.pop("import") == [0, [], ["hesspave", "hesspave.cli",
+                                                "hesspave.combinatorics", "hesspave.paving"]]
+        for command in ("cells", "poincare", "r0", "profile"):
+            assert loaded[command] == [0, []], command
+        # generic-flag needs the polynomials, count the F_q layer
+        fq = {"hesspave.oracle", "numpy"}
+        assert loaded["generic-flag"] == [0, sorted(set(self.HEAVY) - fq)]
+        assert loaded["count"] == [0, sorted(self.HEAVY)]
 
     def test_fq_layer_loads_no_thread_pool(self):
         loaded = _fresh_python("""
@@ -782,26 +811,32 @@ print(json.dumps("concurrent.futures" in sys.modules))
 
     def test_package_names_resolve_on_first_access(self):
         seen = _fresh_python("""
-import json, sys
+import importlib, json, sys
 import hesspave
 from hesspave import cli
-before = "numpy" in sys.modules
+before = sorted(m for m in ("numpy", "hesspave.exactla", "hesspave.domains")
+                if m in sys.modules)
 try:
     hesspave.no_such_name
     unknown = "resolved"
 except AttributeError:
-    unknown = "numpy" in sys.modules
-from hesspave.oracle import variety_point_count
-from hesspave.verify import run_verification
+    unknown = sorted(m for m in ("numpy", "hesspave.exactla", "hesspave.domains")
+                     if m in sys.modules)
 print(json.dumps({
     "before": before,
     "unknown": unknown,
-    "same": [hesspave.variety_point_count is variety_point_count,
-             hesspave.run_verification is run_verification],
-    "all": sorted(n for n in hesspave._FQ_NAMES if getattr(hesspave, n, None) is None),
+    # each name is the object of the module that defines it
+    "wrong": sorted(
+        name for name, module in hesspave._LAZY_NAMES.items()
+        if getattr(hesspave, name)
+        is not getattr(importlib.import_module("hesspave." + module), name)
+        or getattr(hesspave, name).__module__ != "hesspave." + module
+    ),
+    "modules": sorted(set(hesspave._LAZY_NAMES.values())),
 }))
 """)
-        assert seen == {"before": False, "unknown": False, "same": [True, True], "all": []}
+        assert seen == {"before": [], "unknown": [], "wrong": [],
+                        "modules": ["domains", "exactla", "oracle", "verify"]}
 
 
 def test_outputs_do_not_depend_on_the_hash_seed():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -16,6 +18,7 @@ from hesspave.combinatorics import (
     standardize,
     tableau_of,
 )
+from hesspave.paving import PoincareData
 from proof_reference import (
     all_hessenberg_functions,
     compose,
@@ -200,6 +203,73 @@ class TestTableaux:
         assert lamp.parts == (1,) and tp.rows == ((1,),)
         with pytest.raises(ValueError):
             delete_last_box(Tableau([[2, 1]]))
+
+
+# (maker, the repr, the tuple that == and hash read, a field name)
+RECORDS = [
+    (lambda: Composition([2, 0, 1]), "Composition(parts=(2, 1))", ((2, 1),), "parts"),
+    (lambda: HessenbergFunction([0, 1, 1]), "HessenbergFunction(values=(0, 1, 1))",
+     ((0, 1, 1),), "values"),
+    (lambda: Permutation([2, 3, 1]), "Permutation(word=(2, 3, 1))", ((2, 3, 1),), "word"),
+    (lambda: Tableau([[1, 3], [2]]),
+     "Tableau(shape=Composition(parts=(2, 1)), rows=((1, 3), (2,)))",
+     (Composition([2, 1]), ((1, 3), (2,))), "rows"),
+    (lambda: PoincareData((1, 2, 1)), "PoincareData(coeffs=(1, 2, 1))", ((1, 2, 1),), "coeffs"),
+]
+
+
+class TestValueObjects:
+    """The five immutable records: == and hash read their fields as one
+    tuple (a Tableau leaves out its `index`), the repr lists those fields,
+    and no attribute can be set or deleted."""
+
+    @pytest.mark.parametrize("make, text, key, name", RECORDS)
+    def test_equality_hash_and_repr(self, make, text, key, name):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) == hash(key)
+        assert repr(a) == text
+        # another type is never equal, even with the same field values
+        assert a.__eq__(key) is NotImplemented and a != key
+
+    def test_different_values_differ(self):
+        assert Composition([2, 1]) != Composition([1, 2])
+        assert HessenbergFunction([0, 0, 1]) != HessenbergFunction([0, 1, 1])
+        assert Permutation([2, 1]) != Permutation([1, 2])
+        assert Tableau([[1, 3], [2]]) != Tableau([[2, 3], [1]])
+        assert Tableau([[1], [2]]) != Tableau([[1, 2]])
+        assert PoincareData((1, 1)) != PoincareData((1,))
+        assert Composition([1, 2]) != PoincareData((1, 2))
+
+    @pytest.mark.parametrize("make, text, key, name", RECORDS)
+    def test_fields_are_read_only(self, make, text, key, name):
+        a = make()
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert repr(a) == text
+
+    @pytest.mark.parametrize("make, text, key, name", RECORDS)
+    def test_copies_keep_the_value(self, make, text, key, name):
+        a = make()
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and hash(b) == hash(a) and repr(b) == text
+
+    def test_tableau_index_is_left_out(self):
+        a, b = Tableau([[1, 3], [2]]), Tableau([[1, 3], [2]])
+        object.__setattr__(b, "index", {})
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.index == {1: (1, 1), 3: (1, 2), 2: (2, 1)}
+        assert copy.deepcopy(a).position(3) == (1, 2)
+
+    def test_base_filling_cache_hits_an_equal_shape(self):
+        first = base_filling(Composition([4, 2, 2, 1]))
+        hits = base_filling.cache_info().hits
+        assert base_filling(Composition([4, 0, 2, 2, 1])) is first
+        assert base_filling.cache_info().hits == hits + 1
 
 
 def test_partitions():

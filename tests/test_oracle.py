@@ -430,6 +430,23 @@ class TestVarietyCounts:
                 Composition([2, 2]), HessenbergFunction.springer(4), 2, budget_bits=4
             )
 
+    def test_budget_is_checked_before_the_dense_x(self, monkeypatch):
+        # X_lambda at n = 20,000 is a 3.2 GB int64 array: an input that far
+        # over budget must fail on the budget before building it
+        built = []
+        residues = hesspave.oracle.nilpotent_residues
+
+        def record(lam):
+            built.append(lam)
+            return residues(lam)
+
+        monkeypatch.setattr(hesspave.oracle, "nilpotent_residues", record)
+        with pytest.raises(BudgetExceededError, match="budget is 24"):
+            variety_point_count(Composition([20000]), HessenbergFunction.springer(20000), 2)
+        assert built == []
+        report = variety_point_count(Composition([2, 1]), HessenbergFunction.springer(3), 2)
+        assert report.match and built == [Composition([2, 1])]
+
     def test_2221_springer_reach(self):
         # |Fl_7(F_2)| is 2^26.2 flags, over the default 24-bit budget
         lam, h = Composition([2, 2, 2, 1]), HessenbergFunction.springer(7)

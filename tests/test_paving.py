@@ -47,6 +47,7 @@ from proof_reference import (
     h_leq,
     identity_permutation,
     inv_level,
+    nilpotent_cone_sum,
     orbit_point_counts,
     ordered_poincare,
     partitions,
@@ -975,6 +976,59 @@ class TestOrbitPointCounts:
                         (parts, h.values, q)
                     checked += 1
         assert checked == cases
+
+
+def _sampled_h(n, count, seed):
+    """The Springer h of size n and `count` h drawn by a seeded generator,
+    each h(i) uniform between h(i-1) and i - 1."""
+    rng = random.Random(seed)
+    hs = [HessenbergFunction.springer(n)]
+    for _ in range(count):
+        values = [0]
+        for i in range(2, n + 1):
+            values.append(rng.randint(values[-1], i - 1))
+        hs.append(HessenbergFunction(values))
+    return hs
+
+
+class TestNilpotentCone:
+    """`poincare` under every h against the nilpotent-cone identity: summed
+    over mu |- n with weights |B(F_q)| / a_mu(q), the Poincare polynomials
+    P_{mu,h}(q) count H(h)(F_q), which has q^(h(1) + ... + h(n)) points."""
+
+    def test_small_cases_by_hand(self):
+        # n = 2: P_(2) = 1, P_(1,1) = 1 + q under the Springer h (a_(2) =
+        # q^2 - q, a_(1,1) = (q^2 - 1)(q^2 - q)); only X = 0 when h = (0, 0)
+        for q in (2, 3, 7):
+            assert nilpotent_cone_sum(HessenbergFunction.springer(2), q) == q
+            assert nilpotent_cone_sum(HessenbergFunction([0, 0]), q) == 1
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_every_h_up_to_6(self, q):
+        checked = 0
+        for n in range(1, 7):
+            for h in all_hessenberg_functions(n):
+                assert nilpotent_cone_sum(h, q) == q ** sum(h.values), (h.values, q)
+                checked += 1
+        assert checked == 196
+
+    def test_sampled_h_at_10_to_12(self):
+        for n in (10, 11, 12):
+            for h in _sampled_h(n, 6, n):
+                assert nilpotent_cone_sum(h, 2) == 2 ** sum(h.values), h.values
+
+    def test_large_q(self):
+        # a rational-function identity: a q far past every coefficient
+        q = 10**6 + 3
+        for n in range(1, 6):
+            for h in all_hessenberg_functions(n):
+                assert nilpotent_cone_sum(h, q) == q ** sum(h.values), h.values
+
+    @pytest.mark.exhaustive
+    @pytest.mark.parametrize("n", [16, 18, 20])
+    def test_sampled_h_at_16_to_20(self, n):
+        for h in _sampled_h(n, 3, n):
+            assert nilpotent_cone_sum(h, 2) == 2 ** sum(h.values), h.values
 
 
 class TestDuality:
